@@ -158,7 +158,15 @@ def generate_extremal(spec: CorpusSpec):
 
 
 def golden_names():
-    return sorted(p.stem for p in GOLDEN_DIR.glob("*.graph"))
+    """Names of the golden fixtures; an empty or missing directory is an error.
+
+    ``GOLDEN_DIR`` sits outside the package, so an install that does not keep
+    the source tree would otherwise make every golden check pass vacuously.
+    """
+    names = sorted(p.stem for p in GOLDEN_DIR.glob("*.graph"))
+    if not names:
+        raise GraphError("no golden graphs found in %s" % GOLDEN_DIR)
+    return names
 
 
 def load_golden(name: str) -> PlaneGraph:

@@ -87,26 +87,36 @@ def _check_diamond(g: PlaneGraph, d: Diamond) -> bool:
 
 
 def find_diamonds(g: PlaneGraph) -> list:
-    """All diamonds, once up to the u1<->u2 / z1<->z2 reflection."""
+    """All diamonds, once up to the u1<->u2 / z1<->z2 reflection.
+
+    The search is seeded from adjacent degree-2 pairs instead of 5-cycles.
+    Every diamond contains the edge z1-z2 between two degree-2 vertices, and
+    that ordered pair fixes the rest of the cycle: u1 and u2 are the other
+    neighbors of z1 and z2, and w is a common neighbor of u1 and u2.  So
+    trying each such pair and each w in N(u1) & N(u2) reaches every diamond,
+    and each one from the single orientation with u1 < u2.  The five vertices
+    are distinct by construction: z1, z2 have no further neighbors, u1 != u2,
+    and a common neighbor of u1 and u2 is neither z1 nor z2.
+    """
     out = set()
-    for cyc in g.cycles_up_to(5):
-        if len(cyc) != 5:
+    for z1 in g.vertices:
+        if g.degree(z1) != 2:
             continue
-        for shift in range(5):
-            for walk in (cyc, tuple(reversed(cyc))):
-                u1, z1, z2, u2, w = (walk[(shift + j) % 5] for j in range(5))
-                if u2 < u1:
-                    continue
-                if (g.degree(u1), g.degree(z1), g.degree(z2),
-                        g.degree(u2), g.degree(w)) != (3, 2, 2, 3, 3):
+        for z2 in g.neighbors(z1):
+            if g.degree(z2) != 2:
+                continue
+            (u1,) = g.neighbors(z1) - {z2}
+            (u2,) = g.neighbors(z2) - {z1}
+            if u2 <= u1 or g.degree(u1) != 3 or g.degree(u2) != 3:
+                continue
+            for w in g.neighbors(u1) & g.neighbors(u2):
+                if g.degree(w) != 3:
                     continue
                 cset = {u1, z1, z2, u2, w}
-                x1s = [x for x in g.neighbors(u1) if x not in cset]
-                if x1s != [x for x in g.neighbors(u2) if x not in cset]:
-                    continue
-                x2s = [x for x in g.neighbors(w) if x not in cset]
-                if len(x1s) == 1 and len(x2s) == 1:
-                    out.add(Diamond(u1, z1, z2, u2, w, x1s[0], x2s[0]))
+                x1s = g.neighbors(u1) - cset
+                x2s = g.neighbors(w) - cset
+                if len(x1s) == 1 and x1s == g.neighbors(u2) - cset and len(x2s) == 1:
+                    out.add(Diamond(u1, z1, z2, u2, w, min(x1s), min(x2s)))
     return sorted(out)
 
 
@@ -210,22 +220,28 @@ def _quick_reject(g: PlaneGraph) -> bool:
 
 
 class _IsoMemo:
-    """Negative cache for membership search, keyed up to isomorphism."""
+    """Negative cache for membership search, keyed up to isomorphism.
+
+    Graphs are bucketed by (n, m) and then by WL hash.  A graph's hash is
+    computed only when ``add`` stores it or ``seen`` finds its (n, m) bucket
+    non-empty, so a search that never backtracks hashes nothing.
+    """
 
     def __init__(self):
         self.buckets = {}
 
-    def _key(self, g: PlaneGraph):
-        return (g.n, g.m, nx.weisfeiler_lehman_graph_hash(g.to_networkx()))
-
     def seen(self, g: PlaneGraph) -> bool:
-        for h in self.buckets.get(self._key(g), ()):
-            if nx.is_isomorphic(g.to_networkx(), h):
-                return True
-        return False
+        by_hash = self.buckets.get((g.n, g.m))
+        if not by_hash:
+            return False
+        h = g.to_networkx()
+        return any(nx.is_isomorphic(h, other)
+                   for other in by_hash.get(nx.weisfeiler_lehman_graph_hash(h), ()))
 
     def add(self, g: PlaneGraph):
-        self.buckets.setdefault(self._key(g), []).append(g.to_networkx())
+        h = g.to_networkx()
+        by_hash = self.buckets.setdefault((g.n, g.m), {})
+        by_hash.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
 
 
 def is_member(g: PlaneGraph) -> MembershipTrace:

@@ -1,9 +1,13 @@
 """Plane graph substrate: rotation systems, faces, and small-graph queries.
 
 A plane graph is stored as a rotation system: for every vertex, the cyclic
-clockwise order of its neighbors.  Faces are traced with the next-edge rule
-and validity (genus zero) is checked per connected component via Euler's
-formula.  Graphs are immutable; every operation returns a new value.
+clockwise order of its neighbors (the order ``networkx`` planar embeddings
+use).  Faces are traced with the next-edge rule: a walk that arrives at v
+from u leaves v toward the neighbor that follows u in v's rotation.  Each
+face walk therefore keeps its face on the left, and the ``outer:`` line of
+the file format lists one such walk.  Validity (genus zero) is checked per
+connected component via Euler's formula.  Graphs are immutable; every
+operation returns a new value.
 """
 from __future__ import annotations
 
@@ -105,7 +109,7 @@ class PlaneGraph:
         for v, ns in self._rot.items():
             deg = len(ns)
             for i, u in enumerate(ns):
-                # arriving at v from u, leave toward the next neighbor clockwise
+                # the next-edge rule of the module docstring
                 succ[(u, v)] = (v, ns[(i + 1) % deg])
         faces = []
         seen = set()

@@ -90,12 +90,19 @@ def _solve_component(g: PlaneGraph):
     return lifted, (step,) + sub_trace
 
 
+def _component_graphs(g: PlaneGraph) -> list:
+    """The components of g as plane graphs; a connected g is returned as is."""
+    comps = g.components()
+    if len(comps) == 1:
+        return [g]
+    return [PlaneGraph({v: g.rotation(v) for v in comp}, check=False) for comp in comps]
+
+
 def _solve_set(g: PlaneGraph):
     total = set()
     trace = ()
-    for comp in g.components():
-        rot = {v: g.rotation(v) for v in comp}
-        sub_set, sub_trace = _solve_component(PlaneGraph(rot, check=False))
+    for comp in _component_graphs(g):
+        sub_set, sub_trace = _solve_component(comp)
         total |= sub_set
         trace += sub_trace
     return frozenset(total), trace
@@ -114,10 +121,7 @@ def solve(g: PlaneGraph) -> SolveResult:
     s, trace = _solve_set(g)
     if not verify.is_independent_set(g, s):
         raise reductions.InternalInvariantError("solver output failed verification")
-    guarantee = 0
-    for comp in g.components():
-        rot = {v: g.rotation(v) for v in comp}
-        guarantee += _component_guarantee(PlaneGraph(rot, check=False))
+    guarantee = sum(_component_guarantee(comp) for comp in _component_graphs(g))
     return SolveResult(s, trace, guarantee, len(s) >= guarantee)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from trifree import corpus
@@ -87,6 +89,14 @@ class TestGolden:
         for name in ("p2", "c5", "c5_dagger", "c5_ddagger", "c6c", "c6v",
                      "q3", "member14", "member20", "dangerous_witness"):
             assert name in golden
+
+    def test_missing_corpus_rejected(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(corpus, "GOLDEN_DIR", tmp_path)
+        with pytest.raises(GraphError, match=re.escape(str(tmp_path))):
+            corpus.golden_graphs()
+        monkeypatch.setattr(corpus, "GOLDEN_DIR", tmp_path / "absent")
+        with pytest.raises(GraphError, match="absent"):
+            corpus.golden_names()
 
 
 class TestRunSuite:

@@ -1,9 +1,12 @@
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trifree import solver
-from trifree.extremal import (Diamond, avoiding_independent_set, find_diamonds,
-                              generate_member, is_member,
+from trifree import extremal, solver
+from trifree.extremal import (Diamond, _IsoMemo, _replay, avoiding_independent_set,
+                              find_diamonds, generate_member, is_member,
                               member_max_independent_set,
                               path_diamond_replacement,
                               replace_diamond_with_path)
@@ -36,8 +39,17 @@ class TestFindDiamonds:
         assert find_diamonds(cube) == []
 
     def test_oracle_agreement_on_corpus(self, corpus8):
-        for g in corpus8[::6]:
+        for g in corpus8:
             assert diamond_tuples(find_diamonds(g)) == oracles.naive_diamonds(g)
+
+    @pytest.mark.parametrize("steps,seed", [(10, 0), (30, 1), (50, 2)])
+    def test_oracle_agreement_along_membership_trace(self, steps, seed):
+        g = generate_member(steps, seed)
+        trace = is_member(g)
+        graphs = _replay(g, trace)
+        assert len(graphs) == steps + 1
+        for h in graphs:
+            assert diamond_tuples(find_diamonds(h)) == oracles.naive_diamonds(h)
 
 
 class TestReplaceDiamondWithPath:
@@ -127,6 +139,37 @@ class TestIsMember:
         assert text.endswith("terminal C5\n")
         assert text.splitlines()[0].startswith("replace ")
 
+    @pytest.mark.parametrize("steps,seed", [(20, 3), (45, 4), (60, 5)])
+    def test_trace_matches_oracle_diamonds(self, monkeypatch, steps, seed):
+        # the search tries diamonds in sorted order; pin that choice order
+        g = generate_member(steps, seed)
+        want = is_member(g).serialize()
+        monkeypatch.setattr(extremal, "find_diamonds",
+                            lambda h: [Diamond(*t) for t in oracles.naive_diamonds(h)])
+        assert is_member(g).serialize() == want
+        assert want.count("replace ") == steps
+
+    def test_no_hashing_without_backtracking(self, monkeypatch, cube):
+        calls = []
+        real = nx.weisfeiler_lehman_graph_hash
+        monkeypatch.setattr(nx, "weisfeiler_lehman_graph_hash",
+                            lambda h: calls.append(h) or real(h))
+        assert is_member(generate_member(60, 2)).is_member
+        assert calls == []
+        # control: a rejected search stores the cube, hashing it once
+        assert not is_member(cube).is_member
+        assert len(calls) == 1
+
+    def test_large_member_certifies(self):
+        g = generate_member(200, 13)
+        assert g.n == 605
+        trace = is_member(g)
+        assert trace.terminal == "C5" and len(trace.steps) == 200
+        s = member_max_independent_set(g, trace)
+        assert 3 * len(s) == g.n + 1 and is_independent_set(g, s)
+        res = solver.solve(g)
+        assert res.met and res.guarantee == (g.n + 3) // 3
+
     def test_non_members_exceed_extremal_alpha(self, corpus8):
         # contrapositive of tightness on the enumerated corpus
         for g in corpus8:
@@ -196,6 +239,29 @@ class TestMemberMaxIndependentSet:
             assert is_independent_set(g, s)
             alpha, _ = solver.exact_alpha(g)
             assert len(s) == alpha
+
+
+class TestIsoMemo:
+    def test_relabelled_copy_seen(self):
+        g = generate_member(4, 3)
+        memo = _IsoMemo()
+        assert not memo.seen(g)
+        memo.add(g)
+        perm = list(g.vertices)
+        random.Random(0).shuffle(perm)
+        copy = g.relabel(dict(zip(g.vertices, perm)))
+        assert copy.edges != g.edges and memo.seen(copy)
+
+    def test_same_size_non_isomorphic_unseen(self, corpus8):
+        # a pair the WL hash cannot tell apart, so the isomorphism test decides
+        by_key = {}
+        for h in corpus8:
+            key = (h.n, h.m, nx.weisfeiler_lehman_graph_hash(h.to_networkx()))
+            by_key.setdefault(key, []).append(h)
+        a, b = next(hs for hs in by_key.values() if len(hs) >= 2)[:2]
+        memo = _IsoMemo()
+        memo.add(a)
+        assert memo.seen(a) and not memo.seen(b)
 
 
 def qualifying_faces(g):

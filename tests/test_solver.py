@@ -84,6 +84,28 @@ class TestSolve:
         g = golden["member20"]
         assert solver.solve(g) == solver.solve(g)
 
+    def test_outer_face_does_not_matter(self, golden):
+        g = golden["member20"]
+        bare = PlaneGraph({v: g.rotation(v) for v in g.vertices})
+        with_outer = bare.re_embed(bare.faces()[-1])
+        a, b = solver.solve(bare), solver.solve(with_outer)
+        assert with_outer.outer_face is not None
+        assert a == b and [s.serialize() for s in a.trace] == [s.serialize() for s in b.trace]
+
+    def test_disjoint_union_matches_parts(self, golden):
+        first = generate_member(6, 1)
+        second = golden["member14"]
+        offset = first.max_vertex_id()
+        shifted = second.relabel({v: v + offset for v in second.vertices})
+        rot = {v: first.rotation(v) for v in first.vertices}
+        rot.update({v: shifted.rotation(v) for v in shifted.vertices})
+        union = solver.solve(PlaneGraph(rot))
+        parts = [solver.solve(first), solver.solve(shifted)]
+        assert union.independent_set == parts[0].independent_set | parts[1].independent_set
+        assert union.trace == parts[0].trace + parts[1].trace
+        assert union.guarantee == parts[0].guarantee + parts[1].guarantee
+        assert union.met and parts[1].trace
+
     def test_met_on_corpus(self, corpus8):
         for g in corpus8:
             res = solver.solve(g)
