@@ -8,12 +8,11 @@ discharging engine.
 from .plane_graph import (DiskSubgraph, Face, GraphError, InternalInvariantError,
                           PlaneGraph, embed_edges, isomorphic_small, parse, serialize)
 from .configurations import Configuration, NoConfigurationError, find_any, interferes
-from .extremal import (Diamond, MembershipTrace, avoiding_independent_set,
-                       find_diamonds, generate_member, is_member,
-                       member_max_independent_set, path_diamond_replacement,
+from .extremal import (Diamond, DiamondStep, MembershipTrace, avoiding_independent_set,
+                       diamond_lift, diamond_reduce, find_diamonds, generate_member,
+                       is_member, member_max_independent_set, path_diamond_replacement,
                        replace_diamond_with_path)
-from .reductions import (DiamondContext, ReductionStep, check_tight, diamond_lift,
-                         diamond_project, diamond_reduce, lift, reduce)
+from .reductions import ReductionStep, check_tight, diamond_project, lift, reduce
 from .solver import SolveResult, check_theorem_bounds, exact_alpha, solve
 from .discharging import (AuditReport, ChargeLedger, DangerousCycle, apply_rules,
                           audit, dangerous_cycles, initial_charges)

@@ -10,16 +10,12 @@ import json
 import os
 import sys
 
-from . import configurations, corpus, discharging, extremal, reductions, solver
+from . import configurations, corpus, discharging, extremal, solver
 from .plane_graph import GraphError, InternalInvariantError, parse, serialize
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("TRIFREE_SEED", "0"))
 
 
 def _read_graph(path: str):
@@ -162,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="trifree",
                                 description="independent sets in planar triangle-free graphs")
     sub = p.add_subparsers(dest="command", required=True)
+    # a string default goes through type=int, so argparse reports a bad value
+    seed = os.environ.get("TRIFREE_SEED", "0")
 
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, **kwargs)
@@ -179,11 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp = add("gen-extremal", cmd_gen_extremal)
     sp.add_argument("--steps", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=seed)
     sp = add("gen-random", cmd_gen_random)
     sp.add_argument("--n", type=int, default=20)
     sp.add_argument("--count", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=seed)
     sp = add("enumerate", cmd_enumerate)
     sp.add_argument("--n", type=int, required=True)
     sp = add("find-configs", cmd_find_configs)
@@ -201,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=7)
     sp.add_argument("--count", type=int, default=10)
     sp.add_argument("--steps", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=seed)
     return p
 
 

@@ -21,24 +21,22 @@ class NoConfigurationError(InternalInvariantError):
     """Every plane triangle-free graph must contain some configuration."""
 
 
+# per kind, the role indices whose vertices must avoid the outer cycle
+_INTERFERENCE_ROLES = {"C1": (0,), "C2": (0, 2, 3), "C3": (0, 2),
+                       "C4": tuple(range(9)), "C5": (0, 1)}
+
+
 @dataclass(frozen=True, order=True)
 class Configuration:
     kind: str
     roles: tuple
 
+    def __post_init__(self):
+        if self.kind not in _INTERFERENCE_ROLES:
+            raise GraphError("unknown configuration kind %r" % (self.kind,))
+
     def interference_vertices(self) -> frozenset:
-        r = self.roles
-        if self.kind == "C1":
-            return frozenset(r)
-        if self.kind == "C2":
-            return frozenset((r[0], r[2], r[3]))
-        if self.kind == "C3":
-            return frozenset((r[0], r[2]))
-        if self.kind == "C4":
-            return frozenset(r)
-        if self.kind == "C5":
-            return frozenset(r[:2])
-        raise ValueError("unknown configuration kind %r" % self.kind)
+        return frozenset(self.roles[i] for i in _INTERFERENCE_ROLES[self.kind])
 
 
 def interferes(c: Configuration, k: Face) -> bool:

@@ -11,7 +11,7 @@ from pathlib import Path
 import networkx as nx
 
 from . import extremal, solver
-from .plane_graph import GraphError, PlaneGraph, embed_edges, parse
+from .plane_graph import GraphError, PlaneGraph, embed_edges, parse, wl_hash
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent.parent / "corpus" / "golden"
 
@@ -29,8 +29,7 @@ class CorpusSpec:
 
 def _iso_dedup_add(buckets, g: nx.Graph) -> bool:
     """Add to hash-bucketed store unless an isomorphic copy is present."""
-    key = (g.number_of_nodes(), g.number_of_edges(),
-           nx.weisfeiler_lehman_graph_hash(g))
+    key = (g.number_of_nodes(), g.number_of_edges(), wl_hash(g))
     for h in buckets.setdefault(key, []):
         if nx.is_isomorphic(g, h):
             return False

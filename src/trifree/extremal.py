@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import networkx as nx
 
 from . import verify
-from .plane_graph import (GraphError, InternalInvariantError, PlaneGraph,
-                          cycle_graph, isomorphic_small, path_graph)
+from .plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph,
+                          cycle_graph, isomorphic_small, wl_hash)
 
 P2 = "P2"
 C5 = "C5"
@@ -37,23 +37,18 @@ class Diamond:
     def cycle(self) -> tuple:
         return (self.u1, self.z1, self.z2, self.u2, self.w)
 
-    def cycle_edges(self) -> frozenset:
-        c = self.cycle
-        return frozenset(frozenset((c[i], c[(i + 1) % 5])) for i in range(5))
-
 
 @dataclass(frozen=True)
-class MembershipStep:
+class DiamondStep:
+    """A diamond replaced by the path x1-v1-v2-x2 (x1, x2 from the diamond)."""
     diamond: Diamond
-    x1: int
     v1: int
     v2: int
-    x2: int
 
     def serialize(self) -> str:
         d = self.diamond
         return "replace %d %d %d %d %d -> path %d %d %d %d" % (
-            d.u1, d.z1, d.z2, d.u2, d.w, self.x1, self.v1, self.v2, self.x2)
+            d.u1, d.z1, d.z2, d.u2, d.w, d.x1, self.v1, self.v2, d.x2)
 
 
 @dataclass(frozen=True)
@@ -163,6 +158,33 @@ def replace_diamond_with_path(g: PlaneGraph, d: Diamond) -> PlaneGraph:
     raise InternalInvariantError("diamond removal broke the embedding: %s" % last_err)
 
 
+def diamond_reduce(g: PlaneGraph, d: Diamond):
+    """Replace a diamond by a path; returns (reduced graph, step)."""
+    reduced = replace_diamond_with_path(g, d)
+    v1 = g.max_vertex_id() + 1
+    return reduced, DiamondStep(d, v1, v1 + 1)
+
+
+def diamond_lift(host: PlaneGraph, step: DiamondStep, s_reduced) -> frozenset:
+    """Independent set of the host with one more vertex, verified against it."""
+    d = step.diamond
+    before = frozenset(s_reduced)
+    s = set(before)
+    if step.v1 in s:
+        s.discard(step.v1)
+        s.add(d.u1)
+    if step.v2 in s:
+        s.discard(step.v2)
+        s.add(d.w)
+    s.add(d.z2)
+    bad = verify.violating_edge(host, s)
+    if bad is not None:
+        raise InternalInvariantError("diamond lift produced dependent pair %r" % (bad,))
+    if len(s) != len(before) + 1:
+        raise InternalInvariantError("diamond lift did not gain exactly one vertex")
+    return frozenset(s)
+
+
 def path_diamond_replacement(g: PlaneGraph, path) -> PlaneGraph:
     """Exact inverse construction: grow a path x1-v1-v2-x2 into a diamond."""
     x1, v1, v2, x2 = path
@@ -236,12 +258,12 @@ class _IsoMemo:
             return False
         h = g.to_networkx()
         return any(nx.is_isomorphic(h, other)
-                   for other in by_hash.get(nx.weisfeiler_lehman_graph_hash(h), ()))
+                   for other in by_hash.get(wl_hash(h), ()))
 
     def add(self, g: PlaneGraph):
         h = g.to_networkx()
         by_hash = self.buckets.setdefault((g.n, g.m), {})
-        by_hash.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+        by_hash.setdefault(wl_hash(h), []).append(h)
 
 
 def is_member(g: PlaneGraph) -> MembershipTrace:
@@ -256,11 +278,9 @@ def is_member(g: PlaneGraph) -> MembershipTrace:
         if _quick_reject(h) or memo.seen(h):
             return None
         for d in find_diamonds(h):
-            reduced = replace_diamond_with_path(h, d)
-            v1 = h.max_vertex_id() + 1
+            reduced, step = diamond_reduce(h, d)
             sub = search(reduced)
             if sub is not None:
-                step = MembershipStep(d, d.x1, v1, v1 + 1, d.x2)
                 return MembershipTrace((step,) + sub.steps, sub.terminal)
         memo.add(h)
         return None
@@ -288,8 +308,8 @@ def _replay(g: PlaneGraph, trace: MembershipTrace) -> list:
     """Graphs along the trace, from g down to the terminal."""
     graphs = [g]
     for step in trace.steps:
-        nxt = replace_diamond_with_path(graphs[-1], step.diamond)
-        if not (nxt.has_vertex(step.v1) and nxt.has_vertex(step.v2)):
+        nxt, replayed = diamond_reduce(graphs[-1], step.diamond)
+        if replayed != step:
             raise GraphError("trace does not replay on this graph")
         graphs.append(nxt)
     return graphs
@@ -305,19 +325,6 @@ def _terminal_set(g: PlaneGraph, terminal: str) -> frozenset:
     raise GraphError("terminal graph is not a 5-cycle")
 
 
-def _lift_through(step: MembershipStep, s: frozenset) -> frozenset:
-    d = step.diamond
-    out = set(s)
-    if step.v1 in out:
-        out.discard(step.v1)
-        out.add(d.u1)
-    if step.v2 in out:
-        out.discard(step.v2)
-        out.add(d.w)
-    out.add(d.z2)
-    return frozenset(out)
-
-
 def member_max_independent_set(g: PlaneGraph, trace: MembershipTrace) -> frozenset:
     """An independent set of the exact extremal size (n+1)/3, built by lifting."""
     if not trace.is_member:
@@ -325,17 +332,10 @@ def member_max_independent_set(g: PlaneGraph, trace: MembershipTrace) -> frozens
     graphs = _replay(g, trace)
     s = _terminal_set(graphs[-1], trace.terminal)
     for step, host in zip(reversed(trace.steps), reversed(graphs[:-1])):
-        s = _lift_through(step, s)
-        bad = verify.violating_edge(host, s)
-        if bad is not None:
-            raise InternalInvariantError("lift produced dependent pair %r" % (bad,))
+        s = diamond_lift(host, step, s)
     if 3 * len(s) != g.n + 1:
         raise InternalInvariantError("lifted set has size %d != (n+1)/3" % len(s))
     return s
-
-
-def _qualifying_diamonds(g: PlaneGraph, face_vertices: frozenset) -> list:
-    return [d for d in find_diamonds(g) if not (set(d.cycle) & face_vertices)]
 
 
 def _exact_avoiding(g: PlaneGraph, avoid: frozenset, size: int):
@@ -351,14 +351,13 @@ def _exact_avoiding(g: PlaneGraph, avoid: frozenset, size: int):
     return frozenset(sorted(witness)[:size])
 
 
-def avoiding_independent_set(g: PlaneGraph, f) -> frozenset:
+def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
     """Maximum independent set of a family member avoiding all of V(f).
 
     Precondition: g is a family member and f is a face not incident with any
     vertex of degree at most two.
     """
-    face_vs = f.vertex_set if hasattr(f, "vertex_set") else frozenset(f)
-    if any(g.degree(v) <= 2 for v in face_vs):
+    if any(g.degree(v) <= 2 for v in f.vertex_set):
         raise GraphError("face is incident with a vertex of degree at most two")
     size = (g.n + 1) // 3
 
@@ -366,21 +365,21 @@ def avoiding_independent_set(g: PlaneGraph, f) -> frozenset:
         fv = face.vertex_set
         if h.n <= 11:
             return _exact_avoiding(h, fv, want)
-        for d in _qualifying_diamonds(h, fv):
+        for d in find_diamonds(h):
+            if set(d.cycle) & fv:
+                continue  # replacement would delete a face vertex
             if d.x1 in fv and h.degree(d.x1) <= 3:
                 continue  # replacement would drop a face vertex to degree 2
-            reduced = replace_diamond_with_path(h, d)
+            reduced, step = diamond_reduce(h, d)
             new_face = reduced.find_face(face.vertex_walk())
             if new_face is None or new_face.darts != face.darts:
                 continue
-            v1 = h.max_vertex_id() + 1
             sub = recurse(reduced, new_face, want - 1)
             if sub is not None:
-                step = MembershipStep(d, d.x1, v1, v1 + 1, d.x2)
-                return _lift_through(step, sub)
+                return diamond_lift(h, step, sub)
         return None
 
-    face = g.find_face(f.vertex_walk() if hasattr(f, "vertex_walk") else tuple(f))
+    face = g.find_face(f.vertex_walk())
     if face is None:
         raise GraphError("not a face of this graph: %r" % (f,))
     s = recurse(g, face, size)

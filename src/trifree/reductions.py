@@ -4,17 +4,16 @@ Each reduction shrinks the host by at most 3k vertices while the lift gains
 exactly k independent vertices (k = 1 for C1/C2, 2 for C3/C4).  C5 has no
 reduction of its own; callers convert it via ``configurations.c5_to_c2``.
 Every lift output is re-checked by the standalone verifier before it is
-returned.
+returned.  The diamond step and its lift live in ``extremal`` and are
+re-exported here as ``diamond_reduce`` and ``diamond_lift``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
-from . import verify
+from . import configurations, verify
 from .configurations import Configuration
-from .extremal import Diamond, _check_diamond, replace_diamond_with_path
+from .extremal import Diamond, _check_diamond, diamond_lift, diamond_reduce
 from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, embed_edges
 
 
@@ -70,19 +69,13 @@ def _merge_and_embed(g: PlaneGraph, deleted, a, b, z, extra_edges=()):
         raise InternalInvariantError("reduced graph is not planar: %s" % e) from None
 
 
-def _recheck(g: PlaneGraph, c: Configuration):
-    from . import configurations as cf
-    finder = {"C1": cf.find_c1, "C2": cf.find_c2, "C3": cf.find_c3,
-              "C4": cf.find_c4, "C5": cf.find_c5}[c.kind]
-    if c not in finder(g):
-        raise GraphError("stale configuration: %r no longer holds" % (c,))
-
-
 def reduce(g: PlaneGraph, c: Configuration):
     """Apply the configuration's reduction; returns (reduced graph, step)."""
     if c.kind == "C5":
         raise GraphError("C5 has no direct reduction; convert with c5_to_c2 first")
-    _recheck(g, c)
+    finder = dict(configurations._FINDERS)[c.kind]
+    if c not in finder(g):
+        raise GraphError("stale configuration: %r no longer holds" % (c,))
     identified = None
     added = frozenset()
     if c.kind == "C1":
@@ -104,7 +97,7 @@ def reduce(g: PlaneGraph, c: Configuration):
         removed = frozenset({v1, v2, v3, v4} | g.neighbors(v1) | g.neighbors(v3))
         reduced = g.delete_vertices(removed)
         k = 2
-    elif c.kind == "C4":
+    else:  # C4
         v1, v2, v3, v4, v5, u1, u2, u3, u4 = c.roles
         z = g.max_vertex_id() + 1
         removed = frozenset((v1, v2, v3, v4, v5))
@@ -112,8 +105,6 @@ def reduce(g: PlaneGraph, c: Configuration):
         reduced = _merge_and_embed(g, removed, u2, u3, z, added)
         identified = (u2, u3, z)
         k = 2
-    else:
-        raise GraphError("unknown configuration kind %r" % c.kind)
     if not reduced.is_triangle_free():
         raise InternalInvariantError("reduction created a triangle (stale side-conditions?)")
     step = ReductionStep(c.kind, removed, identified, added, k, g.n, reduced.n, c.roles, g)
@@ -176,37 +167,6 @@ def lift(step: ReductionStep, s_reduced) -> frozenset:
     raise GraphError("unknown reduction kind %r" % step.kind)
 
 
-@dataclass(frozen=True)
-class DiamondContext:
-    diamond: Diamond
-    x1: int
-    v1: int
-    v2: int
-    x2: int
-    host: PlaneGraph = field(repr=False, compare=False)
-
-
-def diamond_reduce(g: PlaneGraph, d: Diamond):
-    """Replace a diamond by a path; the context enables constructive lifting."""
-    reduced = replace_diamond_with_path(g, d)
-    v1 = g.max_vertex_id() + 1
-    return reduced, DiamondContext(d, d.x1, v1, v1 + 1, d.x2, g)
-
-
-def diamond_lift(context: DiamondContext, s_reduced) -> frozenset:
-    """Independent set of the host with one more vertex than the reduced set."""
-    d = context.diamond
-    s = set(frozenset(s_reduced))
-    if context.v1 in s:
-        s.discard(context.v1)
-        s.add(d.u1)
-    if context.v2 in s:
-        s.discard(context.v2)
-        s.add(d.w)
-    s.add(d.z2)
-    return _verified(context.host, [s], len(frozenset(s_reduced)) + 1)
-
-
 def _augment_maximal(g: PlaneGraph, s) -> set:
     s = set(s)
     for v in g.vertices:
@@ -231,16 +191,14 @@ def diamond_project(g: PlaneGraph, d: Diamond, s) -> frozenset:
         u1, u2 = u2, u1
         z1, z2 = z2, z1
     size = len(s)
-    reduced = replace_diamond_with_path(g, d)
-    v1 = g.max_vertex_id() + 1
-    v2 = v1 + 1
+    reduced, step = diamond_reduce(g, d)
     out = s - {z2}
     if u1 in out:
         out.discard(u1)
-        out.add(v1)
+        out.add(step.v1)
     if w in out:
         out.discard(w)
-        out.add(v2)
+        out.add(step.v2)
     out -= {z1, u2}  # never present: z1 adj z2, u2 adj z2
     return _verified(reduced, [out], size - 1)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,29 @@ class TestGenerators:
         monkeypatch.setenv("TRIFREE_SEED", "9")
         _, b, _ = run(capsys, "gen-random", "--n", "12")
         assert a == b
+
+    def test_bad_seed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRIFREE_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen-random", "--n", "12"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert "--seed" in line and "'abc'" in line
+        # commands without a seed ignore the variable
+        code, out, _ = run(capsys, "validate", golden_path("c5"))
+        assert code == 0 and "n=5 m=5" in out
+
+    def test_enumerate_stderr_clean(self):
+        # a fresh process, so no cached enumeration skips the hashing
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::UserWarning", "-m", "trifree",
+             "enumerate", "--n", "6"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout
+        assert proc.stderr == ""
 
     def test_enumerate(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "4")

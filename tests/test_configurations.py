@@ -167,6 +167,10 @@ class TestInterferes:
         assert not cf.interferes(cf.Configuration("C3", (101, 1, 102, 3)), k)
         assert cf.interferes(cf.Configuration("C3", (1, 101, 102, 103)), k)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(GraphError):
+            cf.Configuration("C9", ())
+
 
 class TestFindAny:
     def test_c5_returns_c1(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import networkx as nx
@@ -230,6 +231,17 @@ class TestMemberMaxIndependentSet:
     def test_bad_trace_rejected(self, cube):
         with pytest.raises(GraphError):
             member_max_independent_set(cube, is_member(cube))
+
+    def test_trace_with_other_step_rejected(self, golden):
+        # swapped path vertices both exist after the replacement, but the
+        # replayed step differs from the recorded one
+        g = golden["c5_dagger"]
+        trace = is_member(g)
+        (step,) = trace.steps
+        swapped = dataclasses.replace(step, v1=step.v2, v2=step.v1)
+        bad = dataclasses.replace(trace, steps=(swapped,))
+        with pytest.raises(GraphError):
+            member_max_independent_set(g, bad)
 
     def test_exact_size_on_generated_members(self):
         for steps, seed in ((3, 0), (4, 1), (5, 2)):

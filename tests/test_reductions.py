@@ -117,39 +117,47 @@ class TestDiamondRoundTrip:
     def test_c5_dagger_context(self, golden):
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
-        reduced, ctx = rd.diamond_reduce(g, d)
+        reduced, step = rd.diamond_reduce(g, d)
         assert isomorphic_small(reduced, cycle_graph(5))
-        assert ctx.x1 == d.x1 and ctx.x2 == d.x2
+        assert step.diamond.x1 == d.x1 and step.diamond.x2 == d.x2
 
     def test_exact_alpha_drop(self, golden):
         for name in ("c5_dagger", "c5_ddagger", "member14"):
             g = golden[name]
             alpha_g, _ = solver.exact_alpha(g)
             for d in find_diamonds(g):
-                reduced, ctx = rd.diamond_reduce(g, d)
+                reduced, step = rd.diamond_reduce(g, d)
                 alpha_r, wit = solver.exact_alpha(reduced)
                 assert alpha_g == alpha_r + 1
-                lifted = rd.diamond_lift(ctx, wit)
+                lifted = rd.diamond_lift(g, step, wit)
                 assert is_independent_set(g, lifted)
                 assert len(lifted) == alpha_g
 
     def test_lift_without_path_vertices(self, golden):
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
-        reduced, ctx = rd.diamond_reduce(g, d)
+        reduced, step = rd.diamond_reduce(g, d)
         s = frozenset()
-        lifted = rd.diamond_lift(ctx, s)
+        lifted = rd.diamond_lift(g, step, s)
         assert lifted == frozenset({d.z2})
+
+    def test_dependent_lift_rejected(self, golden):
+        g = golden["c5_dagger"]
+        d = find_diamonds(g)[0]
+        _, step = rd.diamond_reduce(g, d)
+        # v1 lifts to u1, which is adjacent to x1
+        with pytest.raises(InternalInvariantError):
+            rd.diamond_lift(g, step, {step.v1, d.x1})
 
     def test_project_then_lift_sizes(self, golden):
         for name in ("c5_dagger", "c5_ddagger"):
             g = golden[name]
             for d in find_diamonds(g):
-                reduced, ctx = rd.diamond_reduce(g, d)
+                reduced, step = rd.diamond_reduce(g, d)
                 _, wit = solver.exact_alpha(g)
                 projected = rd.diamond_project(g, d, wit)
                 assert is_independent_set(reduced, projected)
-                back = rd.diamond_lift(ctx, projected)
+                back = rd.diamond_lift(g, step, projected)
                 assert is_independent_set(g, back)
                 assert len(back) == len(projected) + 1
 
@@ -169,10 +177,10 @@ class TestDiamondRoundTrip:
         for g in corpus8[::2]:
             for d in find_diamonds(g):
                 alpha_g, _ = solver.exact_alpha(g)
-                reduced, ctx = rd.diamond_reduce(g, d)
+                reduced, step = rd.diamond_reduce(g, d)
                 alpha_r, wit = solver.exact_alpha(reduced)
                 assert alpha_g == alpha_r + 1
-                lifted = rd.diamond_lift(ctx, wit)
+                lifted = rd.diamond_lift(g, step, wit)
                 assert is_independent_set(g, lifted) and len(lifted) == alpha_g
 
 

@@ -1,0 +1,41 @@
+"""The benchmark's layer tracer still sees every layer it reports on.
+
+``perfbench/tracer.py`` wraps trifree's functions from outside the package by
+swapping references held in module globals and module-level tuples.  A
+refactor that moves a call behind some other reference silently zeroes that
+layer's counts, so this runs the tracer on small inputs and checks them.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import tracer
+from trifree import corpus, extremal, solver
+
+t = tracer.install(tracer.Tracer())
+t.keep_spans = False
+t.active = True
+g = corpus.golden_graphs()["member20"]
+# solve reduces member20 by C1 four times; the cube would be solved exactly
+solver.solve(g)
+extremal.member_max_independent_set(g, extremal.is_member(g))
+print(json.dumps(t.calls))
+"""
+
+
+def test_tracer_counts_every_layer():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        env=dict(os.environ), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    for name in ("configurations.find_c1", "reductions.reduce", "reductions.lift",
+                 "extremal.find_diamonds", "extremal.replace", "extremal.certificate"):
+        assert calls.get(name, 0) > 0, name
