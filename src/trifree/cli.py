@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 invariant or bound violation, 2 input error.
+Exit codes: 0 success, 1 invariant or bound violation or internal error,
+2 input error.  No command prints a traceback.
 ``TRIFREE_SEED`` overrides the default seed of the generating commands.
 """
 from __future__ import annotations
@@ -212,6 +213,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except InternalInvariantError as e:
         print("invariant failure: %s" % e, file=sys.stderr)
+        return EXIT_VIOLATION
+    except Exception as e:  # any other failure is a bug: one line, no traceback
+        msg = " ".join(str(e).split())
+        print("internal error: %s: %s" % (type(e).__name__, msg), file=sys.stderr)
         return EXIT_VIOLATION
 
 

@@ -5,13 +5,14 @@ import functools
 import itertools
 import json
 import random
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import networkx as nx
 
 from . import extremal, solver
-from .plane_graph import GraphError, PlaneGraph, embed_edges, parse, wl_hash
+from .plane_graph import GraphError, PlaneGraph, embed_edges, parse
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent.parent / "corpus" / "golden"
 
@@ -25,6 +26,15 @@ class CorpusSpec:
     seed: int = 0
     count: int = 10
     steps: int = 3
+
+
+def wl_hash(h: nx.Graph) -> str:
+    """Weisfeiler-Lehman hash of an unlabelled networkx graph."""
+    with warnings.catch_warnings():
+        # networkx >= 3.5 warns here that its hash values changed; they are only
+        # ever compared within one process, so the change cannot affect any result
+        warnings.simplefilter("ignore", UserWarning)
+        return nx.weisfeiler_lehman_graph_hash(h)
 
 
 def _iso_dedup_add(buckets, g: nx.Graph) -> bool:

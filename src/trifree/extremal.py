@@ -3,8 +3,9 @@
 A diamond is a 5-cycle u1-z1-z2-u2-w with degrees (3, 2, 2, 3, 3), an apex
 x1 adjacent to both u1 and u2, and x2 the third neighbor of w.  Replacing
 the diamond by the path x1-v1-v2-x2 removes three vertices and drops the
-independence number by exactly one, which drives both membership testing
-and the constructive maximum-set routines here.
+independence number by exactly one.  Membership testing replaces the first
+diamond found, step by step, down to C5 or P2 and never backtracks; the
+constructive maximum-set routines lift sets back up through those steps.
 """
 from __future__ import annotations
 
@@ -12,11 +13,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-
 from . import verify
 from .plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph,
-                          cycle_graph, isomorphic_small, wl_hash)
+                          cycle_graph, isomorphic_small)
 
 P2 = "P2"
 C5 = "C5"
@@ -233,60 +232,32 @@ def _degree2_paths(g: PlaneGraph) -> list:
     return out
 
 
-def _quick_reject(g: PlaneGraph) -> bool:
-    if g.n == 2:
-        return False
-    if g.n < 5 or g.n % 3 != 2:
-        return True
-    return not g.is_connected()
-
-
-class _IsoMemo:
-    """Negative cache for membership search, keyed up to isomorphism.
-
-    Graphs are bucketed by (n, m) and then by WL hash.  A graph's hash is
-    computed only when ``add`` stores it or ``seen`` finds its (n, m) bucket
-    non-empty, so a search that never backtracks hashes nothing.
-    """
-
-    def __init__(self):
-        self.buckets = {}
-
-    def seen(self, g: PlaneGraph) -> bool:
-        by_hash = self.buckets.get((g.n, g.m))
-        if not by_hash:
-            return False
-        h = g.to_networkx()
-        return any(nx.is_isomorphic(h, other)
-                   for other in by_hash.get(wl_hash(h), ()))
-
-    def add(self, g: PlaneGraph):
-        h = g.to_networkx()
-        by_hash = self.buckets.setdefault((g.n, g.m), {})
-        by_hash.setdefault(wl_hash(h), []).append(h)
-
-
 def is_member(g: PlaneGraph) -> MembershipTrace:
-    """Decide family membership with a backtracking replacement search."""
-    memo = _IsoMemo()
+    """Decide family membership by replacing the first diamond until C5 or P2.
 
-    def search(h: PlaneGraph):
+    No choice is ever undone.  A member is triangle-free, so each of its
+    diamonds has x1 != x2, and replacing one leaves a connected, plane,
+    triangle-free graph with three fewer vertices and independence number one
+    less (the diamond lemma).  That graph is tight again, and by the theorem
+    every connected planar triangle-free graph with alpha < (n+2)/3 is a
+    member.  Hence the first diamond found is as good as any, and a graph
+    that reaches a dead end was never a member.
+    """
+    steps = []
+    h = g
+    while True:
         if h.n == 2 and h.m == 1:
-            return MembershipTrace((), P2)
+            return MembershipTrace(tuple(steps), P2)
         if h.n == 5 and h.m == 5 and isomorphic_small(h, cycle_graph(5)):
-            return MembershipTrace((), C5)
-        if _quick_reject(h) or memo.seen(h):
-            return None
-        for d in find_diamonds(h):
-            reduced, step = diamond_reduce(h, d)
-            sub = search(reduced)
-            if sub is not None:
-                return MembershipTrace((step,) + sub.steps, sub.terminal)
-        memo.add(h)
-        return None
-
-    found = search(g)
-    return found if found is not None else MembershipTrace((), NOT_MEMBER)
+            return MembershipTrace(tuple(steps), C5)
+        if h.n < 5 or h.n % 3 != 2 or not h.is_connected():
+            break
+        diamonds = find_diamonds(h)
+        if not diamonds:
+            break
+        h, step = diamond_reduce(h, diamonds[0])
+        steps.append(step)
+    return MembershipTrace((), NOT_MEMBER)
 
 
 def generate_member(steps: int, seed) -> PlaneGraph:

@@ -11,7 +11,6 @@ operation returns a new value.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import networkx as nx
@@ -475,15 +474,6 @@ def isomorphic_small(g: PlaneGraph, h: PlaneGraph) -> bool:
     if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
         return False
     return nx.is_isomorphic(g.to_networkx(), h.to_networkx())
-
-
-def wl_hash(h: nx.Graph) -> str:
-    """Weisfeiler-Lehman hash of an unlabelled networkx graph."""
-    with warnings.catch_warnings():
-        # networkx >= 3.5 warns here that its hash values changed; they are only
-        # ever compared within one process, so the change cannot affect any result
-        warnings.simplefilter("ignore", UserWarning)
-        return nx.weisfeiler_lehman_graph_hash(h)
 
 
 def embed_edges(vertices, edges) -> PlaneGraph:

@@ -70,6 +70,17 @@ class TestMember:
         assert code == 0 and "max_set" not in out
 
 
+class TestInternalError:
+    def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        code, out, err = run(capsys, "validate", golden_path("c5"))
+        assert code == 1 and out == ""
+        assert err == "internal error: RuntimeError: boom second line\n"
+
+
 class TestGenerators:
     def test_gen_extremal_parses(self, capsys):
         code, out, _ = run(capsys, "gen-extremal", "--steps", "2", "--seed", "4")

@@ -1,17 +1,18 @@
 import dataclasses
-import random
+import sys
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trifree import extremal, solver
-from trifree.extremal import (Diamond, _IsoMemo, _replay, avoiding_independent_set,
+from trifree.extremal import (Diamond, _replay, avoiding_independent_set,
                               find_diamonds, generate_member, is_member,
                               member_max_independent_set,
                               path_diamond_replacement,
                               replace_diamond_with_path)
-from trifree.plane_graph import GraphError, cycle_graph, isomorphic_small, path_graph
+from trifree.plane_graph import (GraphError, cycle_graph, embed_edges, isomorphic_small,
+                                 path_graph)
 from trifree.verify import is_independent_set
 
 import oracles
@@ -150,16 +151,68 @@ class TestIsMember:
         assert is_member(g).serialize() == want
         assert want.count("replace ") == steps
 
-    def test_no_hashing_without_backtracking(self, monkeypatch, cube):
-        calls = []
-        real = nx.weisfeiler_lehman_graph_hash
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_miss_rejected_without_search(self, monkeypatch, seed):
+        # a member plus the path a-p-q-r-b drawn inside one face: n stays
+        # 2 mod 3, so only the diamond descent can reject it
+        g = generate_member(40, seed)
+        walk = g.faces()[0].vertex_walk()
+        a, b = walk[0], walk[len(walk) // 2]
+        p, q, r = range(g.max_vertex_id() + 1, g.max_vertex_id() + 4)
+        h = embed_edges(list(g.vertices) + [p, q, r],
+                        set(g.edges) | {(a, p), (p, q), (q, r), (r, b)})
+        assert h.n == 128 and h.is_triangle_free()
+        cap = (h.n - 5) // 3
+        reductions = []
+        real_reduce = extremal.diamond_reduce
+
+        def counted_reduce(graph, d):
+            reductions.append(d)
+            if len(reductions) > cap:
+                raise AssertionError("more than %d diamond reductions" % cap)
+            return real_reduce(graph, d)
+
+        hashes = []
+        real_hash = nx.weisfeiler_lehman_graph_hash
+        monkeypatch.setattr(extremal, "diamond_reduce", counted_reduce)
         monkeypatch.setattr(nx, "weisfeiler_lehman_graph_hash",
-                            lambda h: calls.append(h) or real(h))
-        assert is_member(generate_member(60, 2)).is_member
-        assert calls == []
-        # control: a rejected search stores the cube, hashing it once
-        assert not is_member(cube).is_member
-        assert len(calls) == 1
+                            lambda x: hashes.append(x) or real_hash(x))
+        assert is_member(h).terminal == "NOT_MEMBER"
+        assert len(reductions) <= cap
+        assert hashes == []
+
+    def test_every_diamond_of_a_member_leads_to_a_member(self, golden, expectations):
+        # the premise of the first-diamond descent: no choice needs undoing
+        members = [generate_member(steps, seed)
+                   for steps in range(3, 16, 2) for seed in (0, 1, 2)]
+        members += [golden[name] for name, e in sorted(expectations.items())
+                    if e["member"]]
+        checked = 0
+        for g in members:
+            for h in _replay(g, is_member(g)):
+                for d in find_diamonds(h):
+                    reduced, _ = extremal.diamond_reduce(h, d)
+                    assert is_member(reduced).is_member
+                    checked += 1
+        assert checked > 100
+
+    def test_deep_member_needs_no_stack(self):
+        # the descent is a loop: 60 steps fit under fewer than 60 spare frames
+        g = generate_member(60, 1)
+
+        def depth():
+            frame, d = sys._getframe(1), 0
+            while frame is not None:
+                frame, d = frame.f_back, d + 1
+            return d
+
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth() + 40)
+        try:
+            trace = is_member(g)
+        finally:
+            sys.setrecursionlimit(old)
+        assert trace.terminal == "C5" and len(trace.steps) == 60
 
     def test_large_member_certifies(self):
         g = generate_member(200, 13)
@@ -251,29 +304,6 @@ class TestMemberMaxIndependentSet:
             assert is_independent_set(g, s)
             alpha, _ = solver.exact_alpha(g)
             assert len(s) == alpha
-
-
-class TestIsoMemo:
-    def test_relabelled_copy_seen(self):
-        g = generate_member(4, 3)
-        memo = _IsoMemo()
-        assert not memo.seen(g)
-        memo.add(g)
-        perm = list(g.vertices)
-        random.Random(0).shuffle(perm)
-        copy = g.relabel(dict(zip(g.vertices, perm)))
-        assert copy.edges != g.edges and memo.seen(copy)
-
-    def test_same_size_non_isomorphic_unseen(self, corpus8):
-        # a pair the WL hash cannot tell apart, so the isomorphism test decides
-        by_key = {}
-        for h in corpus8:
-            key = (h.n, h.m, nx.weisfeiler_lehman_graph_hash(h.to_networkx()))
-            by_key.setdefault(key, []).append(h)
-        a, b = next(hs for hs in by_key.values() if len(hs) >= 2)[:2]
-        memo = _IsoMemo()
-        memo.add(a)
-        assert memo.seen(a) and not memo.seen(b)
 
 
 def qualifying_faces(g):
