@@ -6,6 +6,7 @@ total of -8 on every connected input.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ THIRD = Fraction(1, 3)
 _HEX = [(i, i % 6 + 1) for i in range(1, 7)]
 
 
+@functools.cache
 def c6_chord() -> PlaneGraph:
     """The 6-cycle with one chord splitting it into two 4-faces."""
     g = embed_edges(range(1, 7), _HEX + [(3, 6)])
@@ -26,6 +28,7 @@ def c6_chord() -> PlaneGraph:
                       or g.find_face((6, 5, 4, 3, 2, 1)))
 
 
+@functools.cache
 def c6_hub() -> PlaneGraph:
     """The 6-cycle with a hub adjacent to every other cycle vertex."""
     g = embed_edges(range(1, 8), _HEX + [(7, 1), (7, 3), (7, 5)])

@@ -73,7 +73,8 @@ class Face:
 class PlaneGraph:
     """Immutable combinatorial plane embedding."""
 
-    __slots__ = ("_rot", "_nbr", "_faces", "_face_keys", "_outer", "_dart_face")
+    __slots__ = ("_rot", "_nbr", "_faces", "_face_keys", "_outer", "_dart_face",
+                 "_outer_comp")
 
     def __init__(self, rotation, outer_face=None, check=True):
         self._rot = {int(v): tuple(int(u) for u in ns) for v, ns in rotation.items()}
@@ -84,6 +85,7 @@ class PlaneGraph:
         if check:
             self._check_euler()
         self._outer = None
+        self._outer_comp = None
         if outer_face is not None:
             key = outer_face.darts if isinstance(outer_face, Face) else _canonical_walk(tuple(outer_face))
             if key not in self._face_keys:
@@ -301,8 +303,12 @@ class PlaneGraph:
     def disk_subgraph(self, cycle) -> "DiskSubgraph":
         """Subgraph drawn in the closed disk bounded by ``cycle``.
 
-        The disk is the side whose faces do not include the designated outer
-        face, found by dual connectivity after cutting the cycle's edges.
+        The faces left of the cycle's darts (c_i, c_i+1) lie on one side of
+        it and the faces right of them on the other.  Both sides are flooded
+        alternately through the dual, never crossing a cycle edge, and the
+        disk is the first side that closes off without reaching the
+        designated outer face.  The cost therefore follows the disk (and the
+        other side while it is smaller), not the whole graph.
         """
         cycle = tuple(cycle)
         if self._outer is None:
@@ -310,56 +316,60 @@ class PlaneGraph:
         k = len(cycle)
         if k < 3 or len(set(cycle)) != k:
             raise GraphError("not a simple cycle: %r" % (cycle,))
-        cyc_edges = set()
-        for i in range(k):
-            u, v = cycle[i], cycle[(i + 1) % k]
+        darts = tuple((cycle[i], cycle[(i + 1) % k]) for i in range(k))
+        for u, v in darts:
             if not self.has_edge(u, v):
                 raise GraphError("not a cycle of this graph: missing edge %d-%d" % (u, v))
-            cyc_edges.add(frozenset((u, v)))
+        cyc_edges = {frozenset(d) for d in darts}
         if len(cyc_edges) != k:
             raise GraphError("not a simple cycle: %r" % (cycle,))
         if cyc_edges == self._outer.edge_set and k == self._outer.length:
             raise GraphError("cycle bounds the outer face")
-        comp = next(c for c in self.components() if cycle[0] in c)
-        if self._outer.darts[0][0] not in comp:
+        if self._outer_comp is None:  # one component search per graph, not per cycle
+            start = self._outer.darts[0][0]
+            self._outer_comp = next(c for c in self.components() if start in c)
+        if cycle[0] not in self._outer_comp:
             raise GraphError("outer face lies in a different component than the cycle")
 
-        comp_faces = [f for f in self._faces if f.darts[0][0] in comp]
-        index = {f.darts: i for i, f in enumerate(comp_faces)}
-        parent = list(range(len(comp_faces)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for v, ns in self._rot.items():
-            if v not in comp:
-                continue
-            for u in ns:
-                if u > v or frozenset((u, v)) in cyc_edges:
-                    continue
-                a = index[self._dart_face[(u, v)].darts]
-                b = index[self._dart_face[(v, u)].darts]
-                parent[find(a)] = find(b)
-
-        outer_class = find(index[self._outer.darts])
-        disk_faces = [f for f in comp_faces if find(index[f.darts]) != outer_class]
-        if not disk_faces:
+        reverse = tuple((v, u) for u, v in reversed(darts))
+        cut = set(darts) | set(reverse)
+        seen = ({self._dart_face[d] for d in darts}, {self._dart_face[d] for d in reverse})
+        if seen[0] & seen[1]:
             raise InternalInvariantError("cycle does not enclose any face")
-        disk_keys = {f.darts for f in disk_faces}
+        todo = (list(seen[0]), list(seen[1]))
+        reached = [self._outer in seen[0], self._outer in seen[1]]
+        # the sides stay disjoint, so at most one of them reaches the outer face
+        side = None
+        while side is None:
+            for i in (0, 1):
+                if reached[i]:
+                    continue
+                if not todo[i]:
+                    side = i
+                    break
+                for u, v in todo[i].pop().darts:
+                    if (v, u) in cut:
+                        continue
+                    f = self._dart_face[(v, u)]
+                    if f in seen[i]:
+                        continue
+                    if f in seen[1 - i]:
+                        raise InternalInvariantError("cycle does not enclose any face")
+                    seen[i].add(f)
+                    todo[i].append(f)
+                    reached[i] = reached[i] or f == self._outer
+        disk_faces = seen[side]
 
-        kept = set(cyc_edges)
+        kept = set(cut)
         for f in disk_faces:
-            kept |= f.edge_set
-        verts = sorted({v for e in kept for v in e})
-        rot = {v: tuple(u for u in self._rot[v] if frozenset((u, v)) in kept) for v in verts}
-        sub = PlaneGraph(rot)
-        new_outer = [f for f in sub.faces() if f.darts not in disk_keys]
-        if len(new_outer) != 1:
-            raise InternalInvariantError("disk extraction produced %d boundary faces" % len(new_outer))
-        return DiskSubgraph(cycle, sub.re_embed(new_outer[0]))
+            kept.update(f.darts)
+        verts = sorted({v for v, _ in kept})
+        rot = {v: tuple(u for u in self._rot[v] if (v, u) in kept) for v in verts}
+        sub = PlaneGraph(rot, outer_face=reverse if side == 0 else darts)
+        if len(sub._faces) != len(disk_faces) + 1:
+            raise InternalInvariantError("disk extraction produced %d boundary faces"
+                                         % (len(sub._faces) - len(disk_faces)))
+        return DiskSubgraph(cycle, sub)
 
     # -- derived graphs ------------------------------------------------------------
 

@@ -15,10 +15,12 @@ def violating_edge(graph, vertices):
     for v in vs:
         if not graph.has_vertex(v):
             return (v, v)
+    last = {v: i for i, v in enumerate(vs)}
     for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if v in graph.rotation(u):
-                return (u, v)
+        nbrs = graph.rotation(u)
+        if any(last.get(w, -1) > i for w in nbrs):
+            # the earliest later partner, as a scan over all pairs finds it
+            return next((u, v) for v in vs[i + 1:] if v in nbrs)
     return None
 
 

@@ -30,6 +30,13 @@ def corpus9():
 
 
 @pytest.fixture(scope="session")
+def two_cycles_text():
+    """A 4-cycle and a disjoint 5-cycle, with the 4-cycle's face as outer."""
+    return ("9 9\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n"
+            "5: 6 9\n6: 7 5\n7: 8 6\n8: 9 7\n9: 5 8\nouter: 1 2 3 4\n")
+
+
+@pytest.fixture(scope="session")
 def cube():
     return embed_edges(range(1, 9), [(1, 2), (2, 3), (3, 4), (4, 1),
                                      (5, 6), (6, 7), (7, 8), (8, 5),

@@ -7,6 +7,8 @@ import itertools
 
 import networkx as nx
 
+from trifree.plane_graph import DiskSubgraph, GraphError, InternalInvariantError, PlaneGraph
+
 
 def naive_alpha(g):
     """Maximum independent set size by enumerating all vertex subsets."""
@@ -162,6 +164,97 @@ def naive_diamonds(g):
                 if len(x1s) == 1 and len(x2s) == 1:
                     out.add((u1, z1, z2, u2, w, min(x1s), min(x2s)))
     return sorted(out)
+
+
+def quadratic_violating_edge(graph, vertices):
+    """The first (u, v) with u before v in ``vertices`` that is an edge, by
+    scanning all pairs; (v, v) for the first v that is not a vertex."""
+    vs = list(vertices)
+    for v in vs:
+        if not graph.has_vertex(v):
+            return (v, v)
+    for i, u in enumerate(vs):
+        for v in vs[i + 1:]:
+            if v in graph.rotation(u):
+                return (u, v)
+    return None
+
+
+def naive_disk(g, cycle):
+    """Whole-graph disk extraction: union-find over every face of the cycle's
+    component, joining the two faces of each edge that is not on the cycle;
+    the disk is every face outside the outer face's class."""
+    cycle = tuple(cycle)
+    outer = g.outer_face
+    if outer is None:
+        raise GraphError("disk extraction needs a designated outer face")
+    k = len(cycle)
+    if k < 3 or len(set(cycle)) != k:
+        raise GraphError("not a simple cycle: %r" % (cycle,))
+    cyc_edges = set()
+    for i in range(k):
+        u, v = cycle[i], cycle[(i + 1) % k]
+        if not g.has_edge(u, v):
+            raise GraphError("not a cycle of this graph: missing edge %d-%d" % (u, v))
+        cyc_edges.add(frozenset((u, v)))
+    if len(cyc_edges) != k:
+        raise GraphError("not a simple cycle: %r" % (cycle,))
+    if cyc_edges == outer.edge_set and k == outer.length:
+        raise GraphError("cycle bounds the outer face")
+    comp = next(c for c in g.components() if cycle[0] in c)
+    if outer.darts[0][0] not in comp:
+        raise GraphError("outer face lies in a different component than the cycle")
+
+    comp_faces = [f for f in g.faces() if f.darts[0][0] in comp]
+    index = {f: i for i, f in enumerate(comp_faces)}
+    parent = list(range(len(comp_faces)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for v in comp:
+        for u in g.rotation(v):
+            if u > v and frozenset((u, v)) not in cyc_edges:
+                parent[find(index[g.face_of_dart((u, v))])] = find(index[g.face_of_dart((v, u))])
+    outer_class = find(index[outer])
+    disk_faces = [f for f in comp_faces if find(index[f]) != outer_class]
+    if not disk_faces:
+        raise InternalInvariantError("cycle does not enclose any face")
+    kept = set(cyc_edges)
+    for f in disk_faces:
+        kept |= f.edge_set
+    verts = sorted({v for e in kept for v in e})
+    sub = PlaneGraph({v: tuple(u for u in g.rotation(v) if frozenset((u, v)) in kept)
+                      for v in verts})
+    boundary = [f for f in sub.faces() if f not in disk_faces]
+    if len(boundary) != 1:
+        raise InternalInvariantError("disk extraction produced %d boundary faces" % len(boundary))
+    return DiskSubgraph(cycle, sub.re_embed(boundary[0]))
+
+
+def grid(rows, cols):
+    """The rows x cols square grid, vertex (i, j) numbered i * cols + j + 1."""
+    def vid(i, j):
+        return i * cols + j + 1
+    return PlaneGraph({vid(i, j): tuple(vid(i + di, j + dj)
+                                        for di, dj in ((0, 1), (1, 0), (0, -1), (-1, 0))
+                                        if 0 <= i + di < rows and 0 <= j + dj < cols)
+                       for i in range(rows) for j in range(cols)})
+
+
+def cylinder(k, m):
+    """C_k x P_m: m concentric k-cycles, consecutive ones joined by a matching."""
+    def vid(i, j):
+        return i * k + j % k + 1
+    rot = {}
+    for i in range(m):
+        for j in range(k):
+            ns = [vid(i, j + 1)] + ([vid(i + 1, j)] if i + 1 < m else [])
+            ns += [vid(i, j - 1)] + ([vid(i - 1, j)] if i > 0 else [])
+            rot[vid(i, j)] = tuple(ns)
+    return PlaneGraph(rot)
 
 
 def enumerate6_by_matrix():

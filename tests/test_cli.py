@@ -176,6 +176,14 @@ class TestDangerous:
         code, out, _ = run(capsys, "dangerous", golden_path("c5"))
         assert code == 0 and "count 0" in out
 
+    def test_disconnected_input_is_one_error(self, capsys, tmp_path, two_cycles_text):
+        p = tmp_path / "two_cycles.graph"
+        p.write_text(two_cycles_text)
+        code, out, err = run(capsys, "dangerous", str(p))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: outer face lies in a different component than the cycle"]
+
 
 class TestAudit:
     def test_exceptional_rejected(self, capsys):
@@ -185,6 +193,13 @@ class TestAudit:
     def test_witness_rejected(self, capsys):
         code, out, _ = run(capsys, "audit", golden_path("dangerous_witness"))
         assert code == 1 and "dangerous" in out
+
+    def test_disconnected_input(self, capsys, tmp_path, two_cycles_text):
+        p = tmp_path / "two_cycles.graph"
+        p.write_text(two_cycles_text)
+        code, out, err = run(capsys, "audit", str(p))
+        assert code == 1 and err == ""
+        assert out == "hypothesis violated: graph is disconnected\n"
 
     def test_passing_graph(self, capsys, tmp_path, corpus8):
         from trifree import discharging

@@ -1,9 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from trifree import discharging as dc
 from trifree.plane_graph import GraphError, PlaneGraph, cycle_graph, path_graph
+
+import oracles
 
 THIRD = Fraction(1, 3)
 
@@ -161,6 +164,41 @@ class TestDangerousCycles:
         d = h.disk_subgraph((7, 8, 9, 10, 11, 12))
         assert isomorphic_small(d.subgraph, dc.c6_chord())
         assert dc.dangerous_cycles(h) == []
+
+
+class TestDangerousCyclesCost:
+    def test_no_whole_graph_work_per_cycle(self, monkeypatch):
+        import networkx as nx
+        dc.c6_chord(), dc.c6_hub()
+        g = oracles.grid(10, 10)
+        g = g.re_embed(next(f for f in g.faces() if f.length == 4))
+        calls = Counter()
+        planarity, components, disk = (nx.check_planarity, PlaneGraph.components,
+                                       PlaneGraph.disk_subgraph)
+
+        def counted_planarity(*args, **kwargs):
+            calls["planarity"] += 1
+            return planarity(*args, **kwargs)
+
+        def counted_components(self):
+            # the validated build of each disk checks Euler per component of
+            # that small disk; only the host graph's components are whole-graph work
+            calls["host components" if self is g else "disk components"] += 1
+            return components(self)
+
+        def counted_disk(self, cycle):
+            calls["disks"] += 1
+            return disk(self, cycle)
+
+        monkeypatch.setattr(nx, "check_planarity", counted_planarity)
+        monkeypatch.setattr(PlaneGraph, "components", counted_components)
+        monkeypatch.setattr(PlaneGraph, "disk_subgraph", counted_disk)
+        dc.dangerous_cycles(g)
+        assert calls["disks"] > 200
+        assert calls["planarity"] == 0
+        assert calls["host components"] <= 1
+        assert dc.c6_chord() is dc.c6_chord()
+        assert dc.c6_hub() is dc.c6_hub()
 
 
 class TestAudit:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trifree.discharging import c6_chord, c6_hub
-from trifree.plane_graph import (Face, GraphError, PlaneGraph, cycle_graph,
-                                 embed_edges, isomorphic_small, parse,
-                                 path_graph, serialize)
+from trifree.plane_graph import (Face, GraphError, InternalInvariantError,
+                                 PlaneGraph, cycle_graph, embed_edges,
+                                 isomorphic_small, parse, path_graph, serialize)
 
 import oracles
 
@@ -233,6 +233,58 @@ class TestDiskSubgraph:
             and f.length == 4 and 11 in f.vertex_set)).disk_subgraph(cyc).subgraph
         assert frozenset(inside.vertices) | frozenset(other.vertices) == frozenset(g.vertices)
         assert frozenset(inside.vertices) & frozenset(other.vertices) == frozenset(cyc)
+
+
+def _disk_outcome(extract, g, cyc):
+    try:
+        return serialize(extract(g, cyc).subgraph)
+    except (GraphError, InternalInvariantError) as e:
+        return type(e)
+
+
+def _assert_disks_match_naive(g):
+    """Every cycle of length <= 6 gives the oracle's disk, or its exception type."""
+    sizes = []
+    for cyc in g.cycles_up_to(6):
+        got = _disk_outcome(PlaneGraph.disk_subgraph, g, cyc)
+        assert got == _disk_outcome(oracles.naive_disk, g, cyc), (g.outer_face, cyc)
+        if isinstance(got, str):
+            sizes.append(g.disk_subgraph(cyc).subgraph.n)
+    return sizes
+
+
+class TestDiskAgainstNaive:
+    def test_corpus7_every_short_face_outer(self, corpus7):
+        checked = 0
+        for g in corpus7:
+            for f in g.faces():
+                if f.is_cycle() and f.length <= 6:
+                    _assert_disks_match_naive(g.re_embed(f))
+                    checked += 1
+        assert checked > 100
+
+    def test_golden(self, golden):
+        with_outer = [g for g in golden.values() if g.outer_face is not None]
+        assert with_outer
+        for g in with_outer:
+            _assert_disks_match_naive(g)
+
+    @pytest.mark.parametrize("build", [lambda: oracles.grid(6, 6),
+                                       lambda: oracles.cylinder(6, 5)],
+                             ids=["grid6x6", "cyl6x5"])
+    def test_ring_cycles_take_the_large_side(self, build):
+        g = build()
+        g = g.re_embed(next(f for f in g.faces() if f.length == 4))
+        sizes = _assert_disks_match_naive(g)
+        # cycles around the outer 4-face bound a disk holding most of the graph
+        assert max(sizes) > g.n // 2
+
+
+class TestDisconnectedDisk:
+    def test_outer_face_in_other_component(self, two_cycles_text):
+        g = parse(two_cycles_text)
+        with pytest.raises(GraphError, match="outer face lies in a different component"):
+            g.disk_subgraph((5, 6, 7, 8, 9))
 
 
 class TestIsomorphicSmall:

@@ -17,7 +17,8 @@ SCRIPT = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
 import tracer
-from trifree import corpus, extremal, solver
+import oracles
+from trifree import corpus, discharging, extremal, solver
 
 t = tracer.install(tracer.Tracer())
 t.keep_spans = False
@@ -26,16 +27,21 @@ g = corpus.golden_graphs()["member20"]
 # solve reduces member20 by C1 four times; the cube would be solved exactly
 solver.solve(g)
 extremal.member_max_independent_set(g, extremal.is_member(g))
+discharging.audit(corpus.golden_graphs()["dangerous_witness"])
+grid = oracles.grid(4, 5)
+discharging.audit(grid.re_embed(next(f for f in grid.faces() if f.length == 4)))
 print(json.dumps(t.calls))
 """
 
 
 def test_tracer_counts_every_layer():
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"),
+         str(ROOT / "tests")],
         env=dict(os.environ), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout)
     for name in ("configurations.find_c1", "reductions.reduce", "reductions.lift",
-                 "extremal.find_diamonds", "extremal.replace", "extremal.certificate"):
+                 "extremal.find_diamonds", "extremal.replace", "extremal.certificate",
+                 "discharging.audit", "discharging.dangerous_cycles", "plane_graph.disk"):
         assert calls.get(name, 0) > 0, name
