@@ -2,7 +2,7 @@
 
 Constructive toolkit around the (n+1)/3 bound: the extremal family and its
 diamond replacements, five reducible configurations with verified lifting,
-a recursive lower-bound solver with an exact oracle, and an instance-level
+a lower-bound solver with an exact oracle, and an instance-level
 discharging engine.
 """
 from .plane_graph import (DiskSubgraph, Face, GraphError, InternalInvariantError,

@@ -103,8 +103,10 @@ def _subdivide(g: PlaneGraph, edge, fresh: int) -> PlaneGraph:
 def _add_in_face(g: PlaneGraph, face, picks, fresh: int) -> PlaneGraph:
     """Insert a new vertex inside a face, joined to chosen boundary occurrences.
 
-    ``picks`` are indices into the face walk; the picked vertices must be
-    distinct and pairwise non-adjacent so no triangle can appear.
+    ``picks`` are increasing indices into the face walk; the picked vertices
+    must be distinct and pairwise non-adjacent so no triangle can appear.  The
+    face lies left of its walk, so seen from the fresh vertex inside it the
+    picks come clockwise in reverse walk order.
     """
     walk = face.vertex_walk()
     base = {x: list(g.rotation(x)) for x in g.vertices}
@@ -113,15 +115,9 @@ def _add_in_face(g: PlaneGraph, face, picks, fresh: int) -> PlaneGraph:
         prev = face.darts[(i - 1) % face.length][0]
         at = base[u].index(prev)
         base[u].insert(at + 1, fresh)
-    chosen = [walk[i] for i in picks]
-    for order in (tuple(chosen), tuple(reversed(chosen))):
-        rot = {x: tuple(ns) for x, ns in base.items()}
-        rot[fresh] = order
-        try:
-            return PlaneGraph(rot)
-        except GraphError:
-            continue
-    raise GraphError("face insertion broke the embedding")
+    rot = {x: tuple(ns) for x, ns in base.items()}
+    rot[fresh] = tuple(walk[i] for i in reversed(picks))
+    return PlaneGraph(rot)
 
 
 def gen_random(spec: CorpusSpec):

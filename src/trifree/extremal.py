@@ -3,9 +3,11 @@
 A diamond is a 5-cycle u1-z1-z2-u2-w with degrees (3, 2, 2, 3, 3), an apex
 x1 adjacent to both u1 and u2, and x2 the third neighbor of w.  Replacing
 the diamond by the path x1-v1-v2-x2 removes three vertices and drops the
-independence number by exactly one.  Membership testing replaces the first
-diamond found, step by step, down to C5 or P2 and never backtracks; the
-constructive maximum-set routines lift sets back up through those steps.
+independence number by exactly one.  Both that replacement and its inverse
+derive the one rotation system the embedding determines and make a single
+validated build.  Membership testing replaces the first diamond found, step
+by step, down to C5 or P2 and never backtracks; the constructive maximum-set
+routines lift sets back up through those steps.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ import random
 from dataclasses import dataclass
 
 from . import verify
-from .plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph,
-                          cycle_graph, isomorphic_small)
+from .plane_graph import Face, GraphError, InternalInvariantError, PlaneGraph, cycle_graph
 
 P2 = "P2"
 C5 = "C5"
@@ -121,7 +122,11 @@ def _splice(rot, old, new):
 
 
 def replace_diamond_with_path(g: PlaneGraph, d: Diamond) -> PlaneGraph:
-    """Delete the diamond's five cycle vertices, add the path x1-v1-v2-x2."""
+    """Delete the diamond's five cycle vertices, add the path x1-v1-v2-x2.
+
+    v1 takes u1's slot at x1 (u2 is dropped) and v2 takes w's slot at x2: the
+    host minus z1, z2, u2 with its path x1-u1-w-x2 renamed, so still plane.
+    """
     if not _check_diamond(g, d):
         raise GraphError("not a diamond of this graph: %r" % (d,))
     v1 = g.max_vertex_id() + 1
@@ -129,32 +134,15 @@ def replace_diamond_with_path(g: PlaneGraph, d: Diamond) -> PlaneGraph:
     removed = set(d.cycle)
     # the diamond's degree pattern pins every cycle-vertex neighbor, so only
     # the rotations at x1 and x2 mention removed vertices
-    base = {v: g.rotation(v) for v in g.vertices if v not in removed}
-    base[d.x2] = _splice(base[d.x2], d.w, (v2,))
-    rx1 = base[d.x1]
-    deg = len(rx1)
-    i1, i2 = rx1.index(d.u1), rx1.index(d.u2)
-    candidates = []
-    if (i1 + 1) % deg == i2 or (i2 + 1) % deg == i1:
-        # contiguous block: v1 takes its place
-        drop, keep = (d.u2, d.u1) if (i1 + 1) % deg == i2 else (d.u1, d.u2)
-        shrunk = tuple(u for u in rx1 if u != drop)
-        candidates.append(_splice(shrunk, keep, (v1,)))
-    else:
-        for keep, drop in ((d.u1, d.u2), (d.u2, d.u1)):
-            shrunk = tuple(u for u in rx1 if u != drop)
-            candidates.append(_splice(shrunk, keep, (v1,)))
-    last_err = None
-    for cand in candidates:
-        rot = dict(base)
-        rot[d.x1] = cand
-        rot[v1] = (d.x1, v2)
-        rot[v2] = (v1, d.x2)
-        try:
-            return PlaneGraph(rot)
-        except GraphError as e:
-            last_err = e
-    raise InternalInvariantError("diamond removal broke the embedding: %s" % last_err)
+    rot = {v: g.rotation(v) for v in g.vertices if v not in removed}
+    rot[d.x2] = _splice(rot[d.x2], d.w, (v2,))
+    rot[d.x1] = _splice(tuple(u for u in rot[d.x1] if u != d.u2), d.u1, (v1,))
+    rot[v1] = (d.x1, v2)
+    rot[v2] = (v1, d.x2)
+    try:
+        return PlaneGraph(rot)
+    except GraphError as e:
+        raise InternalInvariantError("diamond removal broke the embedding: %s" % e) from None
 
 
 def diamond_reduce(g: PlaneGraph, d: Diamond):
@@ -194,26 +182,20 @@ def path_diamond_replacement(g: PlaneGraph, path) -> PlaneGraph:
         raise GraphError("path interior must have degree 2: %r" % (path,))
     base_id = g.max_vertex_id()
     u1, z1, z2, u2, w = range(base_id + 1, base_id + 6)
-    base = {v: g.rotation(v) for v in g.vertices if v not in (v1, v2)}
-    base[x2] = _splice(base[x2], v2, (w,))
-    rx1 = base[x1]
-    last_err = None
-    for block in ((u1, u2), (u2, u1)):
-        for r_u1 in ((x1, z1, w), (x1, w, z1)):
-            for r_u2 in ((x1, z2, w), (x1, w, z2)):
-                for r_w in ((u1, u2, x2), (u2, u1, x2)):
-                    rot = dict(base)
-                    rot[x1] = _splice(rx1, v1, block)
-                    rot[u1] = r_u1
-                    rot[u2] = r_u2
-                    rot[w] = r_w
-                    rot[z1] = (u1, z2)
-                    rot[z2] = (z1, u2)
-                    try:
-                        return PlaneGraph(rot)
-                    except GraphError as e:
-                        last_err = e
-    raise InternalInvariantError("no planar diamond insertion found: %s" % last_err)
+    # the diamond drawn along the path: u1 and u2 replace v1 at x1, w replaces
+    # v2 at x2, and u1-z1-z2-u2 is drawn inside the 4-cycle x1-u1-w-u2
+    rot = {v: g.rotation(v) for v in g.vertices if v not in (v1, v2)}
+    rot[x2] = _splice(rot[x2], v2, (w,))
+    rot[x1] = _splice(rot[x1], v1, (u1, u2))
+    rot[u1] = (x1, w, z1)
+    rot[u2] = (x1, z2, w)
+    rot[w] = (u2, u1, x2)
+    rot[z1] = (u1, z2)
+    rot[z2] = (z1, u2)
+    try:
+        return PlaneGraph(rot)
+    except GraphError as e:
+        raise InternalInvariantError("diamond insertion broke the embedding: %s" % e) from None
 
 
 def _degree2_paths(g: PlaneGraph) -> list:
@@ -248,7 +230,8 @@ def is_member(g: PlaneGraph) -> MembershipTrace:
     while True:
         if h.n == 2 and h.m == 1:
             return MembershipTrace(tuple(steps), P2)
-        if h.n == 5 and h.m == 5 and isomorphic_small(h, cycle_graph(5)):
+        # a simple 2-regular graph on five vertices is one 5-cycle
+        if h.n == 5 and all(h.degree(v) == 2 for v in h.vertices):
             return MembershipTrace(tuple(steps), C5)
         if h.n < 5 or h.n % 3 != 2 or not h.is_connected():
             break

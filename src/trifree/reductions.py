@@ -162,7 +162,11 @@ def lift(step: ReductionStep, s_reduced) -> frozenset:
                           base | {v4, u1, u2},
                           base | {v4, u2, u3}]
         else:
-            candidates = [s | {v1, v3}, s | {v2, v4}]
+            # u2 and u3 were merged into z, which is not in s, and after the
+            # reflection u1 is not in s either; the v_i were deleted.  So s
+            # holds no neighbor of v1 (v2, v5, u1) or of v3 (v2, v4, u3), and
+            # v1, v3 are not adjacent on the 5-face: s | {v1, v3} always works
+            candidates = [s | {v1, v3}]
         return _verified(g, candidates, expected)
     raise GraphError("unknown reduction kind %r" % step.kind)
 

@@ -1,4 +1,4 @@
-"""Recursive lower-bound solver and the exact branch-and-bound oracle."""
+"""Reduction-chain lower-bound solver and the exact branch-and-bound oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -76,20 +76,6 @@ class SolveResult:
         return len(self.independent_set)
 
 
-def _solve_component(g: PlaneGraph):
-    """(independent set, trace) for one connected plane triangle-free graph."""
-    if g.n <= EXACT_BASE:
-        _, witness = exact_alpha(g)
-        return witness, ()
-    c = configurations.find_any(g)
-    if c.kind == "C5":
-        c = configurations.c5_to_c2(g, c)
-    reduced, step = reductions.reduce(g, c)
-    sub_set, sub_trace = _solve_set(reduced)
-    lifted = reductions.lift(step, sub_set)
-    return lifted, (step,) + sub_trace
-
-
 def _component_graphs(g: PlaneGraph) -> list:
     """The components of g as plane graphs; a connected g is returned as is."""
     comps = g.components()
@@ -99,13 +85,32 @@ def _component_graphs(g: PlaneGraph) -> list:
 
 
 def _solve_set(g: PlaneGraph):
-    total = set()
-    trace = ()
-    for comp in _component_graphs(g):
-        sub_set, sub_trace = _solve_component(comp)
-        total |= sub_set
-        trace += sub_trace
-    return frozenset(total), trace
+    """(independent set, trace) of g, by a loop over an explicit stack.
+
+    A frame is (step, components of its reduced graph left to solve, union of
+    their sets so far); the bottom frame has no step.  A finished frame lifts
+    its union into the frame below, and the trace lists steps in pre-order.
+    """
+    trace = []
+    stack = [(None, _component_graphs(g)[::-1], set())]
+    while True:
+        step, pending, found = stack[-1]
+        if not pending:
+            stack.pop()
+            if step is None:
+                return frozenset(found), tuple(trace)
+            stack[-1][2].update(reductions.lift(step, frozenset(found)))
+            continue
+        comp = pending.pop()
+        if comp.n <= EXACT_BASE:
+            found.update(exact_alpha(comp)[1])
+            continue
+        c = configurations.find_any(comp)
+        if c.kind == "C5":
+            c = configurations.c5_to_c2(comp, c)
+        reduced, step = reductions.reduce(comp, c)
+        trace.append(step)
+        stack.append((step, _component_graphs(reduced)[::-1], set()))
 
 
 def _component_guarantee(g: PlaneGraph) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -54,6 +55,22 @@ class TestGenRandom:
         a = [serialize(g) for g in corpus.gen_random(spec)]
         b = [serialize(g) for g in corpus.gen_random(spec)]
         assert a == b
+
+    @pytest.mark.parametrize("n,seed,digest", [
+        (12, 0, "b94da41a234c6c406531cbfee44a0e9f3cd30616bf56d0987979a5d277b027de"),
+        (12, 1, "fb0ba3cc9c64ab175d52446a6dada9e92d2de9afc960e27f5f6761932e00034b"),
+        (12, 2, "7659e824f9f4c88eae7bf2aae60619e0773daa3a3c31a0b742ea17184a62bf3c"),
+        (60, 0, "1af7977e8a1f5f2df7efe9a65d141a322aae03ba68f51ae0573f03db9f17851d"),
+        (60, 1, "5f225ef133d1183d2c3fd2bf3147539f6e08c48f9fe0e5a257e8d40dbc2dedfb"),
+        (60, 2, "6430c1f8e1065b10e04f7b40eb5cf00ffc15df94525d5015b2dc04f85fd4390e"),
+        (210, 0, "9042dd0003f694423daf5aca59193263ce2b5128162acadff7d19ce40273ce48"),
+        (210, 1, "fb17548a961c357a8f5bc593644e30360fc0fd3292b03141611c062800cec5db"),
+        (210, 2, "3b6909459444f972074a727f1ebbdfb70ba9eebea7396ae389ab570d8ee2af7c"),
+    ])
+    def test_pinned_output(self, n, seed, digest):
+        # the graph made for a seed must not change between versions
+        (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=n, seed=seed, count=1))
+        assert hashlib.sha256(serialize(g).encode()).hexdigest() == digest
 
     def test_outputs_valid(self):
         spec = corpus.CorpusSpec("random", n_max=20, seed=3, count=5)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 
 import networkx as nx
@@ -11,8 +12,8 @@ from trifree.extremal import (Diamond, _replay, avoiding_independent_set,
                               member_max_independent_set,
                               path_diamond_replacement,
                               replace_diamond_with_path)
-from trifree.plane_graph import (GraphError, cycle_graph, embed_edges, isomorphic_small,
-                                 path_graph)
+from trifree.plane_graph import (GraphError, PlaneGraph, cycle_graph, embed_edges,
+                                 isomorphic_small, path_graph)
 from trifree.verify import is_independent_set
 
 import oracles
@@ -197,8 +198,11 @@ class TestIsMember:
         assert checked > 100
 
     def test_deep_member_needs_no_stack(self):
-        # the descent is a loop: 60 steps fit under fewer than 60 spare frames
+        # the descent and the solver are loops: 60 steps fit under fewer than
+        # 60 spare frames, and so does solving the member and a C6 x P30
+        # cylinder, whose chain of C1 steps also holds one C2 step
         g = generate_member(60, 1)
+        cylinder = oracles.cylinder(6, 30)
 
         def depth():
             frame, d = sys._getframe(1), 0
@@ -210,9 +214,13 @@ class TestIsMember:
         sys.setrecursionlimit(depth() + 40)
         try:
             trace = is_member(g)
+            solved = [solver.solve(g), solver.solve(cylinder)]
         finally:
             sys.setrecursionlimit(old)
         assert trace.terminal == "C5" and len(trace.steps) == 60
+        assert all(res.met for res in solved)
+        assert len(solved[0].trace) > 40
+        assert [step.kind for step in solved[1].trace].count("C2") == 1
 
     def test_large_member_certifies(self):
         g = generate_member(200, 13)
@@ -251,6 +259,39 @@ class TestGenerateMember:
     def test_deterministic(self):
         from trifree.plane_graph import serialize
         assert serialize(generate_member(4, 7)) == serialize(generate_member(4, 7))
+
+    @pytest.mark.parametrize("steps,seed,digest", [
+        (1, 0, "b06f6f1427e21cf6cf0d87020a5e1abe427f2f0eb07fefd387a3ac3c5600196c"),
+        (10, 3, "b83be8c8724954cc8831460171177f99760484eb9c02b95d4a9fd1d29db2cf77"),
+        (40, 7, "090daac4877362bed53ae0f1adac0830ce3e73ab4365e187aa8ad3efcc5e3084"),
+        (100, 1, "fc0406721185acab8a9e52f202c2f1059e0009c2d1099f07dc9b9f42e3668731"),
+    ])
+    def test_pinned_output(self, steps, seed, digest):
+        # the member made for a seed is part of the interface: golden runs,
+        # benchmark inputs and saved traces name members by (steps, seed)
+        from trifree.plane_graph import serialize
+        text = serialize(generate_member(steps, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_one_build_per_step(self, monkeypatch):
+        # each replacement is derived, not searched: C5, one build per step
+        # and the final relabelling
+        builds = []
+        init = PlaneGraph.__init__
+
+        def counted_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlaneGraph, "__init__", counted_init)
+        for steps, seed in ((1, 0), (12, 5), (30, 2)):
+            builds.clear()
+            g = generate_member(steps, seed)
+            assert len(builds) <= steps + 2
+            d = find_diamonds(g)[0]
+            builds.clear()
+            replace_diamond_with_path(g, d)
+            assert len(builds) == 1
 
     def test_negative_steps_rejected(self):
         with pytest.raises(GraphError):

@@ -91,6 +91,22 @@ class TestLift:
                     assert c.roles[0] in lifted
         assert seen_z and seen_v
 
+    def test_c4_lift_of_any_independent_set(self, corpus8, dodecahedron):
+        # the C4 lift has one candidate when z is not in the set; lift sets
+        # of several shapes through every C4 configuration to exercise it.
+        # corpus8 holds few C4s; every 5-face of the dodecahedron gives some
+        configs = 0
+        for g in corpus8 + [dodecahedron]:
+            for c in cf.find_c4(g):
+                reduced, step = rd.reduce(g, c)
+                greedy = rd._augment_maximal(reduced, ())
+                for s in (frozenset(), greedy, solver.solve(reduced).independent_set):
+                    lifted = rd.lift(step, s)
+                    assert is_independent_set(g, lifted)
+                    assert len(lifted) == len(s) + 2
+                configs += 1
+        assert configs > 100
+
     def test_alpha_never_overshoots(self, corpus8):
         for g in corpus8[::4]:
             alpha_g, _ = solver.exact_alpha(g)
