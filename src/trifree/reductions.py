@@ -3,9 +3,13 @@
 Each reduction shrinks the host by at most 3k vertices while the lift gains
 exactly k independent vertices (k = 1 for C1/C2, 2 for C3/C4).  C5 has no
 reduction of its own; callers convert it via ``configurations.c5_to_c2``.
-Every lift output is re-checked by the standalone verifier before it is
-returned.  The diamond step and its lift live in ``extremal`` and are
-re-exported here as ``diamond_reduce`` and ``diamond_lift``.
+A ``ReductionStep`` keeps no host graph: it stores the host neighbourhoods
+of the vertices its lift may add, and every lift output is checked against
+them before it is returned (see ``lift``).  ``solver`` runs chains of C1
+steps on its own mutable workspace and builds the same steps; the other
+kinds go through ``reduce``.  The diamond step and its lift live in
+``extremal`` and are re-exported here as ``diamond_reduce`` and
+``diamond_lift``.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ class ReductionStep:
     host_before: int
     host_after: int
     roles: tuple
-    host: PlaneGraph = field(repr=False, compare=False)
+    # host neighbourhood of every vertex a lift candidate may add
+    neighborhoods: dict = field(repr=False, compare=False)
 
     def serialize(self) -> str:
         parts = ["%s removed={%s}" % (self.kind, ",".join(str(v) for v in sorted(self.removed)))]
@@ -83,6 +88,7 @@ def reduce(g: PlaneGraph, c: Configuration):
         removed = frozenset({v} | g.neighbors(v))
         reduced = g.delete_vertices(removed)
         k = 1
+        liftable = (v,)
     elif c.kind == "C2":
         v, u, w, w2 = c.roles
         if g.has_edge(w, w2):
@@ -92,11 +98,13 @@ def reduce(g: PlaneGraph, c: Configuration):
         reduced = _merge_and_embed(g, removed, w, w2, z)
         identified = (w, w2, z)
         k = 1
+        liftable = (v, w, w2)
     elif c.kind == "C3":
         v1, v2, v3, v4 = c.roles
         removed = frozenset({v1, v2, v3, v4} | g.neighbors(v1) | g.neighbors(v3))
         reduced = g.delete_vertices(removed)
         k = 2
+        liftable = (v1, v3)
     else:  # C4
         v1, v2, v3, v4, v5, u1, u2, u3, u4 = c.roles
         z = g.max_vertex_id() + 1
@@ -105,22 +113,26 @@ def reduce(g: PlaneGraph, c: Configuration):
         reduced = _merge_and_embed(g, removed, u2, u3, z, added)
         identified = (u2, u3, z)
         k = 2
+        liftable = c.roles[:4] + c.roles[5:]   # v1..v4 and u1..u4, either reflection
     if not reduced.is_triangle_free():
         raise InternalInvariantError("reduction created a triangle (stale side-conditions?)")
-    step = ReductionStep(c.kind, removed, identified, added, k, g.n, reduced.n, c.roles, g)
+    step = ReductionStep(c.kind, removed, identified, added, k, g.n, reduced.n, c.roles,
+                         {x: g.neighbors(x) for x in liftable})
     if step.host_after < step.host_before - 3 * k:
         raise InternalInvariantError("reduction deleted more than 3k vertices")
     return reduced, step
 
 
-def _verified(host: PlaneGraph, candidates, expected_size: int):
+def _verified(neighborhoods, candidates, expected_size: int):
+    """The first candidate ``(kept, added)`` whose union has the expected size
+    and whose added vertices have no stored neighbour in it."""
     reasons = []
-    for s in candidates:
-        s = frozenset(s)
+    for kept, added in candidates:
+        s = kept | added
         if len(s) != expected_size:
             reasons.append("size %d != %d" % (len(s), expected_size))
             continue
-        bad = verify.violating_edge(host, s)
+        bad = next(((a, b) for a in sorted(added) for b in sorted(neighborhoods[a] & s)), None)
         if bad is None:
             return s
         reasons.append("violating edge %r" % (bad,))
@@ -129,22 +141,33 @@ def _verified(host: PlaneGraph, candidates, expected_size: int):
 
 
 def lift(step: ReductionStep, s_reduced) -> frozenset:
-    """Lift an independent set of the reduced graph back to the host."""
+    """Lift an independent set of the reduced graph back to the host.
+
+    ``s_reduced`` must be independent in the reduced graph.  Each candidate
+    lift is checked against the host neighbourhoods stored in the step: no
+    vertex it adds may have a host neighbour in it, and it must hold exactly
+    |s| + k vertices; the first candidate that passes is returned, and
+    ``InternalInvariantError`` is raised when none does.  For such an
+    ``s_reduced`` this is a full host independence check: every host edge
+    between kept vertices is an edge of the reduced graph (which adds only
+    edges at the fresh vertex z and the C4 edge u1u4), so an edge inside a
+    candidate has an added endpoint.
+    """
     s = frozenset(s_reduced)
-    g = step.host
+    nbhd = step.neighborhoods
     expected = len(s) + step.gain_k
     if step.kind == "C1":
         (v,) = step.roles
-        return _verified(g, [s | {v}], expected)
+        return _verified(nbhd, [(s, {v})], expected)
     if step.kind == "C2":
         v, u, w, w2 = step.roles
         z = step.identified[2]
         if z in s:
-            return _verified(g, [(s - {z}) | {w, w2}], expected)
-        return _verified(g, [s | {v}], expected)
+            return _verified(nbhd, [(s - {z}, {w, w2})], expected)
+        return _verified(nbhd, [(s, {v})], expected)
     if step.kind == "C3":
         v1, v2, v3, v4 = step.roles
-        return _verified(g, [s | {v1, v3}], expected)
+        return _verified(nbhd, [(s, {v1, v3})], expected)
     if step.kind == "C4":
         v1, v2, v3, v4, v5, u1, u2, u3, u4 = step.roles
         z = step.identified[2]
@@ -157,17 +180,17 @@ def lift(step: ReductionStep, s_reduced) -> frozenset:
             # {v1,u3,u4} is the generic choice; the alternatives cover the
             # degenerate cases where u4 is already in s or the u_i coincide
             base = s - {z}
-            candidates = [base | {v1, u3, u4},
-                          base | {v1, u2, u3},
-                          base | {v4, u1, u2},
-                          base | {v4, u2, u3}]
+            candidates = [(base, {v1, u3, u4}),
+                          (base, {v1, u2, u3}),
+                          (base, {v4, u1, u2}),
+                          (base, {v4, u2, u3})]
         else:
             # u2 and u3 were merged into z, which is not in s, and after the
             # reflection u1 is not in s either; the v_i were deleted.  So s
             # holds no neighbor of v1 (v2, v5, u1) or of v3 (v2, v4, u3), and
             # v1, v3 are not adjacent on the 5-face: s | {v1, v3} always works
-            candidates = [s | {v1, v3}]
-        return _verified(g, candidates, expected)
+            candidates = [(s, {v1, v3})]
+        return _verified(nbhd, candidates, expected)
     raise GraphError("unknown reduction kind %r" % step.kind)
 
 
@@ -204,7 +227,10 @@ def diamond_project(g: PlaneGraph, d: Diamond, s) -> frozenset:
         out.discard(w)
         out.add(step.v2)
     out -= {z1, u2}  # never present: z1 adj z2, u2 adj z2
-    return _verified(reduced, [out], size - 1)
+    out = frozenset(out)
+    if len(out) != size - 1 or not verify.is_independent_set(reduced, out):
+        raise InternalInvariantError("diamond projection failed verification")
+    return out
 
 
 def check_tight(g: PlaneGraph, alpha: int) -> bool:

@@ -1,10 +1,11 @@
 """Reduction-chain lower-bound solver and the exact branch-and-bound oracle."""
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from . import configurations, extremal, reductions, verify
-from .plane_graph import GraphError, PlaneGraph
+from .plane_graph import GraphError, InternalInvariantError, PlaneGraph
 
 ORACLE_LIMIT = 40
 EXACT_BASE = 8  # components at most this large are solved exactly
@@ -84,33 +85,169 @@ def _component_graphs(g: PlaneGraph) -> list:
     return [PlaneGraph({v: g.rotation(v) for v in comp}, check=False) for comp in comps]
 
 
-def _solve_set(g: PlaneGraph):
-    """(independent set, trace) of g, by a loop over an explicit stack.
+class _Piece:
+    """One connected component of the reduction chain, held mutably.
+
+    ``rot`` maps each vertex to its clockwise neighbour list.  ``low`` is a
+    min-heap of the vertices whose degree was at most 2 when pushed, and
+    ``ids`` a min-heap of all vertices; both drop deleted entries lazily.
+    C1 steps delete in place, keeping rotation order, so the graph a piece
+    freezes to is the one repeated ``delete_vertices`` calls would give.
+    ``frozen`` is that graph while the piece is unchanged.
+    """
+
+    __slots__ = ("rot", "low", "ids", "frozen")
+
+    def __init__(self, rot, frozen=None):
+        self.rot = rot
+        self.low = sorted(v for v, ns in rot.items() if len(ns) <= 2)
+        self.ids = sorted(rot)
+        self.frozen = frozen
+
+    @property
+    def n(self) -> int:
+        return len(self.rot)
+
+    def smallest(self) -> int:
+        while self.ids[0] not in self.rot:
+            heapq.heappop(self.ids)
+        return self.ids[0]
+
+    def c1_vertex(self):
+        """The vertex of ``find_c1(self.freeze())[0]``, or None."""
+        while self.low and self.low[0] not in self.rot:
+            heapq.heappop(self.low)
+        return self.low[0] if self.low else None
+
+    def freeze(self) -> PlaneGraph:
+        if self.frozen is None:
+            self.frozen = PlaneGraph(self.rot, check=False)
+        return self.frozen
+
+    def c1_step(self, v):
+        """Delete N[v] for the C1 configuration at v; returns the step and the
+        pieces left, ascending by smallest vertex.
+
+        Makes the checks ``reductions.reduce`` makes, at the touched vertices.
+        """
+        rot = self.rot
+        nv = rot[v]
+        if len(nv) > 2:
+            raise InternalInvariantError("stale C1 configuration at %d (degree %d)"
+                                         % (v, len(nv)))
+        host_before = len(rot)
+        removed = frozenset([v, *nv])
+        step = reductions.ReductionStep("C1", removed, None, frozenset(), 1, host_before,
+                                        host_before - len(removed), (v,), {v: frozenset(nv)})
+        touched = set()
+        for x in removed:
+            for u in rot.pop(x):
+                if u not in removed:
+                    rot[u].remove(x)
+                    touched.add(u)
+        self.frozen = None
+        for t in touched:
+            ns = rot[t]
+            if len(ns) <= 2:
+                heapq.heappush(self.low, t)
+            nbrs = set(ns)
+            if any(not nbrs.isdisjoint(rot[u]) for u in ns):
+                raise InternalInvariantError(
+                    "reduction created a triangle (stale side-conditions?)")
+        if step.host_after < step.host_before - 3 * step.gain_k:
+            raise InternalInvariantError("reduction deleted more than 3k vertices")
+        return step, self._split(sorted(touched))
+
+    def _split(self, starts) -> list:
+        """The pieces this one falls into, given that every vertex whose
+        neighbours were deleted is in ``starts``.
+
+        Floods from every start in lockstep, merging floods that meet, until
+        at most one is still open.  A closed flood is a whole component and
+        moves out to a piece of its own, so the cost follows the smaller
+        sides, as in ``PlaneGraph.disk_subgraph``.
+        """
+        rot = self.rot
+        owner = {t: i for i, t in enumerate(starts)}
+        root = list(range(len(starts)))
+        todo = [[t] for t in starts]
+
+        def find(i):
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        live = root[:]
+        while len(live) > 1:
+            for i in live:
+                if root[i] != i or not todo[i]:
+                    continue
+                for u in rot[todo[i].pop()]:
+                    j = owner.get(u)
+                    if j is None:
+                        owner[u] = i
+                        todo[i].append(u)
+                        continue
+                    j = find(j)
+                    if j != i:
+                        root[j] = i
+                        todo[i].extend(todo[j])
+                        todo[j] = []
+            live = [i for i in live if root[i] == i and todo[i]]
+        roots = [i for i in range(len(starts)) if root[i] == i]
+        if len(roots) <= 1:
+            return [self]
+        # the open flood, or if every flood closed any one of them, stays here
+        stay = next((i for i in roots if todo[i]), roots[-1])
+        groups = {i: [] for i in roots if i != stay}
+        for x, i in owner.items():
+            i = find(i)
+            if i in groups:
+                groups[i].append(x)
+        pieces = [self] + [_Piece({x: rot.pop(x) for x in xs}) for xs in groups.values()]
+        return sorted(pieces, key=_Piece.smallest)
+
+
+def _solve_set(comps: list):
+    """(independent set, trace) of the graph with components ``comps``, by a
+    loop over an explicit stack.
 
     A frame is (step, components of its reduced graph left to solve, union of
     their sets so far); the bottom frame has no step.  A finished frame lifts
     its union into the frame below, and the trace lists steps in pre-order.
+    Components of more than ``EXACT_BASE`` vertices become pieces: C1 steps
+    run on the piece in place, and only a C2-C5 step freezes it to a graph.
     """
     trace = []
-    stack = [(None, _component_graphs(g)[::-1], set())]
+    stack = [(None, comps[::-1], set())]
     while True:
         step, pending, found = stack[-1]
         if not pending:
             stack.pop()
             if step is None:
                 return frozenset(found), tuple(trace)
-            stack[-1][2].update(reductions.lift(step, frozenset(found)))
+            stack[-1][2].update(reductions.lift(step, found))
             continue
         comp = pending.pop()
         if comp.n <= EXACT_BASE:
+            if isinstance(comp, _Piece):
+                comp = comp.freeze()
             found.update(exact_alpha(comp)[1])
             continue
-        c = configurations.find_any(comp)
-        if c.kind == "C5":
-            c = configurations.c5_to_c2(comp, c)
-        reduced, step = reductions.reduce(comp, c)
+        if isinstance(comp, PlaneGraph):
+            comp = _Piece({v: list(comp.rotation(v)) for v in comp.vertices}, comp)
+        v = comp.c1_vertex()
+        if v is not None:
+            step, parts = comp.c1_step(v)
+        else:
+            g = comp.freeze()
+            c = configurations.find_any(g)
+            if c.kind == "C5":
+                c = configurations.c5_to_c2(g, c)
+            reduced, step = reductions.reduce(g, c)
+            parts = _component_graphs(reduced)
         trace.append(step)
-        stack.append((step, _component_graphs(reduced)[::-1], set()))
+        stack.append((step, parts[::-1], set()))
 
 
 def _component_guarantee(g: PlaneGraph) -> int:
@@ -123,10 +260,11 @@ def solve(g: PlaneGraph) -> SolveResult:
     """Find a large independent set constructively and check the claimed bound."""
     if not g.is_triangle_free():
         raise GraphError("solver requires a triangle-free input")
-    s, trace = _solve_set(g)
+    comps = _component_graphs(g)
+    s, trace = _solve_set(comps)
     if not verify.is_independent_set(g, s):
-        raise reductions.InternalInvariantError("solver output failed verification")
-    guarantee = sum(_component_guarantee(comp) for comp in _component_graphs(g))
+        raise InternalInvariantError("solver output failed verification")
+    guarantee = sum(_component_guarantee(comp) for comp in comps)
     return SolveResult(s, trace, guarantee, len(s) >= guarantee)
 
 

@@ -1,12 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written naively on purpose: subset enumeration, plain
-DFS, permutation scans.  None of it shares code with trifree internals.
+DFS, permutation scans.  None of it shares code with trifree internals;
+``rebuild_solve_set`` drives only the public configuration and reduction
+functions.
 """
 import itertools
 
 import networkx as nx
 
+from trifree import configurations, reductions, solver
 from trifree.plane_graph import DiskSubgraph, GraphError, InternalInvariantError, PlaneGraph
 
 
@@ -284,3 +287,36 @@ def enumerate6_by_matrix():
             seen.add(canon)
         counts[n] = len(seen)
     return counts
+
+
+def rebuild_solve_set(g):
+    """(independent set, trace) of g by the reduction chain that rebuilds a
+    whole graph after every step: one public ``find_any`` / ``c5_to_c2`` /
+    ``reduce`` / ``lift`` per step, components solved in ascending order of
+    their smallest vertex, the trace in pre-order."""
+    def component_graphs(h):
+        comps = h.components()
+        if len(comps) == 1:
+            return [h]
+        return [PlaneGraph({v: h.rotation(v) for v in comp}, check=False) for comp in comps]
+
+    trace = []
+    stack = [(None, component_graphs(g)[::-1], set())]
+    while True:
+        step, pending, found = stack[-1]
+        if not pending:
+            stack.pop()
+            if step is None:
+                return frozenset(found), tuple(trace)
+            stack[-1][2].update(reductions.lift(step, frozenset(found)))
+            continue
+        comp = pending.pop()
+        if comp.n <= solver.EXACT_BASE:
+            found.update(solver.exact_alpha(comp)[1])
+            continue
+        c = configurations.find_any(comp)
+        if c.kind == "C5":
+            c = configurations.c5_to_c2(comp, c)
+        reduced, step = reductions.reduce(comp, c)
+        trace.append(step)
+        stack.append((step, component_graphs(reduced)[::-1], set()))

@@ -107,6 +107,32 @@ class TestLift:
                 configs += 1
         assert configs > 100
 
+    def test_lift_rejects_a_host_neighbour(self, corpus8, dodecahedron):
+        # steps keep no host graph: each lift is checked against the stored
+        # neighbourhoods of the vertices it adds, so a reduced set holding a
+        # host neighbour of one of them must be rejected, for every kind
+        cases = {}
+        for g in corpus8 + [dodecahedron]:
+            for c in all_configs(g):
+                _, step = rd.reduce(g, c)
+                # when s avoids z and u1, every lift adds roles[0] (v or v1);
+                # roles[1] is its neighbour (for C1 take any neighbour of v)
+                v = step.roles[0]
+                nbr = min(g.neighbors(v), default=None) if step.kind == "C1" else step.roles[1]
+                if nbr is not None:
+                    cases.setdefault(step.kind, (step, {nbr}))
+                if step.kind == "C2":
+                    # s = {z, x}: the lift swaps z for w and w', and x is a
+                    # host neighbour of w other than v
+                    w = step.roles[2]
+                    others = g.neighbors(w) - {v}
+                    if others:
+                        cases.setdefault("C2 via z", (step, {step.identified[2], min(others)}))
+        assert sorted(cases) == ["C1", "C2", "C2 via z", "C3", "C4"]
+        for step, s in cases.values():
+            with pytest.raises(InternalInvariantError):
+                rd.lift(step, s)
+
     def test_alpha_never_overshoots(self, corpus8):
         for g in corpus8[::4]:
             alpha_g, _ = solver.exact_alpha(g)

@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trifree import solver
+from trifree import corpus, solver
 from trifree.extremal import generate_member
 from trifree.plane_graph import GraphError, PlaneGraph, cycle_graph, path_graph
 from trifree.verify import is_independent_set
@@ -125,6 +127,99 @@ class TestSolve:
         res = solver.solve(g)
         assert 3 * res.size == g.n + 1
         assert res.met
+
+
+def _join_by_path(first, second):
+    """first and second joined by a path x-a-b-c-y from first's vertex 1 to
+    second's vertex 1, with b = 1, a = 2 and c = 3: b is the smallest vertex
+    of degree 2, and a C1 step at b splits the graph into its two parts."""
+    shift = first.max_vertex_id() + 3
+    rot = {v + 3: tuple(u + 3 for u in first.rotation(v)) for v in first.vertices}
+    rot.update({v + shift: tuple(u + shift for u in second.rotation(v)) for v in second.vertices})
+    x, y = 1 + 3, 1 + shift
+    rot[x] += (2,)
+    rot[y] += (3,)
+    rot.update({2: (x, 1), 1: (2, 3), 3: (1, y)})
+    return PlaneGraph(rot)
+
+
+class TestWorkspace:
+    """``solve`` runs C1 chains on a mutable piece; the rebuild-per-step loop
+    of ``oracles.rebuild_solve_set`` must give the same sets and traces."""
+
+    @staticmethod
+    def same_as_rebuild(g):
+        s, trace = oracles.rebuild_solve_set(g)
+        res = solver.solve(g)
+        assert res.independent_set == s
+        assert [step.serialize() for step in res.trace] == [step.serialize() for step in trace]
+        return res
+
+    def test_corpus_and_golden(self, corpus8, golden):
+        for g in corpus8 + list(golden.values()):
+            self.same_as_rebuild(g)
+
+    def test_grids_and_cylinders(self):
+        for r in range(6, 16):
+            self.same_as_rebuild(oracles.grid(r, r))
+        kinds = [step.kind for step in self.same_as_rebuild(oracles.cylinder(6, 30)).trace]
+        assert kinds.count("C2") == 1
+        self.same_as_rebuild(oracles.cylinder(8, 25))
+
+    def test_random_graphs(self):
+        for n in (40, 120, 300):
+            for seed in range(3):
+                spec = corpus.CorpusSpec("random", n_max=n, seed=seed, count=1)
+                for g in corpus.gen_random(spec):
+                    self.same_as_rebuild(g)
+
+    def test_members(self):
+        for steps, seed in ((10, 0), (25, 1), (40, 2), (60, 3)):
+            self.same_as_rebuild(generate_member(steps, seed))
+
+    def test_split_then_frozen_piece(self, dodecahedron):
+        # C1 at the path's middle vertex splits the piece into two cubic
+        # parts, and each is then frozen for a C4 (dodecahedron) or C2
+        # (cylinder) step
+        cylinder = oracles.cylinder(6, 4)
+        later = 0
+        for first, second in ((dodecahedron, dodecahedron), (dodecahedron, cylinder),
+                              (cylinder, dodecahedron)):
+            g = _join_by_path(first, second)
+            kinds = [step.kind for step in self.same_as_rebuild(g).trace]
+            assert kinds[0] == "C1"
+            later += any(k != "C1" for k in kinds[1:])
+        assert later == 3
+
+    def test_no_large_build(self, monkeypatch):
+        # a C1 chain builds no graph.  The cylinder has no vertex of degree
+        # <= 2, so its C2 step needs a frozen graph (at most one build) and
+        # builds its re-embedded reduced graph
+        sizes = []
+        init = PlaneGraph.__init__
+
+        def counted(self, rotation, *args, **kwargs):
+            sizes.append(len(rotation))
+            init(self, rotation, *args, **kwargs)
+
+        grid, cylinder = oracles.grid(30, 30), oracles.cylinder(6, 30)
+        monkeypatch.setattr(PlaneGraph, "__init__", counted)
+        assert solver.solve(grid).met
+        assert [n for n in sizes if n > solver.EXACT_BASE] == []
+        sizes.clear()
+        assert solver.solve(cylinder).met
+        assert len([n for n in sizes if n > solver.EXACT_BASE]) <= 2
+
+    def test_large_inputs_at_default_recursion_limit(self):
+        graphs = (oracles.grid(60, 60), oracles.cylinder(8, 400))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)   # CPython's default
+        try:
+            solved = [solver.solve(g) for g in graphs]
+        finally:
+            sys.setrecursionlimit(old)
+        assert all(res.met for res in solved)
+        assert [g.n for g in graphs] == [3600, 3200]
 
 
 class TestCheckTheoremBounds:

@@ -24,8 +24,11 @@ t = tracer.install(tracer.Tracer())
 t.keep_spans = False
 t.active = True
 g = corpus.golden_graphs()["member20"]
-# solve reduces member20 by C1 four times; the cube would be solved exactly
+# solve reduces member20 by C1 four times on its own workspace, without
+# find_c1 or reduce; the cylinder's C2 step goes through find_any, find_c1
+# and reduce.  The cube would be solved exactly
 solver.solve(g)
+solver.solve(oracles.cylinder(6, 30))
 extremal.member_max_independent_set(g, extremal.is_member(g))
 discharging.audit(corpus.golden_graphs()["dangerous_witness"])
 grid = oracles.grid(4, 5)
