@@ -92,17 +92,14 @@ def find_c5(g: PlaneGraph) -> list:
 
 
 def _c4_conditions(g: PlaneGraph, vs, us) -> bool:
+    """The side-conditions, read in g - vs: no u_i lies on the face, so an
+    edge between u_i is one of g, and a path of g - vs one avoiding vs."""
     u1, u2, u3, u4 = us
     if g.has_edge(u1, u2) or g.has_edge(u3, u4):
         return False
-    h = g.delete_vertices(vs)
-    if u1 == u4:
+    if u1 == u4 or g.has_edge(u1, u4) or g.paths_between(u1, u4, 2, forbidden=vs):
         return False
-    if h.has_edge(u1, u4) or h.paths_between(u1, u4, 2):
-        return False
-    if u2 == u3:
-        return False
-    if h.has_edge(u2, u3) or h.paths_between(u2, u3, 3):
+    if u2 == u3 or g.has_edge(u2, u3) or g.paths_between(u2, u3, 3, forbidden=vs):
         return False
     if u1 == u3 and u2 == u4:
         # identifying u2 with u3 would turn the new edge u1u4 into a loop

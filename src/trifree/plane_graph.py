@@ -217,6 +217,8 @@ class PlaneGraph:
 
     def find_face(self, walk):
         """Face matching a cyclic vertex walk, or None."""
+        if not walk:
+            return None
         darts = tuple((walk[i], walk[(i + 1) % len(walk)]) for i in range(len(walk)))
         key = _canonical_walk(darts)
         return Face(key) if key in self._face_keys else None
@@ -420,6 +422,8 @@ def parse(text: str) -> PlaneGraph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphError("first line must be 'n m'") from None
+    if n < 0 or m < 0:
+        raise GraphError("negative count in first line: %d %d" % (n, m))
     rotation = {}
     outer_walk = None
     for line in lines[1:]:

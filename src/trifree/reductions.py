@@ -3,13 +3,15 @@
 Each reduction shrinks the host by at most 3k vertices while the lift gains
 exactly k independent vertices (k = 1 for C1/C2, 2 for C3/C4).  C5 has no
 reduction of its own; callers convert it via ``configurations.c5_to_c2``.
-A ``ReductionStep`` keeps no host graph: it stores the host neighbourhoods
-of the vertices its lift may add, and every lift output is checked against
-them before it is returned (see ``lift``).  ``solver`` runs chains of C1
-steps on its own mutable workspace and builds the same steps; the other
-kinds go through ``reduce``.  The diamond step and its lift live in
-``extremal`` and are re-exported here as ``diamond_reduce`` and
-``diamond_lift``.
+One in-place rotation edit, ``apply_reduction``, serves every kind: ``reduce``
+applies it to a copy of the host's rotations, and ``solver`` to its own
+workspace for C1 chains.  Reduced rotations are derived, never re-embedded:
+deletion keeps rotation order and the C2/C4 identification is a contraction,
+so every reduced graph inherits the host's embedding.  A ``ReductionStep``
+keeps no host graph: it stores the host neighbourhoods of the vertices its
+lift may add, and every lift is checked against them (see ``lift``).  The
+diamond step and its lift live in ``extremal`` and are re-exported here as
+``diamond_reduce`` and ``diamond_lift``.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from . import configurations, verify
 from .configurations import Configuration
 from .extremal import Diamond, _check_diamond, diamond_lift, diamond_reduce
-from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, embed_edges
+from .plane_graph import GraphError, InternalInvariantError, PlaneGraph
 
 
 @dataclass(frozen=True)
@@ -45,81 +47,97 @@ class ReductionStep:
         return " ".join(parts)
 
 
-def _merge_and_embed(g: PlaneGraph, deleted, a, b, z, extra_edges=()):
-    """Delete vertices, identify a and b into z, re-embed the result.
+def apply_reduction(rot, kind: str, roles):
+    """Apply the reduction of configuration ``(kind, roles)``, C1-C4, in place
+    to ``rot``, each vertex's clockwise neighbour list; returns the step and
+    the vertices left whose rotation changed.  The caller checks that the
+    configuration holds.
 
-    Identification can force global rotation changes, so the reduced graph is
-    re-embedded from scratch; the reduction lemma guarantees planarity.
+    Deletion keeps the rotation order.  C2 and C4 contract a path a-...-b
+    through deleted vertices into z = max id + 1, so z reads a's rotation
+    clockwise from just after the path, then b's; a common neighbour of a and
+    b keeps one of its two parallel edges to z.  C4 first draws u1u4 along
+    u1-v1-v5-v4-u4, so that u1 = u3 and u2 = u4 come out right.  Every new
+    edge meets a changed vertex, so triangles are looked for there only.
     """
-    deleted = set(deleted)
-    keep = [v for v in g.vertices if v not in deleted and v not in (a, b)]
-    edges = set()
-    for u in keep:
-        for v in g.neighbors(u):
-            if v in deleted:
-                continue
-            if v in (a, b):
-                edges.add(frozenset((u, z)))
-            elif v > u:
-                edges.add(frozenset((u, v)))
-    for e in extra_edges:
-        # extra-edge endpoints may themselves be identified
-        e = frozenset(z if x in (a, b) else x for x in e)
-        if len(e) == 1:
-            raise InternalInvariantError("identification turned %r into a loop" % (e,))
-        edges.add(e)
-    try:
-        return embed_edges(keep + [z], [tuple(e) for e in edges])
-    except GraphError as e:
-        raise InternalInvariantError("reduced graph is not planar: %s" % e) from None
+    host_before = len(rot)
+    identified, added, path = None, frozenset(), None
+    if kind == "C1":
+        (v,) = roles
+        removed, k, liftable = frozenset((v, *rot[v])), 1, roles
+    elif kind == "C2":
+        v, u, w, w2 = roles
+        removed, k, liftable = frozenset((v, u)), 1, (v, w, w2)
+        path = (w, v, w2, v)   # a, a's path neighbour, b, b's path neighbour
+    elif kind == "C3":
+        v1, v2, v3, v4 = roles
+        removed, k, liftable = frozenset((*roles, *rot[v1], *rot[v3])), 2, (v1, v3)
+    elif kind == "C4":
+        v1, v2, v3, v4, v5, u1, u2, u3, u4 = roles
+        # v1..v4 and u1..u4 may be lifted, in either reflection
+        removed, k, liftable = frozenset(roles[:5]), 2, roles[:4] + roles[5:]
+        path = (u2, v2, u3, v3)
+    else:
+        raise GraphError("no reduction for kind %r" % (kind,))
+    neighborhoods = {x: frozenset(rot[x]) for x in liftable}
+    touched = set()
+    if kind == "C4":
+        for x, old, new in ((u1, v1, u4), (u4, v4, u1)):
+            rot[x][rot[x].index(old)] = new
+            rot[old].remove(x)
+            touched.add(x)
+        added = frozenset((frozenset((u1, u4)),))
+    if path:
+        a, pa, b, pb = path
+        z = max(rot) + 1
+        arc_a, arc_b = ([y for y in ns[ns.index(p) + 1:] + ns[:ns.index(p)] if y not in removed]
+                        for ns, p in ((rot[a], pa), (rot[b], pb)))
+    for x in removed:
+        for y in rot.pop(x):
+            if y not in removed:
+                rot[y].remove(x)
+                touched.add(y)
+    if path:
+        if b in arc_a:
+            raise InternalInvariantError("identifying %d and %d makes a loop" % (a, b))
+        del rot[a], rot[b]
+        rot[z] = arc_a + [y for y in arc_b if y not in arc_a]
+        for y in rot[z]:
+            ns = rot[y]
+            if a in ns and b in ns:
+                ns.remove(b)
+            ns[ns.index(a if a in ns else b)] = z
+        touched = (touched - {a, b}) | {z, *rot[z]}
+        identified = (a, b, z)
+    for t in touched:
+        nbrs = set(rot[t])
+        if any(not nbrs.isdisjoint(rot[y]) for y in nbrs):
+            raise InternalInvariantError("reduction created a triangle (stale side-conditions?)")
+    if len(rot) < host_before - 3 * k:
+        raise InternalInvariantError("reduction deleted more than 3k vertices")
+    step = ReductionStep(kind, removed, identified, added, k, host_before, len(rot),
+                         roles, neighborhoods)
+    return step, touched
 
 
 def reduce(g: PlaneGraph, c: Configuration):
-    """Apply the configuration's reduction; returns (reduced graph, step)."""
+    """Apply the configuration's reduction; returns (reduced graph, step).  The
+    derived rotation is built once, validated: Euler's formula proves it plane."""
     if c.kind == "C5":
         raise GraphError("C5 has no direct reduction; convert with c5_to_c2 first")
     finder = dict(configurations._FINDERS)[c.kind]
     if c not in finder(g):
         raise GraphError("stale configuration: %r no longer holds" % (c,))
-    identified = None
-    added = frozenset()
-    if c.kind == "C1":
-        (v,) = c.roles
-        removed = frozenset({v} | g.neighbors(v))
-        reduced = g.delete_vertices(removed)
-        k = 1
-        liftable = (v,)
-    elif c.kind == "C2":
-        v, u, w, w2 = c.roles
-        if g.has_edge(w, w2):
-            raise GraphError("host contains a triangle at %r" % (c,))
-        z = g.max_vertex_id() + 1
-        removed = frozenset((u, v))
-        reduced = _merge_and_embed(g, removed, w, w2, z)
-        identified = (w, w2, z)
-        k = 1
-        liftable = (v, w, w2)
-    elif c.kind == "C3":
-        v1, v2, v3, v4 = c.roles
-        removed = frozenset({v1, v2, v3, v4} | g.neighbors(v1) | g.neighbors(v3))
-        reduced = g.delete_vertices(removed)
-        k = 2
-        liftable = (v1, v3)
-    else:  # C4
-        v1, v2, v3, v4, v5, u1, u2, u3, u4 = c.roles
-        z = g.max_vertex_id() + 1
-        removed = frozenset((v1, v2, v3, v4, v5))
-        added = frozenset((frozenset((u1, u4)),))
-        reduced = _merge_and_embed(g, removed, u2, u3, z, added)
-        identified = (u2, u3, z)
-        k = 2
-        liftable = c.roles[:4] + c.roles[5:]   # v1..v4 and u1..u4, either reflection
+    if c.kind == "C2" and g.has_edge(c.roles[2], c.roles[3]):
+        raise GraphError("host contains a triangle at %r" % (c,))
+    rot = {v: list(g.rotation(v)) for v in g.vertices}
+    step, _ = apply_reduction(rot, c.kind, c.roles)
+    try:
+        reduced = PlaneGraph(rot)
+    except GraphError as e:
+        raise InternalInvariantError("reduced rotation is not a plane graph: %s" % e) from None
     if not reduced.is_triangle_free():
         raise InternalInvariantError("reduction created a triangle (stale side-conditions?)")
-    step = ReductionStep(c.kind, removed, identified, added, k, g.n, reduced.n, c.roles,
-                         {x: g.neighbors(x) for x in liftable})
-    if step.host_after < step.host_before - 3 * k:
-        raise InternalInvariantError("reduction deleted more than 3k vertices")
     return reduced, step
 
 
@@ -157,8 +175,7 @@ def lift(step: ReductionStep, s_reduced) -> frozenset:
     nbhd = step.neighborhoods
     expected = len(s) + step.gain_k
     if step.kind == "C1":
-        (v,) = step.roles
-        return _verified(nbhd, [(s, {v})], expected)
+        return _verified(nbhd, [(s, {step.roles[0]})], expected)
     if step.kind == "C2":
         v, u, w, w2 = step.roles
         z = step.identified[2]
@@ -166,8 +183,7 @@ def lift(step: ReductionStep, s_reduced) -> frozenset:
             return _verified(nbhd, [(s - {z}, {w, w2})], expected)
         return _verified(nbhd, [(s, {v})], expected)
     if step.kind == "C3":
-        v1, v2, v3, v4 = step.roles
-        return _verified(nbhd, [(s, {v1, v3})], expected)
+        return _verified(nbhd, [(s, {step.roles[0], step.roles[2]})], expected)
     if step.kind == "C4":
         v1, v2, v3, v4, v5, u1, u2, u3, u4 = step.roles
         z = step.identified[2]
@@ -177,13 +193,14 @@ def lift(step: ReductionStep, s_reduced) -> frozenset:
             v1, v2, v3, v4 = v4, v3, v2, v1
             u1, u2, u3, u4 = u4, u3, u2, u1
         if z in s:
-            # {v1,u3,u4} is the generic choice; the alternatives cover the
-            # degenerate cases where u4 is already in s or the u_i coincide
+            # {v1,u3,u4} is the generic choice.  base holds no host neighbour
+            # of u2, u3 (z's), nor u1.  So {v1,u2,u3} passes if u1 != u3 (N(v1)
+            # = {v2,v5,u1}, u1 != u2, u2u3 no edge), and {v4,u1,u2} if u1 = u3
+            # (u4 is z's neighbour by the new edge, u2 != u4, u1u2 no edge)
             base = s - {z}
             candidates = [(base, {v1, u3, u4}),
                           (base, {v1, u2, u3}),
-                          (base, {v4, u1, u2}),
-                          (base, {v4, u2, u3})]
+                          (base, {v4, u1, u2})]
         else:
             # u2 and u3 were merged into z, which is not in s, and after the
             # reflection u1 is not in s either; the v_i were deleted.  So s

@@ -125,37 +125,17 @@ class _Piece:
         return self.frozen
 
     def c1_step(self, v):
-        """Delete N[v] for the C1 configuration at v; returns the step and the
-        pieces left, ascending by smallest vertex.
-
-        Makes the checks ``reductions.reduce`` makes, at the touched vertices.
-        """
-        rot = self.rot
-        nv = rot[v]
-        if len(nv) > 2:
+        """Delete N[v] for the C1 configuration at v by
+        ``reductions.apply_reduction``; returns the step and the pieces left,
+        ascending by smallest vertex."""
+        if len(self.rot[v]) > 2:
             raise InternalInvariantError("stale C1 configuration at %d (degree %d)"
-                                         % (v, len(nv)))
-        host_before = len(rot)
-        removed = frozenset([v, *nv])
-        step = reductions.ReductionStep("C1", removed, None, frozenset(), 1, host_before,
-                                        host_before - len(removed), (v,), {v: frozenset(nv)})
-        touched = set()
-        for x in removed:
-            for u in rot.pop(x):
-                if u not in removed:
-                    rot[u].remove(x)
-                    touched.add(u)
+                                         % (v, len(self.rot[v])))
+        step, touched = reductions.apply_reduction(self.rot, "C1", (v,))
         self.frozen = None
         for t in touched:
-            ns = rot[t]
-            if len(ns) <= 2:
+            if len(self.rot[t]) <= 2:
                 heapq.heappush(self.low, t)
-            nbrs = set(ns)
-            if any(not nbrs.isdisjoint(rot[u]) for u in ns):
-                raise InternalInvariantError(
-                    "reduction created a triangle (stale side-conditions?)")
-        if step.host_after < step.host_before - 3 * step.gain_k:
-            raise InternalInvariantError("reduction deleted more than 3k vertices")
         return step, self._split(sorted(touched))
 
     def _split(self, starts) -> list:

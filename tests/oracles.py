@@ -147,6 +147,35 @@ def naive_c4(g):
     return sorted(out)
 
 
+def naive_reduced_edges(g, c):
+    """(vertex set, edge set) of the graph that configuration c (C1-C4)
+    reduces g to, from the definitions: delete the configuration's vertices,
+    identify C2's w, w' or C4's u2, u3 into max id + 1, add C4's edge u1u4."""
+    roles = c.roles
+    z = max(g.vertices) + 1
+    image = {}
+    extra = []
+    if c.kind == "C1":
+        deleted = {roles[0]} | set(g.neighbors(roles[0]))
+    elif c.kind == "C2":
+        deleted = {roles[0], roles[1]}
+        image = {roles[2]: z, roles[3]: z}
+    elif c.kind == "C3":
+        deleted = set(roles) | set(g.neighbors(roles[0])) | set(g.neighbors(roles[2]))
+    elif c.kind == "C4":
+        deleted = set(roles[:5])
+        image = {roles[6]: z, roles[7]: z}
+        extra = [(roles[5], roles[8])]
+    else:
+        raise GraphError("no reduction for %s" % c.kind)
+    verts = {image.get(v, v) for v in g.vertices if v not in deleted}
+    edges = set()
+    for a, b in [tuple(e) for e in g.edges] + extra:
+        if a not in deleted and b not in deleted:
+            edges.add(frozenset((image.get(a, a), image.get(b, b))))
+    return verts, frozenset(edges)
+
+
 def naive_diamonds(g):
     """Diamond tuples by scanning ordered 5-tuples of vertices."""
     out = set()

@@ -37,6 +37,16 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(p))
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("text", ["3 2\n1: 2\n2: 1 3\n3: 2\nouter:\n", "-3 0\n", "0 -1\n"])
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_bad_header_or_outer_line(self, capsys, tmp_path, command, text):
+        # an empty outer walk and a negative count are input errors
+        p = tmp_path / "bad.graph"
+        p.write_text(text)
+        code, out, err = run(capsys, command, str(p))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 class TestSolve:
     def test_member20(self, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from trifree import configurations as cf, reductions as rd, solver
+from trifree import configurations as cf, corpus, reductions as rd, solver
 from trifree.extremal import Diamond, find_diamonds
 from trifree.plane_graph import (GraphError, InternalInvariantError,
                                  cycle_graph, isomorphic_small, path_graph)
@@ -66,6 +66,43 @@ class TestReduce:
         assert step.serialize().startswith("C1 removed={1,2,5}")
 
 
+def reduction_cases(corpus8, dodecahedron):
+    """(host, configuration, reduced graph, step) for every configuration of
+    corpus8, the dodecahedron, cylinders and a few random graphs."""
+    hosts = corpus8 + [dodecahedron]
+    hosts += [oracles.cylinder(k, m) for k in range(4, 9) for m in (2, 3)]
+    for seed in range(3):
+        hosts += corpus.gen_random(corpus.CorpusSpec("random", n_max=60, seed=seed, count=1))
+    for g in hosts:
+        for c in all_configs(g):
+            yield (g, c) + rd.reduce(g, c)
+
+
+class TestDerivedReduction:
+    """``reduce`` derives the reduced rotation from the host's, never
+    re-embedding it; it must give the abstract reduced graph and keep every
+    host face that the reduction leaves alone."""
+
+    def test_matches_abstract_reduction(self, corpus8, dodecahedron):
+        kinds = set()
+        for g, c, reduced, _ in reduction_cases(corpus8, dodecahedron):
+            assert (set(reduced.vertices), reduced.edges) == oracles.naive_reduced_edges(g, c)
+            kinds.add(c.kind)
+        assert kinds == {"C1", "C2", "C3", "C4"}
+
+    def test_inherits_host_faces(self, corpus8, dodecahedron):
+        kept = 0
+        for g, c, reduced, step in reduction_cases(corpus8, dodecahedron):
+            changed = set(step.removed) | set(step.identified[:2] if step.identified else ())
+            changed.update(x for e in step.added_edges for x in e)
+            faces = set(reduced.faces())
+            for f in g.faces():
+                if f.vertex_set.isdisjoint(changed):
+                    assert f in faces, (c, f)
+                    kept += 1
+        assert kept > 1000
+
+
 class TestLift:
     def test_c1_singleton(self):
         g = path_graph(3)
@@ -92,15 +129,18 @@ class TestLift:
         assert seen_z and seen_v
 
     def test_c4_lift_of_any_independent_set(self, corpus8, dodecahedron):
-        # the C4 lift has one candidate when z is not in the set; lift sets
-        # of several shapes through every C4 configuration to exercise it.
-        # corpus8 holds few C4s; every 5-face of the dodecahedron gives some
+        # the C4 lift has one candidate when z is not in the set and three
+        # when it is; lift sets of several shapes, one of them a maximal set
+        # grown from {z}, through every C4 configuration to exercise them.
+        # corpus8 holds few C4s (both degenerate, u1 = u3 or u2 = u4); every
+        # 5-face of the dodecahedron gives some
         configs = 0
         for g in corpus8 + [dodecahedron]:
             for c in cf.find_c4(g):
                 reduced, step = rd.reduce(g, c)
                 greedy = rd._augment_maximal(reduced, ())
-                for s in (frozenset(), greedy, solver.solve(reduced).independent_set):
+                with_z = rd._augment_maximal(reduced, {step.identified[2]})
+                for s in (frozenset(), greedy, with_z, solver.solve(reduced).independent_set):
                     lifted = rd.lift(step, s)
                     assert is_independent_set(g, lifted)
                     assert len(lifted) == len(s) + 2

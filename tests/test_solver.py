@@ -1,5 +1,6 @@
 import sys
 
+import networkx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,7 +195,7 @@ class TestWorkspace:
     def test_no_large_build(self, monkeypatch):
         # a C1 chain builds no graph.  The cylinder has no vertex of degree
         # <= 2, so its C2 step needs a frozen graph (at most one build) and
-        # builds its re-embedded reduced graph
+        # builds its reduced graph once
         sizes = []
         init = PlaneGraph.__init__
 
@@ -209,6 +210,26 @@ class TestWorkspace:
         sizes.clear()
         assert solver.solve(cylinder).met
         assert len([n for n in sizes if n > solver.EXACT_BASE]) <= 2
+
+    def test_no_planarity_call(self, monkeypatch, dodecahedron):
+        # every reduced rotation is derived from its host's, so no step, C2
+        # and C4 included, asks networkx for an embedding
+        cylinder = oracles.cylinder(6, 4)
+        graphs = [oracles.cylinder(8, 400)] + [
+            _join_by_path(first, second) for first, second in (
+                (dodecahedron, dodecahedron), (dodecahedron, cylinder),
+                (cylinder, dodecahedron))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_planarity called")
+
+        monkeypatch.setattr(networkx, "check_planarity", refuse)
+        kinds = set()
+        for g in graphs:
+            res = solver.solve(g)
+            assert res.met
+            kinds.update(step.kind for step in res.trace)
+        assert {"C2", "C4"} <= kinds
 
     def test_large_inputs_at_default_recursion_limit(self):
         graphs = (oracles.grid(60, 60), oracles.cylinder(8, 400))
