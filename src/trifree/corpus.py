@@ -80,10 +80,10 @@ def _enumerate_abstract(n_max: int):
 
 def enumerate_small(n_max: int):
     """All connected plane triangle-free graphs with <= n_max vertices, embedded."""
-    if n_max > ENUM_LIMIT:
-        raise GraphError("exhaustive enumeration limited to %d vertices" % ENUM_LIMIT)
+    if not 0 <= n_max <= ENUM_LIMIT:
+        raise GraphError("exhaustive enumeration takes 0 to %d vertices" % ENUM_LIMIT)
     out = []
-    for level in _enumerate_abstract(n_max):
+    for level in _enumerate_abstract(n_max)[:n_max]:   # the levels start at n = 1
         for g in level:
             relabeled = {v: i + 1 for i, v in enumerate(sorted(g.nodes))}
             out.append(embed_edges(sorted(relabeled.values()),
@@ -122,6 +122,8 @@ def _add_in_face(g: PlaneGraph, face, picks, fresh: int) -> PlaneGraph:
 
 def gen_random(spec: CorpusSpec):
     """Seeded girth-preserving growth from C4; deterministic per seed."""
+    if spec.n_max < 4:
+        raise GraphError("random graphs grow from C4: n must be at least 4")
     rng = random.Random(spec.seed)
     out = []
     for _ in range(spec.count):

@@ -3,11 +3,14 @@
 A diamond is a 5-cycle u1-z1-z2-u2-w with degrees (3, 2, 2, 3, 3), an apex
 x1 adjacent to both u1 and u2, and x2 the third neighbor of w.  Replacing
 the diamond by the path x1-v1-v2-x2 removes three vertices and drops the
-independence number by exactly one.  Both that replacement and its inverse
-derive the one rotation system the embedding determines and make a single
-validated build.  Membership testing replaces the first diamond found, step
-by step, down to C5 or P2 and never backtracks; the constructive maximum-set
-routines lift sets back up through those steps.
+independence number by exactly one.  The replacement and its inverse are
+in-place edits of a mutable rotation system, and each chain runs on one
+copy: membership testing replaces the first diamond found down to C5 or P2,
+never backtracking; the certificate replays that trace; the generator grows
+C5 and builds once.  ``diamond_reduce`` is copy, edit, one validated build.
+``diamond_lift(step, s)``, for s independent in the reduced graph, checks
+what it adds against the host neighbourhoods the degree pattern pins, a full
+host independence check, and raises ``InternalInvariantError`` when it fails.
 """
 from __future__ import annotations
 
@@ -66,22 +69,45 @@ class MembershipTrace:
         return "\n".join(lines) + "\n"
 
 
-def _check_diamond(g: PlaneGraph, d: Diamond) -> bool:
+class _Rotation(dict):
+    """A mutable rotation system, vertex -> clockwise neighbour list, with
+    the queries of ``PlaneGraph`` that the diamond code reads."""
+
+    vertices = property(lambda self: tuple(sorted(self)))
+    n = property(len)
+    has_vertex = dict.__contains__
+
+    @classmethod
+    def of(cls, g: PlaneGraph) -> "_Rotation":
+        return cls((v, list(g.rotation(v))) for v in g.vertices)
+
+    def degree(self, v) -> int:
+        return len(self[v])
+
+    def neighbors(self, v) -> frozenset:
+        return frozenset(self[v])
+
+    def has_edge(self, u, v) -> bool:
+        return v in self.get(u, ())
+
+    def build(self) -> PlaneGraph:
+        """The validated plane graph; an edit that breaks it is a bug."""
+        try:
+            return PlaneGraph(self)
+        except GraphError as e:
+            raise InternalInvariantError("diamond edit broke the embedding: %s" % e) from None
+
+
+def _check_diamond(g, d: Diamond) -> bool:
     c = d.cycle
-    if len(set(c)) != 5 or d.x1 in c or d.x2 in c:
-        return False
-    if not all(g.has_vertex(v) for v in c + (d.x1, d.x2)):
-        return False
-    for i in range(5):
-        if not g.has_edge(c[i], c[(i + 1) % 5]):
-            return False
-    if not (g.has_edge(d.x1, d.u1) and g.has_edge(d.x1, d.u2) and g.has_edge(d.x2, d.w)):
-        return False
-    degs = (g.degree(d.u1), g.degree(d.z1), g.degree(d.z2), g.degree(d.u2), g.degree(d.w))
-    return degs == (3, 2, 2, 3, 3)
+    edges = list(zip(c, c[1:] + c[:1])) + [(d.x1, d.u1), (d.x1, d.u2), (d.x2, d.w)]
+    return (len(set(c)) == 5 and d.x1 not in c and d.x2 not in c
+            and all(g.has_vertex(v) for v in c + (d.x1, d.x2))
+            and all(g.has_edge(a, b) for a, b in edges)
+            and tuple(g.degree(v) for v in c) == (3, 2, 2, 3, 3))
 
 
-def find_diamonds(g: PlaneGraph) -> list:
+def find_diamonds(g) -> list:
     """All diamonds, once up to the u1<->u2 / z1<->z2 reflection.
 
     The search is seeded from adjacent degree-2 pairs instead of 5-cycles.
@@ -115,103 +141,89 @@ def find_diamonds(g: PlaneGraph) -> list:
     return sorted(out)
 
 
-def _splice(rot, old, new):
-    """Replace one entry of a rotation tuple by a sequence."""
-    i = rot.index(old)
-    return rot[:i] + tuple(new) + rot[i + 1:]
-
-
-def replace_diamond_with_path(g: PlaneGraph, d: Diamond) -> PlaneGraph:
-    """Delete the diamond's five cycle vertices, add the path x1-v1-v2-x2.
-
-    v1 takes u1's slot at x1 (u2 is dropped) and v2 takes w's slot at x2: the
-    host minus z1, z2, u2 with its path x1-u1-w-x2 renamed, so still plane.
-    """
-    if not _check_diamond(g, d):
+def replace_diamond_with_path(rot: _Rotation, d: Diamond) -> DiamondStep:
+    """Replace the diamond by the path x1-v1-v2-x2 in ``rot``, in place;
+    returns the step.  v1 takes u1's slot at x1 (u2 is dropped) and v2 takes
+    w's slot at x2: the host minus z1, z2, u2 with its path x1-u1-w-x2
+    renamed, so still plane.  The degree pattern pins every cycle-vertex
+    neighbor, so only the rotations at x1 and x2 mention removed vertices."""
+    if not _check_diamond(rot, d):
         raise GraphError("not a diamond of this graph: %r" % (d,))
-    v1 = g.max_vertex_id() + 1
+    v1 = max(rot) + 1
     v2 = v1 + 1
-    removed = set(d.cycle)
-    # the diamond's degree pattern pins every cycle-vertex neighbor, so only
-    # the rotations at x1 and x2 mention removed vertices
-    rot = {v: g.rotation(v) for v in g.vertices if v not in removed}
-    rot[d.x2] = _splice(rot[d.x2], d.w, (v2,))
-    rot[d.x1] = _splice(tuple(u for u in rot[d.x1] if u != d.u2), d.u1, (v1,))
-    rot[v1] = (d.x1, v2)
-    rot[v2] = (v1, d.x2)
-    try:
-        return PlaneGraph(rot)
-    except GraphError as e:
-        raise InternalInvariantError("diamond removal broke the embedding: %s" % e) from None
+    for v in d.cycle:
+        del rot[v]
+    rot[d.x2][rot[d.x2].index(d.w)] = v2
+    rot[d.x1].remove(d.u2)
+    rot[d.x1][rot[d.x1].index(d.u1)] = v1
+    rot[v1] = [d.x1, v2]
+    rot[v2] = [v1, d.x2]
+    return DiamondStep(d, v1, v2)
 
 
 def diamond_reduce(g: PlaneGraph, d: Diamond):
-    """Replace a diamond by a path; returns (reduced graph, step)."""
-    reduced = replace_diamond_with_path(g, d)
-    v1 = g.max_vertex_id() + 1
-    return reduced, DiamondStep(d, v1, v1 + 1)
+    """Replace a diamond by a path on a copy of g; returns (reduced graph, step)."""
+    rot = _Rotation.of(g)
+    step = replace_diamond_with_path(rot, d)
+    return rot.build(), step
 
 
-def diamond_lift(host: PlaneGraph, step: DiamondStep, s_reduced) -> frozenset:
-    """Independent set of the host with one more vertex, verified against it."""
+def _verified(neighborhoods, candidates, expected_size: int):
+    """The first candidate ``(kept, added)`` whose union has the expected size
+    and whose added vertices have no stored neighbour in it."""
+    reasons = []
+    for kept, added in candidates:
+        s = kept | added
+        if len(s) != expected_size:
+            reasons.append("size %d != %d" % (len(s), expected_size))
+            continue
+        bad = next(((a, b) for a in sorted(added) for b in sorted(neighborhoods[a] & s)), None)
+        if bad is None:
+            return s
+        reasons.append("violating edge %r" % (bad,))
+    raise InternalInvariantError(
+        "every candidate lift failed verification: %s" % "; ".join(reasons))
+
+
+def diamond_lift(step: DiamondStep, s_reduced) -> frozenset:
+    """Lift ``s_reduced``, independent in the reduced graph, to the host: v1
+    and v2 go back to u1 and w, and z2 is added.  The lift is checked against
+    the host neighbourhoods the degree pattern pins, N(u1) = {z1, w, x1},
+    N(w) = {u1, u2, x2} and N(z2) = {z1, u2}, and must gain exactly one
+    vertex, else ``InternalInvariantError``.  Every host edge between kept
+    vertices is a reduced edge, so this is a full host independence check."""
     d = step.diamond
-    before = frozenset(s_reduced)
-    s = set(before)
-    if step.v1 in s:
-        s.discard(step.v1)
-        s.add(d.u1)
-    if step.v2 in s:
-        s.discard(step.v2)
-        s.add(d.w)
-    s.add(d.z2)
-    bad = verify.violating_edge(host, s)
-    if bad is not None:
-        raise InternalInvariantError("diamond lift produced dependent pair %r" % (bad,))
-    if len(s) != len(before) + 1:
-        raise InternalInvariantError("diamond lift did not gain exactly one vertex")
-    return frozenset(s)
+    s = frozenset(s_reduced)
+    added = {d.z2} | {x for v, x in ((step.v1, d.u1), (step.v2, d.w)) if v in s}
+    nbhd = {d.u1: {d.z1, d.w, d.x1}, d.w: {d.u1, d.u2, d.x2}, d.z2: {d.z1, d.u2}}
+    return _verified(nbhd, [(s - {step.v1, step.v2}, added)], len(s) + 1)
 
 
-def path_diamond_replacement(g: PlaneGraph, path) -> PlaneGraph:
-    """Exact inverse construction: grow a path x1-v1-v2-x2 into a diamond."""
+def path_diamond_replacement(rot: _Rotation, path) -> None:
+    """Exact inverse edit, in place: grow a path x1-v1-v2-x2 of ``rot`` into a
+    diamond u1, z1, z2, u2, w = max id + 1..5, drawn along the path: u1 and u2
+    replace v1 at x1, w replaces v2 at x2, and u1-z1-z2-u2 lies inside the
+    4-cycle x1-u1-w-u2."""
     x1, v1, v2, x2 = path
     for a, b in ((x1, v1), (v1, v2), (v2, x2)):
-        if not (g.has_vertex(a) and g.has_edge(a, b)):
+        if not (rot.has_vertex(a) and rot.has_edge(a, b)):
             raise GraphError("not a path of this graph: %r" % (path,))
-    if g.degree(v1) != 2 or g.degree(v2) != 2:
+    if rot.degree(v1) != 2 or rot.degree(v2) != 2:
         raise GraphError("path interior must have degree 2: %r" % (path,))
-    base_id = g.max_vertex_id()
-    u1, z1, z2, u2, w = range(base_id + 1, base_id + 6)
-    # the diamond drawn along the path: u1 and u2 replace v1 at x1, w replaces
-    # v2 at x2, and u1-z1-z2-u2 is drawn inside the 4-cycle x1-u1-w-u2
-    rot = {v: g.rotation(v) for v in g.vertices if v not in (v1, v2)}
-    rot[x2] = _splice(rot[x2], v2, (w,))
-    rot[x1] = _splice(rot[x1], v1, (u1, u2))
-    rot[u1] = (x1, w, z1)
-    rot[u2] = (x1, z2, w)
-    rot[w] = (u2, u1, x2)
-    rot[z1] = (u1, z2)
-    rot[z2] = (z1, u2)
-    try:
-        return PlaneGraph(rot)
-    except GraphError as e:
-        raise InternalInvariantError("diamond insertion broke the embedding: %s" % e) from None
+    u1, z1, z2, u2, w = range(max(rot) + 1, max(rot) + 6)
+    del rot[v1], rot[v2]
+    rot[x2][rot[x2].index(v2)] = w
+    i = rot[x1].index(v1)
+    rot[x1][i:i + 1] = [u1, u2]
+    rot.update({u1: [x1, w, z1], u2: [x1, z2, w], w: [u2, u1, x2], z1: [u1, z2], z2: [z1, u2]})
 
 
-def _degree2_paths(g: PlaneGraph) -> list:
+def _degree2_paths(g) -> list:
     """All paths x1-v1-v2-x2 with both interior vertices of degree 2."""
-    out = []
-    for v1 in g.vertices:
-        if g.degree(v1) != 2:
-            continue
-        for v2 in sorted(g.neighbors(v1)):
-            if v2 < v1 or g.degree(v2) != 2:
-                continue
-            for x1 in sorted(g.neighbors(v1) - {v2}):
-                for x2 in sorted(g.neighbors(v2) - {v1}):
-                    if x1 != x2:
-                        out.append((x1, v1, v2, x2))
-    return out
+    return [(x1, v1, v2, x2) for v1 in g.vertices if g.degree(v1) == 2
+            for v2 in sorted(g.neighbors(v1)) if v2 > v1 and g.degree(v2) == 2
+            for x1 in sorted(g.neighbors(v1) - {v2})
+            for x2 in sorted(g.neighbors(v2) - {v1}) if x1 != x2]
 
 
 def is_member(g: PlaneGraph) -> MembershipTrace:
@@ -223,23 +235,25 @@ def is_member(g: PlaneGraph) -> MembershipTrace:
     less (the diamond lemma).  That graph is tight again, and by the theorem
     every connected planar triangle-free graph with alpha < (n+2)/3 is a
     member.  Hence the first diamond found is as good as any, and a graph
-    that reaches a dead end was never a member.
+    that reaches a dead end was never a member.  The descent edits one copy
+    of g, made at the first replacement, and checks connectivity on g only:
+    a replacement keeps a connected graph connected.
     """
-    steps = []
-    h = g
+    steps, h = [], g
     while True:
-        if h.n == 2 and h.m == 1:
+        if h.n == 2 and h.m == 1:   # never a copy: a replacement leaves n >= 5
             return MembershipTrace(tuple(steps), P2)
         # a simple 2-regular graph on five vertices is one 5-cycle
         if h.n == 5 and all(h.degree(v) == 2 for v in h.vertices):
             return MembershipTrace(tuple(steps), C5)
-        if h.n < 5 or h.n % 3 != 2 or not h.is_connected():
+        if h.n < 5 or h.n % 3 != 2 or (h is g and not g.is_connected()):
             break
         diamonds = find_diamonds(h)
         if not diamonds:
             break
-        h, step = diamond_reduce(h, diamonds[0])
-        steps.append(step)
+        if h is g:
+            h = _Rotation.of(g)
+        steps.append(replace_diamond_with_path(h, diamonds[0]))
     return MembershipTrace((), NOT_MEMBER)
 
 
@@ -248,28 +262,27 @@ def generate_member(steps: int, seed) -> PlaneGraph:
     if steps < 0:
         raise GraphError("steps must be non-negative")
     rng = random.Random(seed)
-    g = cycle_graph(5)
+    rot = _Rotation.of(cycle_graph(5))
     for _ in range(steps):
-        paths = _degree2_paths(g)
+        paths = _degree2_paths(rot)
         if not paths:
             raise InternalInvariantError("member lost all degree-2 paths")
-        g = path_diamond_replacement(g, rng.choice(paths))
+        path_diamond_replacement(rot, rng.choice(paths))
     # replacements leave gaps in the label range; restore vertices 1..n
-    return g.relabel({v: i + 1 for i, v in enumerate(sorted(g.vertices))})
+    new = {v: i + 1 for i, v in enumerate(sorted(rot))}
+    return _Rotation({new[v]: [new[u] for u in ns] for v, ns in rot.items()}).build()
 
 
-def _replay(g: PlaneGraph, trace: MembershipTrace) -> list:
-    """Graphs along the trace, from g down to the terminal."""
-    graphs = [g]
+def _replay(g: PlaneGraph, trace: MembershipTrace) -> _Rotation:
+    """The terminal graph of the trace, replayed on one copy of g."""
+    h = _Rotation.of(g)
     for step in trace.steps:
-        nxt, replayed = diamond_reduce(graphs[-1], step.diamond)
-        if replayed != step:
+        if replace_diamond_with_path(h, step.diamond) != step:
             raise GraphError("trace does not replay on this graph")
-        graphs.append(nxt)
-    return graphs
+    return h
 
 
-def _terminal_set(g: PlaneGraph, terminal: str) -> frozenset:
+def _terminal_set(g, terminal: str) -> frozenset:
     vs = g.vertices
     if terminal == P2:
         return frozenset((vs[0],))
@@ -283,10 +296,12 @@ def member_max_independent_set(g: PlaneGraph, trace: MembershipTrace) -> frozens
     """An independent set of the exact extremal size (n+1)/3, built by lifting."""
     if not trace.is_member:
         raise GraphError("trace does not certify membership")
-    graphs = _replay(g, trace)
-    s = _terminal_set(graphs[-1], trace.terminal)
-    for step, host in zip(reversed(trace.steps), reversed(graphs[:-1])):
-        s = diamond_lift(host, step, s)
+    s = _terminal_set(_replay(g, trace), trace.terminal)
+    for step in reversed(trace.steps):
+        s = diamond_lift(step, s)
+    bad = verify.violating_edge(g, s)
+    if bad is not None:
+        raise InternalInvariantError("lifted set is not independent: %r" % (bad,))
     if 3 * len(s) != g.n + 1:
         raise InternalInvariantError("lifted set has size %d != (n+1)/3" % len(s))
     return s
@@ -330,7 +345,7 @@ def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
                 continue
             sub = recurse(reduced, new_face, want - 1)
             if sub is not None:
-                return diamond_lift(h, step, sub)
+                return diamond_lift(step, sub)
         return None
 
     face = g.find_face(f.vertex_walk())

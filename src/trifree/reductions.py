@@ -11,7 +11,7 @@ so every reduced graph inherits the host's embedding.  A ``ReductionStep``
 keeps no host graph: it stores the host neighbourhoods of the vertices its
 lift may add, and every lift is checked against them (see ``lift``).  The
 diamond step and its lift live in ``extremal`` and are re-exported here as
-``diamond_reduce`` and ``diamond_lift``.
+``diamond_reduce`` and ``diamond_lift``; both lifts share one candidate check.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import configurations, verify
 from .configurations import Configuration
-from .extremal import Diamond, _check_diamond, diamond_lift, diamond_reduce
+from .extremal import Diamond, _check_diamond, _verified, diamond_lift, diamond_reduce
 from .plane_graph import GraphError, InternalInvariantError, PlaneGraph
 
 
@@ -139,23 +139,6 @@ def reduce(g: PlaneGraph, c: Configuration):
     if not reduced.is_triangle_free():
         raise InternalInvariantError("reduction created a triangle (stale side-conditions?)")
     return reduced, step
-
-
-def _verified(neighborhoods, candidates, expected_size: int):
-    """The first candidate ``(kept, added)`` whose union has the expected size
-    and whose added vertices have no stored neighbour in it."""
-    reasons = []
-    for kept, added in candidates:
-        s = kept | added
-        if len(s) != expected_size:
-            reasons.append("size %d != %d" % (len(s), expected_size))
-            continue
-        bad = next(((a, b) for a in sorted(added) for b in sorted(neighborhoods[a] & s)), None)
-        if bad is None:
-            return s
-        reasons.append("violating edge %r" % (bad,))
-    raise InternalInvariantError(
-        "every candidate lift failed verification: %s" % "; ".join(reasons))
 
 
 def lift(step: ReductionStep, s_reduced) -> frozenset:

@@ -3,13 +3,14 @@
 Everything here is written naively on purpose: subset enumeration, plain
 DFS, permutation scans.  None of it shares code with trifree internals;
 ``rebuild_solve_set`` drives only the public configuration and reduction
-functions.
+functions, and the ``rebuild_*`` membership references only the public
+``find_diamonds`` and ``diamond_reduce``.
 """
 import itertools
 
 import networkx as nx
 
-from trifree import configurations, reductions, solver
+from trifree import configurations, extremal, reductions, solver, verify
 from trifree.plane_graph import DiskSubgraph, GraphError, InternalInvariantError, PlaneGraph
 
 
@@ -349,3 +350,50 @@ def rebuild_solve_set(g):
         reduced, step = reductions.reduce(comp, c)
         trace.append(step)
         stack.append((step, component_graphs(reduced)[::-1], set()))
+
+
+def rebuild_is_member(g):
+    """The membership trace of g by the descent that makes a validated graph
+    per step: public ``find_diamonds`` and ``diamond_reduce`` on each graph,
+    with connectivity checked at every step."""
+    steps, h = [], g
+    while True:
+        if h.n == 2 and h.m == 1:
+            return extremal.MembershipTrace(tuple(steps), extremal.P2)
+        if h.n == 5 and all(h.degree(v) == 2 for v in h.vertices):
+            return extremal.MembershipTrace(tuple(steps), extremal.C5)
+        if h.n < 5 or h.n % 3 != 2 or not h.is_connected():
+            return extremal.MembershipTrace((), extremal.NOT_MEMBER)
+        diamonds = extremal.find_diamonds(h)
+        if not diamonds:
+            return extremal.MembershipTrace((), extremal.NOT_MEMBER)
+        h, step = extremal.diamond_reduce(h, diamonds[0])
+        steps.append(step)
+
+
+def rebuild_replay(g, trace):
+    """The graphs along a membership trace, from g down to its terminal, by
+    one ``diamond_reduce`` (a validated build) per step."""
+    graphs = [g]
+    for step in trace.steps:
+        reduced, replayed = extremal.diamond_reduce(graphs[-1], step.diamond)
+        if replayed != step:
+            raise GraphError("trace does not replay on this graph")
+        graphs.append(reduced)
+    return graphs
+
+
+def rebuild_certificate(g, trace):
+    """The certificate of a member's trace, lifted through the replayed
+    graphs; every lift is checked with ``violating_edge`` against its host."""
+    graphs = rebuild_replay(g, trace)
+    last = graphs[-1]
+    pairs = itertools.combinations(last.vertices, 2)
+    s = ({last.vertices[0]} if trace.terminal == extremal.P2
+         else set(next(p for p in pairs if not last.has_edge(*p))))
+    for step, host in zip(reversed(trace.steps), reversed(graphs[:-1])):
+        d, size = step.diamond, len(s)
+        s = {d.u1 if v == step.v1 else d.w if v == step.v2 else v for v in s} | {d.z2}
+        if verify.violating_edge(host, s) is not None or len(s) != size + 1:
+            raise InternalInvariantError("diamond lift failed on its host")
+    return frozenset(s)

@@ -113,7 +113,7 @@ def test_criterion_06_diamond_drop(corpus9, golden):
             if alpha_g != alpha_r + 1:
                 failures.append(tag + " drop != 1")
                 continue
-            lifted = rd.diamond_lift(g, step, wit)
+            lifted = rd.diamond_lift(step, wit)
             if len(lifted) != alpha_g or not is_independent_set(g, lifted):
                 failures.append(tag + " bad lift")
                 continue
@@ -121,7 +121,7 @@ def test_criterion_06_diamond_drop(corpus9, golden):
             if not is_independent_set(reduced, projected):
                 failures.append(tag + " bad projection")
                 continue
-            back = rd.diamond_lift(g, step, projected)
+            back = rd.diamond_lift(step, projected)
             if len(back) != len(projected) + 1 or not is_independent_set(g, back):
                 failures.append(tag + " round trip size")
     report("criterion 06: diamond replacement drops alpha by exactly one", failures)

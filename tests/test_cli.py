@@ -145,6 +145,16 @@ class TestGenerators:
         code, _, err = run(capsys, "enumerate", "--n", "12")
         assert code == 2 and "error:" in err
 
+    def test_enumerate_zero_prints_nothing(self, capsys):
+        assert run(capsys, "enumerate", "--n", "0") == (0, "", "")
+
+    @pytest.mark.parametrize("argv", [("enumerate", "--n", "-1"), ("gen-random", "--n", "2"),
+                                      ("gen-random", "--n", "3", "--count", "2")])
+    def test_size_below_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestFindConfigs:
     def test_c5(self, capsys):

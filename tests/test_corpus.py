@@ -48,6 +48,11 @@ class TestEnumerateSmall:
         with pytest.raises(GraphError):
             corpus.enumerate_small(12)
 
+    def test_zero_and_negative(self):
+        assert corpus.enumerate_small(0) == []
+        with pytest.raises(GraphError):
+            corpus.enumerate_small(-1)
+
 
 class TestGenRandom:
     def test_deterministic(self):
@@ -78,6 +83,11 @@ class TestGenRandom:
             assert g.n >= 20
             assert g.is_triangle_free()
             assert g.is_connected()
+
+    @pytest.mark.parametrize("n", [3, 2, 0, -1])
+    def test_below_c4_rejected(self, n):
+        with pytest.raises(GraphError):
+            corpus.gen_random(corpus.CorpusSpec("random", n_max=n, seed=0, count=1))
 
     def test_round_trip(self):
         spec = corpus.CorpusSpec("random", n_max=12, seed=5, count=3)

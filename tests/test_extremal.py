@@ -1,19 +1,20 @@
 import dataclasses
 import hashlib
 import sys
+import time
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trifree import extremal, solver
-from trifree.extremal import (Diamond, _replay, avoiding_independent_set,
+from trifree import corpus, extremal, solver
+from trifree.extremal import (Diamond, avoiding_independent_set, diamond_reduce,
                               find_diamonds, generate_member, is_member,
                               member_max_independent_set,
                               path_diamond_replacement,
                               replace_diamond_with_path)
-from trifree.plane_graph import (GraphError, PlaneGraph, cycle_graph, embed_edges,
-                                 isomorphic_small, path_graph)
+from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, cycle_graph,
+                                 embed_edges, isomorphic_small, path_graph)
 from trifree.verify import is_independent_set
 
 import oracles
@@ -21,6 +22,38 @@ import oracles
 
 def diamond_tuples(ds):
     return sorted((d.u1, d.z1, d.z2, d.u2, d.w, d.x1, d.x2) for d in ds)
+
+
+def grow(g, path):
+    """g with the path grown into a diamond: a copy, the in-place edit, one build."""
+    rot = extremal._Rotation.of(g)
+    path_diamond_replacement(rot, path)
+    return rot.build()
+
+
+def near_miss(seed):
+    """A member plus the path a-p-q-r-b drawn inside one face: n stays
+    2 mod 3, so only the diamond descent can reject it."""
+    g = generate_member(40, seed)
+    walk = g.faces()[0].vertex_walk()
+    a, b = walk[0], walk[len(walk) // 2]
+    p, q, r = range(g.max_vertex_id() + 1, g.max_vertex_id() + 4)
+    return embed_edges(list(g.vertices) + [p, q, r],
+                       set(g.edges) | {(a, p), (p, q), (q, r), (r, b)})
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """One entry per ``PlaneGraph`` made while the test runs."""
+    made = []
+    init = PlaneGraph.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlaneGraph, "__init__", counted_init)
+    return made
 
 
 class TestFindDiamonds:
@@ -49,7 +82,7 @@ class TestFindDiamonds:
     def test_oracle_agreement_along_membership_trace(self, steps, seed):
         g = generate_member(steps, seed)
         trace = is_member(g)
-        graphs = _replay(g, trace)
+        graphs = oracles.rebuild_replay(g, trace)
         assert len(graphs) == steps + 1
         for h in graphs:
             assert diamond_tuples(find_diamonds(h)) == oracles.naive_diamonds(h)
@@ -59,24 +92,24 @@ class TestReplaceDiamondWithPath:
     def test_c5_dagger_gives_c5(self, golden):
         g = golden["c5_dagger"]
         for d in find_diamonds(g):
-            reduced = replace_diamond_with_path(g, d)
+            reduced = diamond_reduce(g, d)[0]
             assert isomorphic_small(reduced, cycle_graph(5))
 
     def test_c5_ddagger_gives_c5_dagger(self, golden):
         g = golden["c5_ddagger"]
-        reductions = [replace_diamond_with_path(g, d) for d in find_diamonds(g)]
+        reductions = [diamond_reduce(g, d)[0] for d in find_diamonds(g)]
         assert any(isomorphic_small(r, golden["c5_dagger"]) for r in reductions)
 
     def test_invalid_diamond_rejected(self):
         g = cycle_graph(5)
         fake = Diamond(1, 2, 3, 4, 5, 6, 7)
         with pytest.raises(GraphError):
-            replace_diamond_with_path(g, fake)
+            replace_diamond_with_path(extremal._Rotation.of(g), fake)
 
     def test_size_and_girth(self, golden):
         g = golden["member14"]
         for d in find_diamonds(g):
-            r = replace_diamond_with_path(g, d)
+            r = diamond_reduce(g, d)[0]
             assert r.n == g.n - 3
             assert r.is_triangle_free()
 
@@ -84,7 +117,7 @@ class TestReplaceDiamondWithPath:
 class TestPathDiamondReplacement:
     def test_c5_gives_c5_dagger(self, golden):
         g = cycle_graph(5)
-        grown = path_diamond_replacement(g, (1, 2, 3, 4))
+        grown = grow(g, (1, 2, 3, 4))
         assert grown.n == 8 and grown.m == 10
         assert isomorphic_small(grown, golden["c5_dagger"])
 
@@ -96,28 +129,28 @@ class TestPathDiamondReplacement:
             for v2 in g.neighbors(v1) if g.degree(v2) == 2
             for x1 in g.neighbors(v1) - {v2}
             for x2 in g.neighbors(v2) - {v1} if x1 != x2)
-        grown = path_diamond_replacement(g, path)
+        grown = grow(g, path)
         assert grown.n == 11
         assert isomorphic_small(grown, golden["c5_ddagger"])
 
     def test_p2_has_no_qualifying_path(self):
         with pytest.raises(GraphError):
-            path_diamond_replacement(path_graph(2), (1, 2, 3, 4))
+            grow(path_graph(2), (1, 2, 3, 4))
 
     def test_interior_degree_enforced(self, golden):
         g = golden["c5_dagger"]
         v3 = next(v for v in g.vertices if g.degree(v) == 3)
         nb = sorted(g.neighbors(v3))
         with pytest.raises(GraphError):
-            path_diamond_replacement(g, (nb[0], v3, nb[1], v3))
+            grow(g, (nb[0], v3, nb[1], v3))
 
     def test_mutually_inverse_up_to_isomorphism(self, golden):
         for name in ("c5_dagger", "c5_ddagger"):
             g = golden[name]
             for d in find_diamonds(g):
-                shrunk = replace_diamond_with_path(g, d)
+                shrunk = diamond_reduce(g, d)[0]
                 v1 = g.max_vertex_id() + 1
-                regrown = path_diamond_replacement(shrunk, (d.x1, v1, v1 + 1, d.x2))
+                regrown = grow(shrunk, (d.x1, v1, v1 + 1, d.x2))
                 assert isomorphic_small(regrown, g)
 
 
@@ -144,42 +177,38 @@ class TestIsMember:
 
     @pytest.mark.parametrize("steps,seed", [(20, 3), (45, 4), (60, 5)])
     def test_trace_matches_oracle_diamonds(self, monkeypatch, steps, seed):
-        # the search tries diamonds in sorted order; pin that choice order
+        # the search tries diamonds in sorted order; pin that choice order.
+        # After the first replacement the descent holds a rotation workspace,
+        # which the oracle reads as a graph
         g = generate_member(steps, seed)
         want = is_member(g).serialize()
-        monkeypatch.setattr(extremal, "find_diamonds",
-                            lambda h: [Diamond(*t) for t in oracles.naive_diamonds(h)])
+        monkeypatch.setattr(extremal, "find_diamonds", lambda h: [
+            Diamond(*t) for t in oracles.naive_diamonds(
+                h if isinstance(h, PlaneGraph) else PlaneGraph(h))])
         assert is_member(g).serialize() == want
         assert want.count("replace ") == steps
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_near_miss_rejected_without_search(self, monkeypatch, seed):
-        # a member plus the path a-p-q-r-b drawn inside one face: n stays
-        # 2 mod 3, so only the diamond descent can reject it
-        g = generate_member(40, seed)
-        walk = g.faces()[0].vertex_walk()
-        a, b = walk[0], walk[len(walk) // 2]
-        p, q, r = range(g.max_vertex_id() + 1, g.max_vertex_id() + 4)
-        h = embed_edges(list(g.vertices) + [p, q, r],
-                        set(g.edges) | {(a, p), (p, q), (q, r), (r, b)})
+        h = near_miss(seed)
         assert h.n == 128 and h.is_triangle_free()
         cap = (h.n - 5) // 3
         reductions = []
-        real_reduce = extremal.diamond_reduce
+        real_replace = extremal.replace_diamond_with_path
 
-        def counted_reduce(graph, d):
+        def counted_replace(rot, d):
             reductions.append(d)
             if len(reductions) > cap:
                 raise AssertionError("more than %d diamond reductions" % cap)
-            return real_reduce(graph, d)
+            return real_replace(rot, d)
 
         hashes = []
         real_hash = nx.weisfeiler_lehman_graph_hash
-        monkeypatch.setattr(extremal, "diamond_reduce", counted_reduce)
+        monkeypatch.setattr(extremal, "replace_diamond_with_path", counted_replace)
         monkeypatch.setattr(nx, "weisfeiler_lehman_graph_hash",
                             lambda x: hashes.append(x) or real_hash(x))
         assert is_member(h).terminal == "NOT_MEMBER"
-        assert len(reductions) <= cap
+        assert 0 < len(reductions) <= cap
         assert hashes == []
 
     def test_every_diamond_of_a_member_leads_to_a_member(self, golden, expectations):
@@ -190,7 +219,7 @@ class TestIsMember:
                     if e["member"]]
         checked = 0
         for g in members:
-            for h in _replay(g, is_member(g)):
+            for h in oracles.rebuild_replay(g, is_member(g)):
                 for d in find_diamonds(h):
                     reduced, _ = extremal.diamond_reduce(h, d)
                     assert is_member(reduced).is_member
@@ -240,6 +269,71 @@ class TestIsMember:
                 assert is_member(g).is_member
 
 
+class TestAgainstRebuild:
+    """The in-place chains give the traces and certificates of the descent
+    that makes a validated graph per step (``oracles.rebuild_is_member``)."""
+
+    def same_as_rebuild(self, g):
+        trace = is_member(g)
+        want = oracles.rebuild_is_member(g)
+        assert trace.serialize() == want.serialize()
+        if trace.is_member:
+            assert (member_max_independent_set(g, trace)
+                    == oracles.rebuild_certificate(g, want))
+        return trace
+
+    def test_corpus8(self, corpus8):
+        members = sum(self.same_as_rebuild(g).is_member for g in corpus8)
+        assert members > 0
+
+    def test_golden(self, golden):
+        for g in golden.values():
+            self.same_as_rebuild(g)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_members(self, seed):
+        for steps in (10, 25, 50, 100):
+            assert len(self.same_as_rebuild(generate_member(steps, seed)).steps) == steps
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_misses(self, seed):
+        assert not self.same_as_rebuild(near_miss(seed)).is_member
+
+    @pytest.mark.parametrize("n", [40, 120])
+    def test_random(self, n):
+        for seed in range(3):
+            spec = corpus.CorpusSpec("random", n_max=n, seed=seed, count=1)
+            self.same_as_rebuild(corpus.gen_random(spec)[0])
+
+    def test_no_build_inside_the_chains(self, builds):
+        builds.clear()
+        g = generate_member(100, 4)
+        assert len(builds) <= 2
+        builds.clear()
+        trace = is_member(g)
+        s = member_max_independent_set(g, trace)
+        assert builds == []
+        assert len(trace.steps) == 100 and 3 * len(s) == g.n + 1
+
+    def test_thousand_steps_at_the_default_recursion_limit(self):
+        # 1.5 s on a shared 2-core host under CPython 3.11; a validated build
+        # per step made generation alone take minutes
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        start = time.perf_counter()
+        try:
+            g = generate_member(1000, 0)
+            trace = is_member(g)
+            s = member_max_independent_set(g, trace)
+            res = solver.solve(g)
+        finally:
+            sys.setrecursionlimit(old)
+        assert time.perf_counter() - start < 15
+        assert g.n == 3005 and trace.terminal == "C5" and len(trace.steps) == 1000
+        assert 3 * len(s) == g.n + 1 and is_independent_set(g, s)
+        assert res.met and res.guarantee == (g.n + 3) // 3
+
+
 class TestGenerateMember:
     def test_zero_steps(self):
         assert isomorphic_small(generate_member(0, 9), cycle_graph(5))
@@ -273,24 +367,16 @@ class TestGenerateMember:
         text = serialize(generate_member(steps, seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_one_build_per_step(self, monkeypatch):
+    def test_one_build_per_step(self, builds):
         # each replacement is derived, not searched: C5, one build per step
         # and the final relabelling
-        builds = []
-        init = PlaneGraph.__init__
-
-        def counted_init(self, *args, **kwargs):
-            builds.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(PlaneGraph, "__init__", counted_init)
         for steps, seed in ((1, 0), (12, 5), (30, 2)):
             builds.clear()
             g = generate_member(steps, seed)
             assert len(builds) <= steps + 2
             d = find_diamonds(g)[0]
             builds.clear()
-            replace_diamond_with_path(g, d)
+            diamond_reduce(g, d)
             assert len(builds) == 1
 
     def test_negative_steps_rejected(self):
@@ -336,6 +422,14 @@ class TestMemberMaxIndependentSet:
         bad = dataclasses.replace(trace, steps=(swapped,))
         with pytest.raises(GraphError):
             member_max_independent_set(g, bad)
+
+    def test_final_check_against_the_input(self, monkeypatch):
+        # the lifts check only the vertices they add; a dependent set that
+        # reaches the end is caught by the check against the input
+        g = cycle_graph(5)
+        monkeypatch.setattr(extremal, "_terminal_set", lambda h, terminal: frozenset((1, 2)))
+        with pytest.raises(InternalInvariantError):
+            member_max_independent_set(g, is_member(g))
 
     def test_exact_size_on_generated_members(self):
         for steps, seed in ((3, 0), (4, 1), (5, 2)):

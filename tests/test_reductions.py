@@ -211,7 +211,7 @@ class TestDiamondRoundTrip:
                 reduced, step = rd.diamond_reduce(g, d)
                 alpha_r, wit = solver.exact_alpha(reduced)
                 assert alpha_g == alpha_r + 1
-                lifted = rd.diamond_lift(g, step, wit)
+                lifted = rd.diamond_lift(step, wit)
                 assert is_independent_set(g, lifted)
                 assert len(lifted) == alpha_g
 
@@ -220,7 +220,7 @@ class TestDiamondRoundTrip:
         d = find_diamonds(g)[0]
         reduced, step = rd.diamond_reduce(g, d)
         s = frozenset()
-        lifted = rd.diamond_lift(g, step, s)
+        lifted = rd.diamond_lift(step, s)
         assert lifted == frozenset({d.z2})
 
     def test_dependent_lift_rejected(self, golden):
@@ -229,7 +229,7 @@ class TestDiamondRoundTrip:
         _, step = rd.diamond_reduce(g, d)
         # v1 lifts to u1, which is adjacent to x1
         with pytest.raises(InternalInvariantError):
-            rd.diamond_lift(g, step, {step.v1, d.x1})
+            rd.diamond_lift(step, {step.v1, d.x1})
 
     def test_project_then_lift_sizes(self, golden):
         for name in ("c5_dagger", "c5_ddagger"):
@@ -239,7 +239,7 @@ class TestDiamondRoundTrip:
                 _, wit = solver.exact_alpha(g)
                 projected = rd.diamond_project(g, d, wit)
                 assert is_independent_set(reduced, projected)
-                back = rd.diamond_lift(g, step, projected)
+                back = rd.diamond_lift(step, projected)
                 assert is_independent_set(g, back)
                 assert len(back) == len(projected) + 1
 
@@ -262,7 +262,7 @@ class TestDiamondRoundTrip:
                 reduced, step = rd.diamond_reduce(g, d)
                 alpha_r, wit = solver.exact_alpha(reduced)
                 assert alpha_g == alpha_r + 1
-                lifted = rd.diamond_lift(g, step, wit)
+                lifted = rd.diamond_lift(step, wit)
                 assert is_independent_set(g, lifted) and len(lifted) == alpha_g
 
 

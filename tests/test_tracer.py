@@ -33,7 +33,7 @@ extremal.member_max_independent_set(g, extremal.is_member(g))
 discharging.audit(corpus.golden_graphs()["dangerous_witness"])
 grid = oracles.grid(4, 5)
 discharging.audit(grid.re_embed(next(f for f in grid.faces() if f.length == 4)))
-print(json.dumps(t.calls))
+print(json.dumps([t.calls, t.ancestor_counts]))
 """
 
 
@@ -43,8 +43,10 @@ def test_tracer_counts_every_layer():
          str(ROOT / "tests")],
         env=dict(os.environ), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout)
+    calls, under = json.loads(proc.stdout)
     for name in ("configurations.find_c1", "reductions.reduce", "reductions.lift",
                  "extremal.find_diamonds", "extremal.replace", "extremal.certificate",
                  "discharging.audit", "discharging.dangerous_cycles", "plane_graph.disk"):
         assert calls.get(name, 0) > 0, name
+    # the benchmark's replace_useful_ratio divides by this count
+    assert under.get("extremal.replace@extremal.is_member", 0) > 0
