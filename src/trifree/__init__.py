@@ -6,7 +6,7 @@ a lower-bound solver with an exact oracle, and an instance-level
 discharging engine.
 """
 from .plane_graph import (DiskSubgraph, Face, GraphError, InternalInvariantError,
-                          PlaneGraph, embed_edges, isomorphic_small, parse, serialize)
+                          PlaneGraph, Rotation, embed_edges, isomorphic_small, parse, serialize)
 from .configurations import Configuration, NoConfigurationError, find_any, interferes
 from .extremal import (Diamond, DiamondStep, MembershipTrace, avoiding_independent_set,
                        diamond_lift, diamond_reduce, find_diamonds, generate_member,

@@ -12,7 +12,7 @@ from pathlib import Path
 import networkx as nx
 
 from . import extremal, solver
-from .plane_graph import GraphError, PlaneGraph, embed_edges, parse
+from .plane_graph import GraphError, PlaneGraph, Rotation, cycle_graph, embed_edges, parse
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent.parent / "corpus" / "golden"
 
@@ -91,50 +91,33 @@ def enumerate_small(n_max: int):
     return out
 
 
-def _subdivide(g: PlaneGraph, edge, fresh: int) -> PlaneGraph:
-    u, v = edge
-    rot = {x: g.rotation(x) for x in g.vertices}
-    rot[u] = tuple(fresh if y == v else y for y in rot[u])
-    rot[v] = tuple(fresh if y == u else y for y in rot[v])
-    rot[fresh] = (u, v)
-    return PlaneGraph(rot)
-
-
-def _add_in_face(g: PlaneGraph, face, picks, fresh: int) -> PlaneGraph:
-    """Insert a new vertex inside a face, joined to chosen boundary occurrences.
-
-    ``picks`` are increasing indices into the face walk; the picked vertices
-    must be distinct and pairwise non-adjacent so no triangle can appear.  The
-    face lies left of its walk, so seen from the fresh vertex inside it the
-    picks come clockwise in reverse walk order.
-    """
-    walk = face.vertex_walk()
-    base = {x: list(g.rotation(x)) for x in g.vertices}
-    for i in picks:
-        u = walk[i]
-        prev = face.darts[(i - 1) % face.length][0]
-        at = base[u].index(prev)
-        base[u].insert(at + 1, fresh)
-    rot = {x: tuple(ns) for x, ns in base.items()}
-    rot[fresh] = tuple(walk[i] for i in reversed(picks))
-    return PlaneGraph(rot)
-
-
 def gen_random(spec: CorpusSpec):
-    """Seeded girth-preserving growth from C4; deterministic per seed."""
+    """Seeded girth-preserving growth from C4; deterministic per seed.
+
+    Each graph grows as one ``Rotation``: a step subdivides an edge, or
+    inserts a vertex inside a face, joined to up to three boundary vertices
+    that are distinct and pairwise non-adjacent, so no triangle can appear.
+    Both edits keep the rotation symmetric, and an insertion inside a face
+    cannot raise the genus, so the one validated build at the end rejects
+    any bad step.
+    """
     if spec.n_max < 4:
         raise GraphError("random graphs grow from C4: n must be at least 4")
     rng = random.Random(spec.seed)
+    c4 = cycle_graph(4)
     out = []
     for _ in range(spec.count):
-        g = embed_edges([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (4, 1)])
-        while g.n < spec.n_max:
-            fresh = g.max_vertex_id() + 1
+        rot = Rotation.of(c4)
+        while len(rot) < spec.n_max:
+            fresh = max(rot) + 1
             if rng.random() < 0.45:
-                edge = sorted(tuple(sorted(e)) for e in g.edges)[rng.randrange(g.m)]
-                g = _subdivide(g, edge, fresh)
+                edges = sorted((v, u) for v, ns in rot.items() for u in ns if v < u)
+                u, v = edges[rng.randrange(len(edges))]
+                rot[u][rot[u].index(v)] = fresh
+                rot[v][rot[v].index(u)] = fresh
+                rot[fresh] = [u, v]
                 continue
-            faces = g.faces()
+            faces = PlaneGraph(rot, check=False).faces()
             face = faces[rng.randrange(len(faces))]
             walk = face.vertex_walk()
             idxs = list(range(face.length))
@@ -142,14 +125,19 @@ def gen_random(spec: CorpusSpec):
             picks = []
             for i in idxs:
                 u = walk[i]
-                if any(u == walk[j] or g.has_edge(u, walk[j]) for j in picks):
+                if any(u == walk[j] or rot.has_edge(u, walk[j]) for j in picks):
                     continue
                 picks.append(i)
                 if len(picks) == 3:
                     break
-            if not picks:
-                continue
-            g = _add_in_face(g, face, sorted(picks), fresh)
+            # the face lies left of its walk, so seen from the fresh vertex
+            # inside it the picks come clockwise in reverse walk order
+            picks.sort()
+            for i in picks:
+                ns = rot[walk[i]]
+                ns.insert(ns.index(walk[i - 1]) + 1, fresh)
+            rot[fresh] = [walk[i] for i in reversed(picks)]
+        g = rot.build()
         if not g.is_triangle_free():
             raise GraphError("random generator produced a triangle")
         out.append(g)

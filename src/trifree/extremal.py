@@ -4,8 +4,8 @@ A diamond is a 5-cycle u1-z1-z2-u2-w with degrees (3, 2, 2, 3, 3), an apex
 x1 adjacent to both u1 and u2, and x2 the third neighbor of w.  Replacing
 the diamond by the path x1-v1-v2-x2 removes three vertices and drops the
 independence number by exactly one.  The replacement and its inverse are
-in-place edits of a mutable rotation system, and each chain runs on one
-copy: membership testing replaces the first diamond found down to C5 or P2,
+in-place edits of a ``Rotation``, and each chain runs on one copy:
+membership testing replaces the first diamond found down to C5 or P2,
 never backtracking; the certificate replays that trace; the generator grows
 C5 and builds once.  ``diamond_reduce`` is copy, edit, one validated build.
 ``diamond_lift(step, s)``, for s independent in the reduced graph, checks
@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass
 
 from . import verify
-from .plane_graph import Face, GraphError, InternalInvariantError, PlaneGraph, cycle_graph
+from .plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph, Rotation,
+                          cycle_graph)
 
 P2 = "P2"
 C5 = "C5"
@@ -69,35 +70,6 @@ class MembershipTrace:
         return "\n".join(lines) + "\n"
 
 
-class _Rotation(dict):
-    """A mutable rotation system, vertex -> clockwise neighbour list, with
-    the queries of ``PlaneGraph`` that the diamond code reads."""
-
-    vertices = property(lambda self: tuple(sorted(self)))
-    n = property(len)
-    has_vertex = dict.__contains__
-
-    @classmethod
-    def of(cls, g: PlaneGraph) -> "_Rotation":
-        return cls((v, list(g.rotation(v))) for v in g.vertices)
-
-    def degree(self, v) -> int:
-        return len(self[v])
-
-    def neighbors(self, v) -> frozenset:
-        return frozenset(self[v])
-
-    def has_edge(self, u, v) -> bool:
-        return v in self.get(u, ())
-
-    def build(self) -> PlaneGraph:
-        """The validated plane graph; an edit that breaks it is a bug."""
-        try:
-            return PlaneGraph(self)
-        except GraphError as e:
-            raise InternalInvariantError("diamond edit broke the embedding: %s" % e) from None
-
-
 def _check_diamond(g, d: Diamond) -> bool:
     c = d.cycle
     edges = list(zip(c, c[1:] + c[:1])) + [(d.x1, d.u1), (d.x1, d.u2), (d.x2, d.w)]
@@ -141,7 +113,7 @@ def find_diamonds(g) -> list:
     return sorted(out)
 
 
-def replace_diamond_with_path(rot: _Rotation, d: Diamond) -> DiamondStep:
+def replace_diamond_with_path(rot: Rotation, d: Diamond) -> DiamondStep:
     """Replace the diamond by the path x1-v1-v2-x2 in ``rot``, in place;
     returns the step.  v1 takes u1's slot at x1 (u2 is dropped) and v2 takes
     w's slot at x2: the host minus z1, z2, u2 with its path x1-u1-w-x2
@@ -163,7 +135,7 @@ def replace_diamond_with_path(rot: _Rotation, d: Diamond) -> DiamondStep:
 
 def diamond_reduce(g: PlaneGraph, d: Diamond):
     """Replace a diamond by a path on a copy of g; returns (reduced graph, step)."""
-    rot = _Rotation.of(g)
+    rot = Rotation.of(g)
     step = replace_diamond_with_path(rot, d)
     return rot.build(), step
 
@@ -199,7 +171,7 @@ def diamond_lift(step: DiamondStep, s_reduced) -> frozenset:
     return _verified(nbhd, [(s - {step.v1, step.v2}, added)], len(s) + 1)
 
 
-def path_diamond_replacement(rot: _Rotation, path) -> None:
+def path_diamond_replacement(rot: Rotation, path) -> None:
     """Exact inverse edit, in place: grow a path x1-v1-v2-x2 of ``rot`` into a
     diamond u1, z1, z2, u2, w = max id + 1..5, drawn along the path: u1 and u2
     replace v1 at x1, w replaces v2 at x2, and u1-z1-z2-u2 lies inside the
@@ -252,7 +224,7 @@ def is_member(g: PlaneGraph) -> MembershipTrace:
         if not diamonds:
             break
         if h is g:
-            h = _Rotation.of(g)
+            h = Rotation.of(g)
         steps.append(replace_diamond_with_path(h, diamonds[0]))
     return MembershipTrace((), NOT_MEMBER)
 
@@ -262,7 +234,7 @@ def generate_member(steps: int, seed) -> PlaneGraph:
     if steps < 0:
         raise GraphError("steps must be non-negative")
     rng = random.Random(seed)
-    rot = _Rotation.of(cycle_graph(5))
+    rot = Rotation.of(cycle_graph(5))
     for _ in range(steps):
         paths = _degree2_paths(rot)
         if not paths:
@@ -270,12 +242,12 @@ def generate_member(steps: int, seed) -> PlaneGraph:
         path_diamond_replacement(rot, rng.choice(paths))
     # replacements leave gaps in the label range; restore vertices 1..n
     new = {v: i + 1 for i, v in enumerate(sorted(rot))}
-    return _Rotation({new[v]: [new[u] for u in ns] for v, ns in rot.items()}).build()
+    return Rotation({new[v]: [new[u] for u in ns] for v, ns in rot.items()}).build()
 
 
-def _replay(g: PlaneGraph, trace: MembershipTrace) -> _Rotation:
+def _replay(g: PlaneGraph, trace: MembershipTrace) -> Rotation:
     """The terminal graph of the trace, replayed on one copy of g."""
-    h = _Rotation.of(g)
+    h = Rotation.of(g)
     for step in trace.steps:
         if replace_diamond_with_path(h, step.diamond) != step:
             raise GraphError("trace does not replay on this graph")

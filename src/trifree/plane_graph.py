@@ -6,8 +6,10 @@ use).  Faces are traced with the next-edge rule: a walk that arrives at v
 from u leaves v toward the neighbor that follows u in v's rotation.  Each
 face walk therefore keeps its face on the left, and the ``outer:`` line of
 the file format lists one such walk.  Validity (genus zero) is checked per
-connected component via Euler's formula.  Graphs are immutable; every
-operation returns a new value.
+connected component via Euler's formula.  A ``PlaneGraph`` is immutable and
+every operation on it returns a new value.  ``Rotation`` is the one mutable
+form: the diamond chains, the reductions, the solver's pieces and the random
+generator edit it in place and end with one validated ``build``.
 """
 from __future__ import annotations
 
@@ -395,6 +397,36 @@ class PlaneGraph:
         return "PlaneGraph(n=%d, m=%d)" % (self.n, self.m)
 
 
+class Rotation(dict):
+    """A mutable rotation system, vertex -> clockwise neighbour list, with
+    the read queries of ``PlaneGraph``."""
+
+    __slots__ = ()
+    vertices = property(lambda self: tuple(sorted(self)))
+    n = property(len)
+    has_vertex = dict.__contains__
+
+    @classmethod
+    def of(cls, g: PlaneGraph) -> "Rotation":
+        return cls((v, list(g.rotation(v))) for v in g.vertices)
+
+    def degree(self, v) -> int:
+        return len(self[v])
+
+    def neighbors(self, v) -> frozenset:
+        return frozenset(self[v])
+
+    def has_edge(self, u, v) -> bool:
+        return v in self.get(u, ())
+
+    def build(self) -> PlaneGraph:
+        """The validated plane graph; an edit that breaks it is a bug."""
+        try:
+            return PlaneGraph(self)
+        except GraphError as e:
+            raise InternalInvariantError("rotation edit broke the embedding: %s" % e) from None
+
+
 @dataclass(frozen=True)
 class DiskSubgraph:
     """A bounding cycle together with the subgraph inside its closed disk."""
@@ -436,6 +468,8 @@ def parse(text: str) -> PlaneGraph:
         except ValueError:
             raise GraphError("malformed line: %r" % line) from None
         if left == "outer":
+            if outer_walk is not None:
+                raise GraphError("duplicate outer line")
             outer_walk = entries
             continue
         try:
@@ -445,7 +479,7 @@ def parse(text: str) -> PlaneGraph:
         if v in rotation:
             raise GraphError("duplicate rotation line for vertex %d" % v)
         rotation[v] = entries
-    if sorted(rotation) != list(range(1, n + 1)):
+    if len(rotation) != n or not all(1 <= v <= n for v in rotation):
         raise GraphError("vertices must be exactly 1..n")
     g = PlaneGraph(rotation)
     if g.m != m:

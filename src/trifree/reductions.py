@@ -4,10 +4,10 @@ Each reduction shrinks the host by at most 3k vertices while the lift gains
 exactly k independent vertices (k = 1 for C1/C2, 2 for C3/C4).  C5 has no
 reduction of its own; callers convert it via ``configurations.c5_to_c2``.
 One in-place rotation edit, ``apply_reduction``, serves every kind: ``reduce``
-applies it to a copy of the host's rotations, and ``solver`` to its own
-workspace for C1 chains.  Reduced rotations are derived, never re-embedded:
-deletion keeps rotation order and the C2/C4 identification is a contraction,
-so every reduced graph inherits the host's embedding.  A ``ReductionStep``
+applies it to a ``Rotation`` copy of the host, and ``solver`` to its pieces
+for C1 chains.  Reduced rotations are derived, never re-embedded: deletion
+keeps rotation order and the C2/C4 identification is a contraction, so every
+reduced graph inherits the host's embedding.  A ``ReductionStep``
 keeps no host graph: it stores the host neighbourhoods of the vertices its
 lift may add, and every lift is checked against them (see ``lift``).  The
 diamond step and its lift live in ``extremal`` and are re-exported here as
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import configurations, verify
 from .configurations import Configuration
 from .extremal import Diamond, _check_diamond, _verified, diamond_lift, diamond_reduce
-from .plane_graph import GraphError, InternalInvariantError, PlaneGraph
+from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, Rotation
 
 
 @dataclass(frozen=True)
@@ -130,12 +130,9 @@ def reduce(g: PlaneGraph, c: Configuration):
         raise GraphError("stale configuration: %r no longer holds" % (c,))
     if c.kind == "C2" and g.has_edge(c.roles[2], c.roles[3]):
         raise GraphError("host contains a triangle at %r" % (c,))
-    rot = {v: list(g.rotation(v)) for v in g.vertices}
+    rot = Rotation.of(g)
     step, _ = apply_reduction(rot, c.kind, c.roles)
-    try:
-        reduced = PlaneGraph(rot)
-    except GraphError as e:
-        raise InternalInvariantError("reduced rotation is not a plane graph: %s" % e) from None
+    reduced = rot.build()
     if not reduced.is_triangle_free():
         raise InternalInvariantError("reduction created a triangle (stale side-conditions?)")
     return reduced, step

@@ -5,7 +5,7 @@ import heapq
 from dataclasses import dataclass
 
 from . import configurations, extremal, reductions, verify
-from .plane_graph import GraphError, InternalInvariantError, PlaneGraph
+from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, Rotation
 
 ORACLE_LIMIT = 40
 EXACT_BASE = 8  # components at most this large are solved exactly
@@ -15,7 +15,8 @@ def exact_alpha(g: PlaneGraph):
     """Exact independence number with a witness, by branch and bound.
 
     Branches on a maximum-degree vertex; vertices of residual degree <= 1 are
-    taken greedily, which is always safe.  Deterministic.
+    taken greedily, which is always safe.  Deterministic.  Reads only ``n``,
+    ``vertices`` and ``neighbors``, so g may also be a ``Rotation``.
     """
     if g.n > ORACLE_LIMIT:
         raise GraphError("oracle limited to %d vertices" % ORACLE_LIMIT)
@@ -85,56 +86,51 @@ def _component_graphs(g: PlaneGraph) -> list:
     return [PlaneGraph({v: g.rotation(v) for v in comp}, check=False) for comp in comps]
 
 
-class _Piece:
-    """One connected component of the reduction chain, held mutably.
+class _Piece(Rotation):
+    """One connected component of the reduction chain, edited in place.
 
-    ``rot`` maps each vertex to its clockwise neighbour list.  ``low`` is a
-    min-heap of the vertices whose degree was at most 2 when pushed, and
-    ``ids`` a min-heap of all vertices; both drop deleted entries lazily.
-    C1 steps delete in place, keeping rotation order, so the graph a piece
-    freezes to is the one repeated ``delete_vertices`` calls would give.
-    ``frozen`` is that graph while the piece is unchanged.
+    ``low`` is a min-heap of the vertices whose degree was at most 2 when
+    pushed, and ``ids`` a min-heap of all vertices; both drop deleted
+    entries lazily.  C1 steps delete in place, keeping rotation order, so
+    the graph a piece freezes to is the one repeated ``delete_vertices``
+    calls would give.  ``frozen`` is that graph while the piece is unchanged.
     """
 
-    __slots__ = ("rot", "low", "ids", "frozen")
+    __slots__ = ("low", "ids", "frozen")
 
     def __init__(self, rot, frozen=None):
-        self.rot = rot
-        self.low = sorted(v for v, ns in rot.items() if len(ns) <= 2)
-        self.ids = sorted(rot)
+        super().__init__(rot)
+        self.low = sorted(v for v, ns in self.items() if len(ns) <= 2)
+        self.ids = sorted(self)
         self.frozen = frozen
 
-    @property
-    def n(self) -> int:
-        return len(self.rot)
-
     def smallest(self) -> int:
-        while self.ids[0] not in self.rot:
+        while self.ids[0] not in self:
             heapq.heappop(self.ids)
         return self.ids[0]
 
     def c1_vertex(self):
         """The vertex of ``find_c1(self.freeze())[0]``, or None."""
-        while self.low and self.low[0] not in self.rot:
+        while self.low and self.low[0] not in self:
             heapq.heappop(self.low)
         return self.low[0] if self.low else None
 
     def freeze(self) -> PlaneGraph:
         if self.frozen is None:
-            self.frozen = PlaneGraph(self.rot, check=False)
+            self.frozen = PlaneGraph(self, check=False)
         return self.frozen
 
     def c1_step(self, v):
         """Delete N[v] for the C1 configuration at v by
         ``reductions.apply_reduction``; returns the step and the pieces left,
         ascending by smallest vertex."""
-        if len(self.rot[v]) > 2:
+        if self.degree(v) > 2:
             raise InternalInvariantError("stale C1 configuration at %d (degree %d)"
-                                         % (v, len(self.rot[v])))
-        step, touched = reductions.apply_reduction(self.rot, "C1", (v,))
+                                         % (v, self.degree(v)))
+        step, touched = reductions.apply_reduction(self, "C1", (v,))
         self.frozen = None
         for t in touched:
-            if len(self.rot[t]) <= 2:
+            if self.degree(t) <= 2:
                 heapq.heappush(self.low, t)
         return step, self._split(sorted(touched))
 
@@ -147,7 +143,6 @@ class _Piece:
         moves out to a piece of its own, so the cost follows the smaller
         sides, as in ``PlaneGraph.disk_subgraph``.
         """
-        rot = self.rot
         owner = {t: i for i, t in enumerate(starts)}
         root = list(range(len(starts)))
         todo = [[t] for t in starts]
@@ -162,7 +157,7 @@ class _Piece:
             for i in live:
                 if root[i] != i or not todo[i]:
                     continue
-                for u in rot[todo[i].pop()]:
+                for u in self[todo[i].pop()]:
                     j = owner.get(u)
                     if j is None:
                         owner[u] = i
@@ -184,7 +179,7 @@ class _Piece:
             i = find(i)
             if i in groups:
                 groups[i].append(x)
-        pieces = [self] + [_Piece({x: rot.pop(x) for x in xs}) for xs in groups.values()]
+        pieces = [self] + [_Piece({x: self.pop(x) for x in xs}) for xs in groups.values()]
         return sorted(pieces, key=_Piece.smallest)
 
 
@@ -197,6 +192,7 @@ def _solve_set(comps: list):
     its union into the frame below, and the trace lists steps in pre-order.
     Components of more than ``EXACT_BASE`` vertices become pieces: C1 steps
     run on the piece in place, and only a C2-C5 step freezes it to a graph.
+    Smaller components, graphs or pieces, go to ``exact_alpha`` as they are.
     """
     trace = []
     stack = [(None, comps[::-1], set())]
@@ -210,12 +206,10 @@ def _solve_set(comps: list):
             continue
         comp = pending.pop()
         if comp.n <= EXACT_BASE:
-            if isinstance(comp, _Piece):
-                comp = comp.freeze()
             found.update(exact_alpha(comp)[1])
             continue
         if isinstance(comp, PlaneGraph):
-            comp = _Piece({v: list(comp.rotation(v)) for v in comp.vertices}, comp)
+            comp = _Piece(Rotation.of(comp), comp)
         v = comp.c1_vertex()
         if v is not None:
             step, parts = comp.c1_step(v)

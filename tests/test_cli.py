@@ -11,6 +11,10 @@ from trifree.corpus import GOLDEN_DIR
 from trifree.plane_graph import parse
 
 
+C5_TWO_OUTER_LINES = ("5 5\n1: 2 5\n2: 1 3\n3: 2 4\n4: 3 5\n5: 1 4\n"
+                      "outer: 1 2 3 4 5\nouter: 5 4 3 2 1\n")
+
+
 def golden_path(name):
     return str(GOLDEN_DIR / (name + ".graph"))
 
@@ -37,10 +41,12 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(p))
         assert code == 2 and "error:" in err
 
-    @pytest.mark.parametrize("text", ["3 2\n1: 2\n2: 1 3\n3: 2\nouter:\n", "-3 0\n", "0 -1\n"])
+    @pytest.mark.parametrize("text", ["3 2\n1: 2\n2: 1 3\n3: 2\nouter:\n", "-3 0\n", "0 -1\n",
+                                      C5_TWO_OUTER_LINES])
     @pytest.mark.parametrize("command", ["validate", "solve"])
     def test_bad_header_or_outer_line(self, capsys, tmp_path, command, text):
-        # an empty outer walk and a negative count are input errors
+        # an empty outer walk, a negative count and a second outer line are
+        # input errors
         p = tmp_path / "bad.graph"
         p.write_text(text)
         code, out, err = run(capsys, command, str(p))

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from trifree import corpus
-from trifree.plane_graph import GraphError, isomorphic_small, parse, serialize
+from trifree.plane_graph import GraphError, PlaneGraph, isomorphic_small, parse, serialize
 
 import oracles
 
@@ -83,6 +83,20 @@ class TestGenRandom:
             assert g.n >= 20
             assert g.is_triangle_free()
             assert g.is_connected()
+
+    def test_one_validated_build_per_graph(self, monkeypatch):
+        # each graph grows as one rotation and is validated once at the end;
+        # the C4 seed may add one more
+        validated = []
+        init = PlaneGraph.__init__
+
+        def counted(self, rotation, outer_face=None, check=True):
+            validated.append(check)
+            init(self, rotation, outer_face, check)
+
+        monkeypatch.setattr(PlaneGraph, "__init__", counted)
+        graphs = corpus.gen_random(corpus.CorpusSpec("random", n_max=60, seed=0, count=3))
+        assert len(graphs) <= sum(validated) <= len(graphs) + 1
 
     @pytest.mark.parametrize("n", [3, 2, 0, -1])
     def test_below_c4_rejected(self, n):

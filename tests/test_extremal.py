@@ -13,8 +13,8 @@ from trifree.extremal import (Diamond, avoiding_independent_set, diamond_reduce,
                               member_max_independent_set,
                               path_diamond_replacement,
                               replace_diamond_with_path)
-from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, cycle_graph,
-                                 embed_edges, isomorphic_small, path_graph)
+from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, Rotation,
+                                 cycle_graph, embed_edges, isomorphic_small, path_graph)
 from trifree.verify import is_independent_set
 
 import oracles
@@ -26,7 +26,7 @@ def diamond_tuples(ds):
 
 def grow(g, path):
     """g with the path grown into a diamond: a copy, the in-place edit, one build."""
-    rot = extremal._Rotation.of(g)
+    rot = Rotation.of(g)
     path_diamond_replacement(rot, path)
     return rot.build()
 
@@ -104,7 +104,7 @@ class TestReplaceDiamondWithPath:
         g = cycle_graph(5)
         fake = Diamond(1, 2, 3, 4, 5, 6, 7)
         with pytest.raises(GraphError):
-            replace_diamond_with_path(extremal._Rotation.of(g), fake)
+            replace_diamond_with_path(Rotation.of(g), fake)
 
     def test_size_and_girth(self, golden):
         g = golden["member14"]

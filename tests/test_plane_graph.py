@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trifree.discharging import c6_chord, c6_hub
 from trifree.plane_graph import (Face, GraphError, InternalInvariantError,
-                                 PlaneGraph, cycle_graph, embed_edges,
+                                 PlaneGraph, Rotation, cycle_graph, embed_edges,
                                  isomorphic_small, parse, path_graph, serialize)
 
 import oracles
@@ -55,6 +56,21 @@ class TestParse:
         with pytest.raises(GraphError):
             parse("2 1\n1: 3\n3: 1\n")
 
+    def test_huge_header_rejected_without_allocation(self):
+        # the vertex check must not materialise 1..n
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError):
+                parse("1000000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_duplicate_outer_line_rejected(self):
+        with pytest.raises(GraphError, match="outer"):
+            parse(C5_TEXT + "outer: 1 2 3 4 5\nouter: 5 4 3 2 1\n")
+
     def test_comments_and_blank_lines(self):
         g = parse("# a cycle\n3 3 # header\n\n1: 2 3\n2: 3 1\n3: 1 2\n")
         assert g.n == 3 and g.m == 3
@@ -83,6 +99,37 @@ class TestParse:
         rot[4] = (1, 2, 3)
         with pytest.raises(GraphError):
             PlaneGraph(rot)
+
+
+class TestRotation:
+    def test_build_round_trip(self, golden):
+        for g in golden.values():
+            h = Rotation.of(g).build()
+            if g.outer_face is not None:
+                h = h.re_embed(g.outer_face)
+            assert serialize(h) == serialize(g)
+
+    def test_queries_match_the_graph(self, cube):
+        rot = Rotation.of(cube)
+        assert rot.vertices == cube.vertices and rot.n == cube.n
+        for v in cube.vertices:
+            assert rot.degree(v) == cube.degree(v)
+            assert rot.neighbors(v) == cube.neighbors(v)
+            assert rot.has_vertex(v) and not rot.has_edge(v, v)
+        assert not rot.has_vertex(9) and not rot.has_edge(9, 1)
+
+    def test_asymmetric_edit_is_an_invariant_failure(self, cube):
+        rot = Rotation.of(cube)
+        rot[1].remove(rot[1][0])
+        with pytest.raises(InternalInvariantError):
+            rot.build()
+
+    def test_swapped_entries_break_euler(self, cube):
+        # two swapped entries reverse one vertex's rotation: genus 1
+        rot = Rotation.of(cube)
+        rot[1][0], rot[1][1] = rot[1][1], rot[1][0]
+        with pytest.raises(InternalInvariantError, match="Euler"):
+            rot.build()
 
 
 class TestFaces:

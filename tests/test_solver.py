@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trifree import corpus, solver
-from trifree.extremal import generate_member
+from trifree.extremal import generate_member, is_member, member_max_independent_set
 from trifree.plane_graph import GraphError, PlaneGraph, cycle_graph, path_graph
 from trifree.verify import is_independent_set
 
@@ -193,9 +193,10 @@ class TestWorkspace:
         assert later == 3
 
     def test_no_large_build(self, monkeypatch):
-        # a C1 chain builds no graph.  The cylinder has no vertex of degree
-        # <= 2, so its C2 step needs a frozen graph (at most one build) and
-        # builds its reduced graph once
+        # a C1 chain builds no graph, and small pieces go to exact_alpha as
+        # they are, so the grid builds none at all.  The cylinder has no
+        # vertex of degree <= 2, so its C2 step needs a frozen graph (at most
+        # one build) and builds its reduced graph once
         sizes = []
         init = PlaneGraph.__init__
 
@@ -206,8 +207,7 @@ class TestWorkspace:
         grid, cylinder = oracles.grid(30, 30), oracles.cylinder(6, 30)
         monkeypatch.setattr(PlaneGraph, "__init__", counted)
         assert solver.solve(grid).met
-        assert [n for n in sizes if n > solver.EXACT_BASE] == []
-        sizes.clear()
+        assert sizes == []
         assert solver.solve(cylinder).met
         assert len([n for n in sizes if n > solver.EXACT_BASE]) <= 2
 
@@ -230,6 +230,23 @@ class TestWorkspace:
             assert res.met
             kinds.update(step.kind for step in res.trace)
         assert {"C2", "C4"} <= kinds
+
+    def test_no_networkx_on_hot_paths(self, monkeypatch):
+        # random growth, the diamond chains and solve on a grid make no
+        # planarity, isomorphism or hashing call
+        grid = oracles.grid(20, 20)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("networkx called")
+
+        for attr in ("check_planarity", "is_isomorphic", "weisfeiler_lehman_graph_hash"):
+            monkeypatch.setattr(networkx, attr, refuse)
+        (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=200, seed=0, count=1))
+        member = generate_member(100, 0)
+        trace = is_member(member)
+        assert g.n == 200 and trace.is_member
+        assert 3 * len(member_max_independent_set(member, trace)) == member.n + 1
+        assert solver.solve(grid).met
 
     def test_large_inputs_at_default_recursion_limit(self):
         graphs = (oracles.grid(60, 60), oracles.cylinder(8, 400))
