@@ -9,10 +9,10 @@ from .plane_graph import (DiskSubgraph, Face, GraphError, InternalInvariantError
                           PlaneGraph, Rotation, embed_edges, isomorphic_small, parse, serialize)
 from .configurations import Configuration, NoConfigurationError, find_any, interferes
 from .extremal import (Diamond, DiamondStep, MembershipTrace, avoiding_independent_set,
-                       diamond_lift, diamond_reduce, find_diamonds, generate_member,
-                       is_member, member_max_independent_set, path_diamond_replacement,
-                       replace_diamond_with_path)
-from .reductions import ReductionStep, check_tight, diamond_project, lift, reduce
+                       diamond_lift, diamond_project, diamond_reduce, find_diamonds,
+                       generate_member, is_member, member_max_independent_set,
+                       path_diamond_replacement, replace_diamond_with_path)
+from .reductions import ReductionStep, check_tight, lift, reduce
 from .solver import SolveResult, check_theorem_bounds, exact_alpha, solve
 from .discharging import (AuditReport, ChargeLedger, DangerousCycle, apply_rules,
                           audit, dangerous_cycles, initial_charges)

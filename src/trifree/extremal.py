@@ -11,6 +11,7 @@ C5 and builds once.  ``diamond_reduce`` is copy, edit, one validated build.
 ``diamond_lift(step, s)``, for s independent in the reduced graph, checks
 what it adds against the host neighbourhoods the degree pattern pins, a full
 host independence check, and raises ``InternalInvariantError`` when it fails.
+``diamond_project`` goes the other way, from a host set to the reduced graph.
 """
 from __future__ import annotations
 
@@ -169,6 +170,45 @@ def diamond_lift(step: DiamondStep, s_reduced) -> frozenset:
     added = {d.z2} | {x for v, x in ((step.v1, d.u1), (step.v2, d.w)) if v in s}
     nbhd = {d.u1: {d.z1, d.w, d.x1}, d.w: {d.u1, d.u2, d.x2}, d.z2: {d.z1, d.u2}}
     return _verified(nbhd, [(s - {step.v1, step.v2}, added)], len(s) + 1)
+
+
+def _augment_maximal(g: PlaneGraph, s) -> set:
+    s = set(s)
+    for v in g.vertices:
+        if v not in s and not (g.neighbors(v) & s):
+            s.add(v)
+    return s
+
+
+def diamond_project(g: PlaneGraph, d: Diamond, s) -> frozenset:
+    """Project an independent set onto the path-reduced graph, losing one vertex."""
+    if not _check_diamond(g, d):
+        raise GraphError("not a diamond of this graph: %r" % (d,))
+    s = _augment_maximal(g, s)
+    u1, z1, z2, u2, w = d.u1, d.z1, d.z2, d.u2, d.w
+    if u1 in s and u2 in s:
+        s.discard(u2)
+        s.add(z2)
+    if z2 not in s:
+        if z1 not in s:
+            raise InternalInvariantError("maximal set misses both degree-2 vertices")
+        # mirror the diamond so the proof's normalization z2 in S applies
+        u1, u2 = u2, u1
+        z1, z2 = z2, z1
+    size = len(s)
+    reduced, step = diamond_reduce(g, d)
+    out = s - {z2}
+    if u1 in out:
+        out.discard(u1)
+        out.add(step.v1)
+    if w in out:
+        out.discard(w)
+        out.add(step.v2)
+    out -= {z1, u2}  # never present: z1 adj z2, u2 adj z2
+    out = frozenset(out)
+    if len(out) != size - 1 or not verify.is_independent_set(reduced, out):
+        raise InternalInvariantError("diamond projection failed verification")
+    return out
 
 
 def path_diamond_replacement(rot: Rotation, path) -> None:

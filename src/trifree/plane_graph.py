@@ -75,7 +75,7 @@ class Face:
 class PlaneGraph:
     """Immutable combinatorial plane embedding."""
 
-    __slots__ = ("_rot", "_nbr", "_faces", "_face_keys", "_outer", "_dart_face",
+    __slots__ = ("_rot", "_nbr", "_faces", "_face_keys", "_outer", "_dart_face_index",
                  "_outer_comp")
 
     def __init__(self, rotation, outer_face=None, check=True):
@@ -130,10 +130,7 @@ class PlaneGraph:
             faces.append(Face.from_walk(walk))
         self._faces = sorted(faces, key=lambda f: f.darts)
         self._face_keys = {f.darts for f in self._faces}
-        self._dart_face = {}
-        for f in self._faces:
-            for d in f.darts:
-                self._dart_face[d] = f
+        self._dart_face_index = {d: i for i, f in enumerate(self._faces) for d in f.darts}
 
     def _check_euler(self):
         for comp in self.components():
@@ -215,7 +212,7 @@ class PlaneGraph:
         return self._outer
 
     def face_of_dart(self, dart) -> Face:
-        return self._dart_face[dart]
+        return self._faces[self._dart_face_index[dart]]
 
     def find_face(self, walk):
         """Face matching a cyclic vertex walk, or None."""
@@ -281,24 +278,30 @@ class PlaneGraph:
         if max_len > 6:
             raise GraphError("cycle search limited to length 6")
         cycles = []
+        if max_len < 3:
+            return cycles
+        nbrs = {v: sorted(ns) for v, ns in self._nbr.items()}
 
         def extend(path, used):
-            v = path[-1]
-            for w in sorted(self._nbr[v]):
-                if w == path[0]:
-                    if len(path) >= 3 and path[1] < path[-1]:
+            v, first = path[-1], path[0]
+            last = len(path) + 1 == max_len  # a step to w ends the path
+            for w in nbrs[v]:
+                if w == first:
+                    if len(path) >= 3 and path[1] < v:
                         cycles.append(tuple(path))
+                elif w < first or w in used:
                     continue
-                if w < path[0] or w in used:
-                    continue
-                if len(path) < max_len:
+                elif last:  # the one cycle a path ending at w can close
+                    if path[1] < w and first in self._nbr[w]:
+                        cycles.append(tuple(path) + (w,))
+                else:
                     path.append(w)
                     used.add(w)
                     extend(path, used)
                     used.discard(w)
                     path.pop()
 
-        for v in sorted(self._rot):
+        for v in sorted(nbrs):
             extend([v], {v})
         return cycles
 
@@ -307,10 +310,33 @@ class PlaneGraph:
     def disk_subgraph(self, cycle) -> "DiskSubgraph":
         """Subgraph drawn in the closed disk bounded by ``cycle``.
 
-        The faces left of the cycle's darts (c_i, c_i+1) lie on one side of
-        it and the faces right of them on the other.  Both sides are flooded
-        alternately through the dual, never crossing a cycle edge, and the
-        disk is the first side that closes off without reaching the
+        The disk's faces come from the dual flood of ``_disk_faces``; the
+        subgraph keeps the darts of those faces and of the cycle, and is one
+        validated build whose faces must be exactly the flooded ones plus the
+        cycle itself as outer face.
+        """
+        boundary, disk_faces = self._disk_faces(cycle)
+        kept = set(boundary)
+        kept.update((v, u) for u, v in boundary)
+        for f in disk_faces:
+            kept.update(f.darts)
+        verts = sorted({v for v, _ in kept})
+        rot = {v: tuple(u for u in self._rot[v] if (v, u) in kept) for v in verts}
+        sub = PlaneGraph(rot, outer_face=boundary)
+        if len(sub._faces) != len(disk_faces) + 1:
+            raise InternalInvariantError("disk extraction produced %d boundary faces"
+                                         % (len(sub._faces) - len(disk_faces)))
+        return DiskSubgraph(tuple(cycle), sub)
+
+    def _disk_faces(self, cycle):
+        """The faces inside the closed disk bounded by ``cycle``.
+
+        Returns ``(boundary, faces)``: ``boundary`` is the cycle's dart walk
+        that keeps the disk on its right, so it is the disk's outer face
+        walk.  The faces left of the cycle's darts (c_i, c_i+1) lie on one
+        side of it and the faces right of them on the other.  Both sides are
+        flooded alternately through the dual, never crossing a cycle edge,
+        and the disk is the first side that closes off without reaching the
         designated outer face.  The cost therefore follows the disk (and the
         other side while it is smaller), not the whole graph.
         """
@@ -337,43 +363,33 @@ class PlaneGraph:
 
         reverse = tuple((v, u) for u, v in reversed(darts))
         cut = set(darts) | set(reverse)
-        seen = ({self._dart_face[d] for d in darts}, {self._dart_face[d] for d in reverse})
+        # flood over face indices: an int hashes faster than a dart tuple
+        index = self._dart_face_index
+        outer = index[self._outer.darts[0]]
+        seen = ({index[d] for d in darts}, {index[d] for d in reverse})
         if seen[0] & seen[1]:
             raise InternalInvariantError("cycle does not enclose any face")
         todo = (list(seen[0]), list(seen[1]))
-        reached = [self._outer in seen[0], self._outer in seen[1]]
+        reached = [outer in seen[0], outer in seen[1]]
         # the sides stay disjoint, so at most one of them reaches the outer face
-        side = None
-        while side is None:
+        while True:
             for i in (0, 1):
                 if reached[i]:
                     continue
                 if not todo[i]:
-                    side = i
-                    break
-                for u, v in todo[i].pop().darts:
+                    faces = [self._faces[j] for j in sorted(seen[i])]
+                    return (reverse if i == 0 else darts), faces
+                for u, v in self._faces[todo[i].pop()].darts:
                     if (v, u) in cut:
                         continue
-                    f = self._dart_face[(v, u)]
+                    f = index[(v, u)]
                     if f in seen[i]:
                         continue
                     if f in seen[1 - i]:
                         raise InternalInvariantError("cycle does not enclose any face")
                     seen[i].add(f)
                     todo[i].append(f)
-                    reached[i] = reached[i] or f == self._outer
-        disk_faces = seen[side]
-
-        kept = set(cut)
-        for f in disk_faces:
-            kept.update(f.darts)
-        verts = sorted({v for v, _ in kept})
-        rot = {v: tuple(u for u in self._rot[v] if (v, u) in kept) for v in verts}
-        sub = PlaneGraph(rot, outer_face=reverse if side == 0 else darts)
-        if len(sub._faces) != len(disk_faces) + 1:
-            raise InternalInvariantError("disk extraction produced %d boundary faces"
-                                         % (len(sub._faces) - len(disk_faces)))
-        return DiskSubgraph(cycle, sub)
+                    reached[i] = reached[i] or f == outer
 
     # -- derived graphs ------------------------------------------------------------
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import configurations, verify
+from . import configurations
 from .configurations import Configuration
-from .extremal import Diamond, _check_diamond, _verified, diamond_lift, diamond_reduce
+from .extremal import _verified, diamond_lift, diamond_reduce
 from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, Rotation
 
 
@@ -189,45 +189,6 @@ def lift(step: ReductionStep, s_reduced) -> frozenset:
             candidates = [(s, {v1, v3})]
         return _verified(nbhd, candidates, expected)
     raise GraphError("unknown reduction kind %r" % step.kind)
-
-
-def _augment_maximal(g: PlaneGraph, s) -> set:
-    s = set(s)
-    for v in g.vertices:
-        if v not in s and not (g.neighbors(v) & s):
-            s.add(v)
-    return s
-
-
-def diamond_project(g: PlaneGraph, d: Diamond, s) -> frozenset:
-    """Project an independent set onto the path-reduced graph, losing one vertex."""
-    if not _check_diamond(g, d):
-        raise GraphError("not a diamond of this graph: %r" % (d,))
-    s = _augment_maximal(g, s)
-    u1, z1, z2, u2, w = d.u1, d.z1, d.z2, d.u2, d.w
-    if u1 in s and u2 in s:
-        s.discard(u2)
-        s.add(z2)
-    if z2 not in s:
-        if z1 not in s:
-            raise InternalInvariantError("maximal set misses both degree-2 vertices")
-        # mirror the diamond so the proof's normalization z2 in S applies
-        u1, u2 = u2, u1
-        z1, z2 = z2, z1
-    size = len(s)
-    reduced, step = diamond_reduce(g, d)
-    out = s - {z2}
-    if u1 in out:
-        out.discard(u1)
-        out.add(step.v1)
-    if w in out:
-        out.discard(w)
-        out.add(step.v2)
-    out -= {z1, u2}  # never present: z1 adj z2, u2 adj z2
-    out = frozenset(out)
-    if len(out) != size - 1 or not verify.is_independent_set(reduced, out):
-        raise InternalInvariantError("diamond projection failed verification")
-    return out
 
 
 def check_tight(g: PlaneGraph, alpha: int) -> bool:

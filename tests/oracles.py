@@ -10,8 +10,9 @@ import itertools
 
 import networkx as nx
 
-from trifree import configurations, extremal, reductions, solver, verify
-from trifree.plane_graph import DiskSubgraph, GraphError, InternalInvariantError, PlaneGraph
+from trifree import configurations, discharging, extremal, reductions, solver, verify
+from trifree.plane_graph import (DiskSubgraph, GraphError, InternalInvariantError, PlaneGraph,
+                                 isomorphic_small)
 
 
 def naive_alpha(g):
@@ -265,6 +266,38 @@ def naive_disk(g, cycle):
     if len(boundary) != 1:
         raise InternalInvariantError("disk extraction produced %d boundary faces" % len(boundary))
     return DiskSubgraph(cycle, sub.re_embed(boundary[0]))
+
+
+def vf2_exception(g):
+    """The whole-graph C6c/C6v test by VF2: "C6c", "C6v" or None."""
+    if g.n <= 12:
+        if isomorphic_small(g, discharging.c6_chord()):
+            return "C6c"
+        if isomorphic_small(g, discharging.c6_hub()):
+            return "C6v"
+    return None
+
+
+def vf2_dangerous_cycles(g):
+    """Dangerous cycles with one validated disk build per cycle and C6c/C6v
+    decided by VF2 against the two exceptional graphs."""
+    k = g.outer_face
+    if k is None or not k.is_cycle() or k.length > 6:
+        raise GraphError("outer face is not a cycle of length at most 6")
+    out = []
+    for cyc in g.cycles_up_to(6):
+        edges = frozenset(frozenset((cyc[i], cyc[(i + 1) % len(cyc)]))
+                          for i in range(len(cyc)))
+        if edges == k.edge_set and len(cyc) == k.length:
+            continue
+        disk = g.disk_subgraph(cyc)
+        sub = disk.subgraph
+        if sub.n == len(cyc) and sub.m == len(cyc):
+            continue
+        if vf2_exception(sub) is not None:
+            continue
+        out.append(discharging.DangerousCycle(cyc, disk, "interior differs from C, C6c and C6v"))
+    return out
 
 
 def grid(rows, cols):

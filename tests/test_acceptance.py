@@ -117,7 +117,7 @@ def test_criterion_06_diamond_drop(corpus9, golden):
             if len(lifted) != alpha_g or not is_independent_set(g, lifted):
                 failures.append(tag + " bad lift")
                 continue
-            projected = rd.diamond_project(g, d, wit_g)
+            projected = extremal.diamond_project(g, d, wit_g)
             if not is_independent_set(reduced, projected):
                 failures.append(tag + " bad projection")
                 continue

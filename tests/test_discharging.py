@@ -2,9 +2,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from trifree import discharging as dc
-from trifree.plane_graph import GraphError, PlaneGraph, cycle_graph, path_graph
+from trifree import corpus, discharging as dc
+from trifree.plane_graph import GraphError, PlaneGraph, cycle_graph, path_graph, serialize
 
 import oracles
 
@@ -173,12 +174,17 @@ class TestDangerousCyclesCost:
         g = oracles.grid(10, 10)
         g = g.re_embed(next(f for f in g.faces() if f.length == 4))
         calls = Counter()
-        planarity, components, disk = (nx.check_planarity, PlaneGraph.components,
-                                       PlaneGraph.disk_subgraph)
+        planarity, iso, components, flood, build = (
+            nx.check_planarity, nx.is_isomorphic, PlaneGraph.components,
+            PlaneGraph._disk_faces, PlaneGraph.__init__)
 
         def counted_planarity(*args, **kwargs):
             calls["planarity"] += 1
             return planarity(*args, **kwargs)
+
+        def counted_iso(*args, **kwargs):
+            calls["iso"] += 1
+            return iso(*args, **kwargs)
 
         def counted_components(self):
             # the validated build of each disk checks Euler per component of
@@ -186,19 +192,111 @@ class TestDangerousCyclesCost:
             calls["host components" if self is g else "disk components"] += 1
             return components(self)
 
-        def counted_disk(self, cycle):
-            calls["disks"] += 1
-            return disk(self, cycle)
+        def counted_flood(self, cycle):
+            calls["floods"] += 1
+            return flood(self, cycle)
+
+        def counted_build(self, rotation, outer_face=None, check=True):
+            calls["validated builds"] += check
+            build(self, rotation, outer_face, check)
 
         monkeypatch.setattr(nx, "check_planarity", counted_planarity)
+        monkeypatch.setattr(nx, "is_isomorphic", counted_iso)
         monkeypatch.setattr(PlaneGraph, "components", counted_components)
-        monkeypatch.setattr(PlaneGraph, "disk_subgraph", counted_disk)
-        dc.dangerous_cycles(g)
-        assert calls["disks"] > 200
+        monkeypatch.setattr(PlaneGraph, "_disk_faces", counted_flood)
+        monkeypatch.setattr(PlaneGraph, "__init__", counted_build)
+        found = dc.dangerous_cycles(g)
+        assert calls["floods"] > 200
+        assert found and calls["validated builds"] == len(found)
+        assert calls["iso"] == 0
         assert calls["planarity"] == 0
         assert calls["host components"] <= 1
         assert dc.c6_chord() is dc.c6_chord()
         assert dc.c6_hub() is dc.c6_hub()
+
+
+def _short_faces(g):
+    return [f for f in g.faces() if f.is_cycle() and f.length <= 6]
+
+
+class TestAgainstVF2:
+    """The shape test and ``dangerous_cycles`` against VF2 (``oracles``)."""
+
+    def test_shape_predicate_on_graph_atlas(self):
+        import networkx as nx
+        from trifree.plane_graph import embed_edges
+        seen = Counter()
+        for h in nx.graph_atlas_g()[1:]:
+            if not nx.is_connected(h):
+                continue
+            # C6c and C6v are planar, so VF2 matches no non-planar graph
+            want = (oracles.vf2_exception(embed_edges(h.nodes, h.edges))
+                    if nx.check_planarity(h)[0] else None)
+            assert dc.hexagon_exception({v: set(h[v]) for v in h}) == want, list(h.edges)
+            triangles = any(set(h[u]) & set(h[v]) for u, v in h.edges)
+            seen[want, triangles] += 1
+        assert sum(seen.values()) == 996  # connected graphs on 1 to 7 vertices
+        assert seen["C6c", False] == seen["C6v", False] == 1
+        assert seen[None, True] > 800 and seen[None, False] > 80
+
+    def _same(self, g):
+        def key(found):
+            return [(d.cycle, serialize(d.disk.subgraph), d.verdict_reason) for d in found]
+        got = key(dc.dangerous_cycles(g))
+        assert got == key(oracles.vf2_dangerous_cycles(g))
+        return len(got)
+
+    def test_corpus7_every_short_face(self, corpus7):
+        found = sum(self._same(g.re_embed(f)) for g in corpus7 for f in _short_faces(g))
+        assert found > 0
+
+    def test_golden(self, golden):
+        checked = 0
+        for g in golden.values():
+            for f in _short_faces(g):
+                self._same(g.re_embed(f))
+                checked += 1
+        assert checked > 20
+
+    def test_grid_cylinder_and_random(self):
+        graphs = [oracles.grid(6, 6), oracles.cylinder(6, 5)]
+        found = 0
+        for g in graphs:
+            for f in _short_faces(g)[::4]:
+                found += self._same(g.re_embed(f))
+        for seed in range(3):
+            (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=150, seed=seed, count=1))
+            found += self._same(g.re_embed(max(_short_faces(g), key=lambda f: f.length)))
+        assert found > 0
+
+
+def _audit_invariants(g):
+    rep = dc.audit(g)
+    charges = sorted(rep.ledger.final.values()) if rep.ledger else None
+    return len(dc.dangerous_cycles(g)), rep.hypothesis_ok, charges
+
+
+class TestAuditMetamorphic:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 60), seed=st.integers(0, 2 ** 32), data=st.data())
+    def test_relabel_and_mirror_keep_the_audit(self, n, seed, data):
+        (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=n, seed=seed, count=1))
+        faces = _short_faces(g)
+        assume(faces)
+        outer = data.draw(st.sampled_from(faces))
+        g = g.re_embed(outer)
+        want = _audit_invariants(g)
+
+        mapping = dict(zip(g.vertices, data.draw(st.permutations(g.vertices))))
+        relabelled = g.relabel(mapping)
+        relabelled = relabelled.re_embed(
+            relabelled.find_face([mapping[v] for v in outer.vertex_walk()]))
+        assert _audit_invariants(relabelled) == want
+
+        # reversing every rotation reverses every face walk
+        mirrored = PlaneGraph({v: g.rotation(v)[::-1] for v in g.vertices})
+        mirrored = mirrored.re_embed(mirrored.find_face(outer.vertex_walk()[::-1]))
+        assert _audit_invariants(mirrored) == want
 
 
 class TestAudit:

@@ -1,6 +1,6 @@
 import pytest
 
-from trifree import configurations as cf, corpus, reductions as rd, solver
+from trifree import configurations as cf, corpus, extremal as ex, reductions as rd, solver
 from trifree.extremal import Diamond, find_diamonds
 from trifree.plane_graph import (GraphError, InternalInvariantError,
                                  cycle_graph, isomorphic_small, path_graph)
@@ -138,8 +138,8 @@ class TestLift:
         for g in corpus8 + [dodecahedron]:
             for c in cf.find_c4(g):
                 reduced, step = rd.reduce(g, c)
-                greedy = rd._augment_maximal(reduced, ())
-                with_z = rd._augment_maximal(reduced, {step.identified[2]})
+                greedy = ex._augment_maximal(reduced, ())
+                with_z = ex._augment_maximal(reduced, {step.identified[2]})
                 for s in (frozenset(), greedy, with_z, solver.solve(reduced).independent_set):
                     lifted = rd.lift(step, s)
                     assert is_independent_set(g, lifted)
@@ -237,7 +237,7 @@ class TestDiamondRoundTrip:
             for d in find_diamonds(g):
                 reduced, step = rd.diamond_reduce(g, d)
                 _, wit = solver.exact_alpha(g)
-                projected = rd.diamond_project(g, d, wit)
+                projected = ex.diamond_project(g, d, wit)
                 assert is_independent_set(reduced, projected)
                 back = rd.diamond_lift(step, projected)
                 assert is_independent_set(g, back)
@@ -246,7 +246,7 @@ class TestDiamondRoundTrip:
     def test_project_augments_first(self, golden):
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
-        projected = rd.diamond_project(g, d, {d.z1})
+        projected = ex.diamond_project(g, d, {d.z1})
         reduced = rd.diamond_reduce(g, d)[0]
         assert is_independent_set(reduced, projected)
 

@@ -4,7 +4,7 @@ import networkx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trifree import corpus, solver
+from trifree import corpus, discharging, solver
 from trifree.extremal import generate_member, is_member, member_max_independent_set
 from trifree.plane_graph import GraphError, PlaneGraph, cycle_graph, path_graph
 from trifree.verify import is_independent_set
@@ -231,10 +231,13 @@ class TestWorkspace:
             kinds.update(step.kind for step in res.trace)
         assert {"C2", "C4"} <= kinds
 
-    def test_no_networkx_on_hot_paths(self, monkeypatch):
-        # random growth, the diamond chains and solve on a grid make no
-        # planarity, isomorphism or hashing call
+    def test_no_networkx_on_hot_paths(self, monkeypatch, golden):
+        # random growth, the diamond chains, solve on a grid and the audit
+        # make no planarity, isomorphism or hashing call; the audit must not
+        # even build the exceptional hexagons
         grid = oracles.grid(20, 20)
+        discharging.c6_chord.cache_clear()
+        discharging.c6_hub.cache_clear()
 
         def refuse(*args, **kwargs):
             raise AssertionError("networkx called")
@@ -247,6 +250,10 @@ class TestWorkspace:
         assert g.n == 200 and trace.is_member
         assert 3 * len(member_max_independent_set(member, trace)) == member.n + 1
         assert solver.solve(grid).met
+        discharging.audit(grid.re_embed(next(f for f in grid.faces() if f.length == 4)))
+        discharging.audit(g.re_embed(next(f for f in g.faces()
+                                          if f.is_cycle() and f.length <= 6)))
+        assert not discharging.audit(golden["dangerous_witness"]).hypothesis_ok
 
     def test_large_inputs_at_default_recursion_limit(self):
         graphs = (oracles.grid(60, 60), oracles.cylinder(8, 400))
