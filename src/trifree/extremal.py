@@ -7,10 +7,12 @@ independence number by exactly one.  The replacement and its inverse are
 in-place edits of a ``Rotation``, and each chain runs on one copy:
 membership testing replaces the first diamond found down to C5 or P2,
 never backtracking; the certificate replays that trace; the generator grows
-C5 and builds once.  ``diamond_reduce`` is copy, edit, one validated build.
-``diamond_lift(step, s)``, for s independent in the reduced graph, checks
-what it adds against the host neighbourhoods the degree pattern pins, a full
-host independence check, and raises ``InternalInvariantError`` when it fails.
+C5 and builds once; the face-avoiding set replaces the first diamond that
+spares the face, never backtracking either, and lifts an exact set back.
+``diamond_reduce`` is copy, edit, one validated build.  ``diamond_lift(step,
+s)``, for s independent in the reduced graph, checks what it adds against
+the host neighbourhoods the degree pattern pins, a full host independence
+check, and raises ``InternalInvariantError`` when it fails.
 ``diamond_project`` goes the other way, from a host set to the reduced graph.
 """
 from __future__ import annotations
@@ -181,9 +183,13 @@ def _augment_maximal(g: PlaneGraph, s) -> set:
 
 
 def diamond_project(g: PlaneGraph, d: Diamond, s) -> frozenset:
-    """Project an independent set onto the path-reduced graph, losing one vertex."""
+    """Project an independent set onto the path-reduced graph, losing one
+    vertex; a set that is not independent in g raises ``GraphError``."""
     if not _check_diamond(g, d):
         raise GraphError("not a diamond of this graph: %r" % (d,))
+    bad = verify.violating_edge(g, s)
+    if bad is not None:
+        raise GraphError("not an independent set of this graph: %r" % (bad,))
     s = _augment_maximal(g, s)
     u1, z1, z2, u2, w = d.u1, d.z1, d.z2, d.u2, d.w
     if u1 in s and u2 in s:
@@ -319,57 +325,50 @@ def member_max_independent_set(g: PlaneGraph, trace: MembershipTrace) -> frozens
     return s
 
 
-def _exact_avoiding(g: PlaneGraph, avoid: frozenset, size: int):
-    """Brute-force base case: independent set of given size avoiding ``avoid``."""
-    from .solver import exact_alpha
-    sub = g.delete_vertices(avoid)
-    alpha, witness = exact_alpha(sub)
-    if alpha < size:
-        return None
-    if alpha == size:
-        return witness
-    # trim a larger witness greedily; any subset of an independent set works
-    return frozenset(sorted(witness)[:size])
-
-
 def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
     """Maximum independent set of a family member avoiding all of V(f).
 
     Precondition: g is a family member and f is a face not incident with any
-    vertex of degree at most two.
+    vertex of degree at most two.  One descent on one copy of g, as in
+    ``is_member``: while n > 11, replace the first diamond whose 5-cycle
+    misses V(f) and whose x1 is not a face vertex of degree 3; solve the
+    rest exactly; lift back.  Nothing is undone: the replacement leaves a
+    member (the diamond lemma), touches f's vertices only by lowering x1's
+    degree, and changes no rotation step of f's walk, so f stays a face
+    with degrees at least 3.  A dead end means g was not a qualifying
+    member: ``GraphError`` if ``is_member`` rejects g, else
+    ``InternalInvariantError``.
     """
-    if any(g.degree(v) <= 2 for v in f.vertex_set):
-        raise GraphError("face is incident with a vertex of degree at most two")
-    size = (g.n + 1) // 3
-
-    def recurse(h: PlaneGraph, face, want: int):
-        fv = face.vertex_set
-        if h.n <= 11:
-            return _exact_avoiding(h, fv, want)
-        for d in find_diamonds(h):
-            if set(d.cycle) & fv:
-                continue  # replacement would delete a face vertex
-            if d.x1 in fv and h.degree(d.x1) <= 3:
-                continue  # replacement would drop a face vertex to degree 2
-            reduced, step = diamond_reduce(h, d)
-            new_face = reduced.find_face(face.vertex_walk())
-            if new_face is None or new_face.darts != face.darts:
-                continue
-            sub = recurse(reduced, new_face, want - 1)
-            if sub is not None:
-                return diamond_lift(step, sub)
-        return None
-
+    from .solver import exact_alpha
     face = g.find_face(f.vertex_walk())
     if face is None:
         raise GraphError("not a face of this graph: %r" % (f,))
-    s = recurse(g, face, size)
+    fv = face.vertex_set
+    if any(g.degree(v) <= 2 for v in fv):
+        raise GraphError("face is incident with a vertex of degree at most two")
+    size = (g.n + 1) // 3
+    steps, h = [], Rotation.of(g)
+    while h.n > 11:
+        d = next((d for d in find_diamonds(h) if fv.isdisjoint(d.cycle)
+                  and not (d.x1 in fv and h.degree(d.x1) <= 3)), None)
+        if d is None:
+            break
+        steps.append(replace_diamond_with_path(h, d))
+    want, s = size - len(steps), None
+    if h.n <= 11:
+        alpha, witness = exact_alpha(Rotation((v, [u for u in ns if u not in fv])
+                                              for v, ns in h.items() if v not in fv))
+        if alpha >= want:   # any subset of an independent set is one
+            s = frozenset(sorted(witness)[:want])
     if s is None:
-        raise InternalInvariantError(
-            "no avoiding set found; input is not a qualifying family member")
+        if not is_member(g).is_member:
+            raise GraphError("input is not a family member")
+        raise InternalInvariantError("no avoiding set found for a family member")
+    for step in reversed(steps):
+        s = diamond_lift(step, s)
     bad = verify.violating_edge(g, s)
     if bad is not None:
         raise InternalInvariantError("avoiding set is not independent: %r" % (bad,))
-    if s & face.vertex_set or len(s) != size:
+    if s & fv or len(s) != size:
         raise InternalInvariantError("avoiding set violates its contract")
-    return frozenset(s)
+    return s

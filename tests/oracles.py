@@ -3,8 +3,9 @@
 Everything here is written naively on purpose: subset enumeration, plain
 DFS, permutation scans.  None of it shares code with trifree internals;
 ``rebuild_solve_set`` drives only the public configuration and reduction
-functions, and the ``rebuild_*`` membership references only the public
-``find_diamonds`` and ``diamond_reduce``.
+functions, the ``rebuild_*`` membership references only the public
+``find_diamonds`` and ``diamond_reduce``, and ``recursive_avoiding_set``
+those two, ``diamond_lift`` and ``exact_alpha``.
 """
 import itertools
 
@@ -429,4 +430,43 @@ def rebuild_certificate(g, trace):
         s = {d.u1 if v == step.v1 else d.w if v == step.v2 else v for v in s} | {d.z2}
         if verify.violating_edge(host, s) is not None or len(s) != size + 1:
             raise InternalInvariantError("diamond lift failed on its host")
+    return frozenset(s)
+
+
+def recursive_avoiding_set(g, f):
+    """The face-avoiding maximum set of a member by the recursive chain that
+    makes a validated graph and a face lookup per step, and backtracks over
+    diamonds when a sub-call finds nothing: public ``find_diamonds``,
+    ``diamond_reduce`` and ``diamond_lift``, ``exact_alpha`` on the terminal
+    graph minus the face."""
+    if any(g.degree(v) <= 2 for v in f.vertex_set):
+        raise GraphError("face is incident with a vertex of degree at most two")
+
+    def recurse(h, face, want):
+        fv = face.vertex_set
+        if h.n <= 11:
+            alpha, witness = solver.exact_alpha(h.delete_vertices(fv))
+            if alpha < want:
+                return None
+            return witness if alpha == want else frozenset(sorted(witness)[:want])
+        for d in extremal.find_diamonds(h):
+            if set(d.cycle) & fv:
+                continue
+            if d.x1 in fv and h.degree(d.x1) <= 3:
+                continue
+            reduced, step = extremal.diamond_reduce(h, d)
+            new_face = reduced.find_face(face.vertex_walk())
+            if new_face is None or new_face.darts != face.darts:
+                continue
+            sub = recurse(reduced, new_face, want - 1)
+            if sub is not None:
+                return extremal.diamond_lift(step, sub)
+        return None
+
+    face = g.find_face(f.vertex_walk())
+    if face is None:
+        raise GraphError("not a face of this graph: %r" % (f,))
+    s = recurse(g, face, (g.n + 1) // 3)
+    if s is None:
+        raise InternalInvariantError("no avoiding set found")
     return frozenset(s)

@@ -471,3 +471,42 @@ class TestAvoidingIndependentSet:
                    if any(g.degree(v) <= 2 for v in f.vertex_set))
         with pytest.raises(GraphError):
             avoiding_independent_set(g, bad)
+
+    def test_non_members_raise_graph_error(self):
+        # no qualifying diamond is left, and is_member rejects the input
+        for g in (oracles.grid(4, 4), oracles.cylinder(5, 3)):
+            faces = qualifying_faces(g)
+            assert faces
+            for f in faces:
+                with pytest.raises(GraphError):
+                    avoiding_independent_set(g, f)
+
+    def test_identical_to_recursive_reference(self):
+        # the first qualifying diamond never needs undoing: the descent
+        # returns the recursive, backtracking chain's set on every pair
+        pairs = 0
+        for steps, seed in ([(k, s) for k in range(20) for s in range(4)]
+                            + [(k, 0) for k in range(20, 30)]):
+            g = generate_member(steps, seed)
+            for f in qualifying_faces(g):
+                assert (avoiding_independent_set(g, f)
+                        == oracles.recursive_avoiding_set(g, f))
+                pairs += 1
+        assert pairs == 1838
+
+    def test_at_most_one_validated_build(self, monkeypatch):
+        validated = []
+        init = PlaneGraph.__init__
+
+        def counted(self, rotation, outer_face=None, check=True):
+            validated.append(check)
+            init(self, rotation, outer_face, check)
+
+        graphs = [generate_member(steps, 2) for steps in (2, 10, 40)]
+        monkeypatch.setattr(PlaneGraph, "__init__", counted)
+        for g in graphs:
+            for f in qualifying_faces(g)[:3]:
+                validated.clear()
+                s = avoiding_independent_set(g, f)
+                assert validated.count(True) <= 1
+                assert 3 * len(s) == g.n + 1

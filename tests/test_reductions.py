@@ -250,6 +250,13 @@ class TestDiamondRoundTrip:
         reduced = rd.diamond_reduce(g, d)[0]
         assert is_independent_set(reduced, projected)
 
+    def test_project_rejects_dependent_or_foreign_sets(self):
+        g = ex.generate_member(4, 1)
+        d = find_diamonds(g)[0]
+        for s in ({d.u1, d.z1}, {d.w, d.u2, d.z2}, {d.u1, d.x1}, {10 ** 6}):
+            with pytest.raises(GraphError):
+                ex.diamond_project(g, d, s)
+
     def test_invalid_diamond(self):
         g = cycle_graph(5)
         with pytest.raises(GraphError):
