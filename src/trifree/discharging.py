@@ -7,7 +7,7 @@ total of -8 on every connected input.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import configurations
@@ -176,9 +176,15 @@ def apply_rules(g: PlaneGraph) -> ChargeLedger:
 
 @dataclass(frozen=True)
 class DangerousCycle:
+    """A dangerous cycle of ``host``; its disk is built on first read."""
+
     cycle: tuple
-    disk: DiskSubgraph
     verdict_reason: str
+    host: PlaneGraph = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def disk(self) -> DiskSubgraph:
+        return self.host.disk_subgraph(self.cycle)
 
 
 def hexagon_exception(nbrs):
@@ -206,28 +212,32 @@ def hexagon_exception(nbrs):
 
 def _excused(cyc, faces) -> bool:
     """True iff the disk made of ``faces`` is C6c or C6v, read from the
-    faces' darts with no graph built; a disk that breaks Euler's formula on
-    these counts is a bug."""
+    faces' darts with no graph built.  Every disk is first checked against
+    Euler's formula on the faces' counts, which is what a validated build of
+    it would check for a sub-rotation of a valid host; a failure is a bug."""
+    n = len({u for f in faces for u, _ in f.darts})
+    m2 = sum(f.length for f in faces) + len(cyc)  # twice the edge count
+    if 2 * (n + len(faces) + 1) - m2 != 4:
+        raise InternalInvariantError("disk of %r breaks Euler (V-E+F = %d-%d/2+%d)"
+                                     % (cyc, n, m2, len(faces) + 1))
+    if (n, m2) not in ((6, 14), (7, 18)):  # (V, 2E) of C6c and of C6v
+        return False
     nbrs = {}
     for f in faces:
         for u, v in f.darts:
             nbrs.setdefault(u, set()).add(v)
             nbrs.setdefault(v, set()).add(u)
-    n, m = len(nbrs), sum(map(len, nbrs.values())) // 2
-    if n - m + len(faces) + 1 != 2:
-        raise InternalInvariantError(
-            "disk of %r breaks Euler (V-E+F = %d-%d+%d)" % (cyc, n, m, len(faces) + 1))
     return hexagon_exception(nbrs) is not None
 
 
 def dangerous_cycles(g: PlaneGraph) -> list:
     """All cycles of length <= 6 whose closed disk is not C, C6c or C6v.
 
-    Each disk is classified from its faces in the dual flood, with no graph
-    built: one inner face of the cycle's length is the bare cycle, and any
-    other disk is read as neighbour sets, checked against Euler's formula
-    and tested with ``hexagon_exception``.  Only a dangerous disk is built,
-    through the validated ``PlaneGraph.disk_subgraph``.
+    Each cycle is flooded once and its disk classified from the flood's
+    faces, with no graph built: one inner face of the cycle's length is the
+    bare cycle; any other disk passes an Euler count on its faces, and only
+    one with the counts of C6c or C6v is read as neighbour sets and tested
+    with ``hexagon_exception``.  ``DangerousCycle.disk`` is built on first read.
     """
     k = _outer_cycle(g)
     k_edges = k.edge_set
@@ -239,12 +249,8 @@ def dangerous_cycles(g: PlaneGraph) -> list:
         _, faces = g._disk_faces(cyc)
         if len(faces) == 1 and faces[0].length == len(cyc):
             continue  # the disk is the cycle itself
-        # by Euler, C6c has 2 inner faces and C6v 3; any other disk is
-        # dangerous, and disk_subgraph's validated build checks its faces
-        if len(faces) in (2, 3) and _excused(cyc, faces):
-            continue
-        out.append(DangerousCycle(cyc, g.disk_subgraph(cyc),
-                                  "interior differs from C, C6c and C6v"))
+        if not _excused(cyc, faces):
+            out.append(DangerousCycle(cyc, "interior differs from C, C6c and C6v", g))
     return out
 
 

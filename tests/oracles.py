@@ -291,13 +291,12 @@ def vf2_dangerous_cycles(g):
                           for i in range(len(cyc)))
         if edges == k.edge_set and len(cyc) == k.length:
             continue
-        disk = g.disk_subgraph(cyc)
-        sub = disk.subgraph
+        sub = g.disk_subgraph(cyc).subgraph
         if sub.n == len(cyc) and sub.m == len(cyc):
             continue
         if vf2_exception(sub) is not None:
             continue
-        out.append(discharging.DangerousCycle(cyc, disk, "interior differs from C, C6c and C6v"))
+        out.append(discharging.DangerousCycle(cyc, "interior differs from C, C6c and C6v", g))
     return out
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trifree import corpus, discharging as dc
-from trifree.plane_graph import GraphError, PlaneGraph, cycle_graph, path_graph, serialize
+from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, cycle_graph,
+                                 path_graph, serialize)
 
 import oracles
 
@@ -135,6 +136,21 @@ class TestApplyRules:
             assert ledger.total_final() == ledger.total_initial() == -8
 
 
+def _grid_with_square_outer():
+    g = oracles.grid(10, 10)
+    return g.re_embed(next(f for f in g.faces() if f.length == 4))
+
+
+def _enclosed_chord_graph():
+    """An outer hexagon with a hexagon-with-chord hanging off it."""
+    from trifree.plane_graph import embed_edges
+    edges = [(i, i % 6 + 1) for i in range(1, 7)]
+    edges += [(6 + i, 6 + (i % 6) + 1) for i in range(1, 7)]
+    edges += [(9, 12), (1, 7)]
+    g = embed_edges(range(1, 13), edges)
+    return g.re_embed(g.find_face((1, 2, 3, 4, 5, 6)) or g.find_face((6, 5, 4, 3, 2, 1)))
+
+
 class TestDangerousCycles:
     def test_c5_none(self):
         assert dc.dangerous_cycles(c5_with_outer()) == []
@@ -155,13 +171,8 @@ class TestDangerousCycles:
     def test_enclosed_exception_is_not_dangerous(self):
         # an inner hexagon-with-chord hangs off the outer hexagon: its disk
         # is exactly C6c, which the danger test must excuse
-        from trifree.plane_graph import embed_edges, isomorphic_small
-        edges = [(i, i % 6 + 1) for i in range(1, 7)]
-        edges += [(6 + i, 6 + (i % 6) + 1) for i in range(1, 7)]
-        edges += [(9, 12), (1, 7)]
-        g = embed_edges(range(1, 13), edges)
-        k = g.find_face((1, 2, 3, 4, 5, 6)) or g.find_face((6, 5, 4, 3, 2, 1))
-        h = g.re_embed(k)
+        from trifree.plane_graph import isomorphic_small
+        h = _enclosed_chord_graph()
         d = h.disk_subgraph((7, 8, 9, 10, 11, 12))
         assert isomorphic_small(d.subgraph, dc.c6_chord())
         assert dc.dangerous_cycles(h) == []
@@ -171,8 +182,11 @@ class TestDangerousCyclesCost:
     def test_no_whole_graph_work_per_cycle(self, monkeypatch):
         import networkx as nx
         dc.c6_chord(), dc.c6_hub()
-        g = oracles.grid(10, 10)
-        g = g.re_embed(next(f for f in g.faces() if f.length == 4))
+        g = _grid_with_square_outer()
+        k_edges = g.outer_face.edge_set
+        inner_cycles = sum(
+            frozenset(frozenset((c[i - 1], c[i])) for i in range(len(c))) != k_edges
+            for c in g.cycles_up_to(6))
         calls = Counter()
         planarity, iso, components, flood, build = (
             nx.check_planarity, nx.is_isomorphic, PlaneGraph.components,
@@ -187,8 +201,6 @@ class TestDangerousCyclesCost:
             return iso(*args, **kwargs)
 
         def counted_components(self):
-            # the validated build of each disk checks Euler per component of
-            # that small disk; only the host graph's components are whole-graph work
             calls["host components" if self is g else "disk components"] += 1
             return components(self)
 
@@ -206,13 +218,46 @@ class TestDangerousCyclesCost:
         monkeypatch.setattr(PlaneGraph, "_disk_faces", counted_flood)
         monkeypatch.setattr(PlaneGraph, "__init__", counted_build)
         found = dc.dangerous_cycles(g)
-        assert calls["floods"] > 200
-        assert found and calls["validated builds"] == len(found)
+        assert found
+        assert calls["floods"] == inner_cycles
+        assert calls["validated builds"] == calls["disk components"] == 0
         assert calls["iso"] == 0
         assert calls["planarity"] == 0
         assert calls["host components"] <= 1
         assert dc.c6_chord() is dc.c6_chord()
         assert dc.c6_hub() is dc.c6_hub()
+        disks = [d.disk for d in found]
+        assert calls["validated builds"] == len(found)
+        # a second read is cached
+        assert all(d.disk is disk for d, disk in zip(found, disks))
+        assert calls["validated builds"] == len(found)
+
+    @pytest.mark.parametrize("make, min_faces", [(_grid_with_square_outer, 4),
+                                                 (_enclosed_chord_graph, 2)])
+    def test_flood_losing_a_face_breaks_euler(self, monkeypatch, make, min_faces):
+        # the grid drops a face only from dangerous disks (C6c and C6v have
+        # 2 and 3 faces), the enclosed-chord graph from its one C6c disk
+        g = make()
+        flood = PlaneGraph._disk_faces
+
+        def lossy_flood(self, cycle):
+            boundary, faces = flood(self, cycle)
+            return boundary, faces[1:] if len(faces) >= min_faces else faces
+
+        monkeypatch.setattr(PlaneGraph, "_disk_faces", lossy_flood)
+        with pytest.raises(InternalInvariantError, match="breaks Euler"):
+            dc.dangerous_cycles(g)
+
+
+class TestDangerousCycleValue:
+    def test_equality_ignores_the_host(self, golden):
+        g = golden["dangerous_witness"]
+        (a,) = dc.dangerous_cycles(g)
+        b = dc.DangerousCycle(a.cycle, a.verdict_reason, c5_with_outer())
+        assert a == b and hash(a) == hash(b)
+        assert a != dc.DangerousCycle(a.cycle, "other", g)
+        assert "host" not in repr(a) and "PlaneGraph" not in repr(a)
+        assert repr(a) == repr(b)
 
 
 def _short_faces(g):

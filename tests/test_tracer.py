@@ -31,6 +31,8 @@ solver.solve(g)
 solver.solve(oracles.cylinder(6, 30))
 extremal.member_max_independent_set(g, extremal.is_member(g))
 discharging.audit(corpus.golden_graphs()["dangerous_witness"])
+# audit builds no disk; the dangerous CLI reads it from the found cycle
+discharging.dangerous_cycles(corpus.golden_graphs()["dangerous_witness"])[0].disk
 grid = oracles.grid(4, 5)
 discharging.audit(grid.re_embed(next(f for f in grid.faces() if f.length == 4)))
 print(json.dumps([t.calls, t.ancestor_counts]))
