@@ -5,8 +5,8 @@ diamond replacements, five reducible configurations with verified lifting,
 a lower-bound solver with an exact oracle, and an instance-level
 discharging engine.
 """
-from .plane_graph import (DiskSubgraph, Face, GraphError, InternalInvariantError,
-                          PlaneGraph, Rotation, embed_edges, isomorphic_small, parse, serialize)
+from .plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph, Rotation,
+                          embed_edges, isomorphic_small, parse, serialize)
 from .configurations import Configuration, NoConfigurationError, find_any, interferes
 from .extremal import (Diamond, DiamondStep, MembershipTrace, avoiding_independent_set,
                        diamond_lift, diamond_project, diamond_reduce, find_diamonds,

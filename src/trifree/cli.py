@@ -120,8 +120,7 @@ def cmd_dangerous(args) -> int:
     g = _read_graph(args.file)
     found = discharging.dangerous_cycles(g)
     for dc in found:
-        print("dangerous %s interior_n=%d" % ("-".join(str(v) for v in dc.cycle),
-                                              dc.disk.subgraph.n))
+        print("dangerous %s interior_n=%d" % ("-".join(str(v) for v in dc.cycle), dc.interior_n))
     print("count %d" % len(found))
     return EXIT_OK
 

@@ -47,35 +47,36 @@ def _iso_dedup_add(buckets, g: nx.Graph) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _enumerate_abstract(n_max: int):
-    """Connected triangle-free planar graphs up to isomorphism, as nx graphs.
+@functools.cache
+def _abstract_level(n: int) -> tuple:
+    """Connected triangle-free planar graphs on n >= 1 vertices up to
+    isomorphism, as nx graphs.
 
-    Grown one vertex at a time: every connected graph arises by attaching a
-    new vertex (nonempty neighborhood) to a connected graph one size down.
+    Every connected graph arises by attaching a new vertex (nonempty
+    neighborhood) to a connected graph one size down, so each level is grown
+    from the cached level below and every ``n_max`` shares them.
     """
-    g1 = nx.Graph()
-    g1.add_node(0)
-    levels = [[g1]]
-    for n in range(2, n_max + 1):
-        buckets = {}
-        grown = []
-        for g in levels[-1]:
-            nodes = list(g.nodes)
-            for r in range(1, n):
-                for subset in itertools.combinations(nodes, r):
-                    # triangle-freeness: the new closed neighborhood must be independent
-                    if any(g.has_edge(a, b) for a, b in itertools.combinations(subset, 2)):
-                        continue
-                    h = g.copy()
-                    h.add_node(n - 1)
-                    h.add_edges_from((n - 1, v) for v in subset)
-                    if not nx.check_planarity(h, counterexample=False)[0]:
-                        continue
-                    if _iso_dedup_add(buckets, h):
-                        grown.append(h)
-        levels.append(grown)
-    return levels
+    if n == 1:
+        g1 = nx.Graph()
+        g1.add_node(0)
+        return (g1,)
+    buckets = {}
+    grown = []
+    for g in _abstract_level(n - 1):
+        nodes = list(g.nodes)
+        for r in range(1, n):
+            for subset in itertools.combinations(nodes, r):
+                # triangle-freeness: the new closed neighborhood must be independent
+                if any(g.has_edge(a, b) for a, b in itertools.combinations(subset, 2)):
+                    continue
+                h = g.copy()
+                h.add_node(n - 1)
+                h.add_edges_from((n - 1, v) for v in subset)
+                if not nx.check_planarity(h, counterexample=False)[0]:
+                    continue
+                if _iso_dedup_add(buckets, h):
+                    grown.append(h)
+    return tuple(grown)
 
 
 def enumerate_small(n_max: int):
@@ -83,8 +84,8 @@ def enumerate_small(n_max: int):
     if not 0 <= n_max <= ENUM_LIMIT:
         raise GraphError("exhaustive enumeration takes 0 to %d vertices" % ENUM_LIMIT)
     out = []
-    for level in _enumerate_abstract(n_max)[:n_max]:   # the levels start at n = 1
-        for g in level:
+    for n in range(1, n_max + 1):
+        for g in _abstract_level(n):
             relabeled = {v: i + 1 for i, v in enumerate(sorted(g.nodes))}
             out.append(embed_edges(sorted(relabeled.values()),
                                    [(relabeled[a], relabeled[b]) for a, b in g.edges]))

@@ -7,12 +7,11 @@ total of -8 on every connected input.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import configurations
-from .plane_graph import (DiskSubgraph, Face, GraphError, InternalInvariantError,
-                          PlaneGraph, embed_edges)
+from .plane_graph import Face, GraphError, InternalInvariantError, PlaneGraph, embed_edges
 
 THIRD = Fraction(1, 3)
 
@@ -176,15 +175,10 @@ def apply_rules(g: PlaneGraph) -> ChargeLedger:
 
 @dataclass(frozen=True)
 class DangerousCycle:
-    """A dangerous cycle of ``host``; its disk is built on first read."""
+    """A dangerous cycle and the number of vertices in its closed disk."""
 
     cycle: tuple
-    verdict_reason: str
-    host: PlaneGraph = field(compare=False, repr=False)
-
-    @functools.cached_property
-    def disk(self) -> DiskSubgraph:
-        return self.host.disk_subgraph(self.cycle)
+    interior_n: int
 
 
 def hexagon_exception(nbrs):
@@ -210,24 +204,25 @@ def hexagon_exception(nbrs):
     return shape
 
 
-def _excused(cyc, faces) -> bool:
-    """True iff the disk made of ``faces`` is C6c or C6v, read from the
-    faces' darts with no graph built.  Every disk is first checked against
-    Euler's formula on the faces' counts, which is what a validated build of
-    it would check for a sub-rotation of a valid host; a failure is a bug."""
+def _interior(cyc, faces):
+    """``(V, excused)`` for the disk made of ``faces``, read from the faces'
+    darts with no graph built: V is the distinct dart tails, and ``excused``
+    says the disk is C6c or C6v.  Every disk is first checked against Euler's
+    formula on the faces' counts, which is what a validated build of it would
+    check for a sub-rotation of a valid host; a failure is a bug."""
     n = len({u for f in faces for u, _ in f.darts})
     m2 = sum(f.length for f in faces) + len(cyc)  # twice the edge count
     if 2 * (n + len(faces) + 1) - m2 != 4:
         raise InternalInvariantError("disk of %r breaks Euler (V-E+F = %d-%d/2+%d)"
                                      % (cyc, n, m2, len(faces) + 1))
     if (n, m2) not in ((6, 14), (7, 18)):  # (V, 2E) of C6c and of C6v
-        return False
+        return n, False
     nbrs = {}
     for f in faces:
         for u, v in f.darts:
             nbrs.setdefault(u, set()).add(v)
             nbrs.setdefault(v, set()).add(u)
-    return hexagon_exception(nbrs) is not None
+    return n, hexagon_exception(nbrs) is not None
 
 
 def dangerous_cycles(g: PlaneGraph) -> list:
@@ -237,7 +232,7 @@ def dangerous_cycles(g: PlaneGraph) -> list:
     faces, with no graph built: one inner face of the cycle's length is the
     bare cycle; any other disk passes an Euler count on its faces, and only
     one with the counts of C6c or C6v is read as neighbour sets and tested
-    with ``hexagon_exception``.  ``DangerousCycle.disk`` is built on first read.
+    with ``hexagon_exception``.  A found cycle carries its disk's vertex count.
     """
     k = _outer_cycle(g)
     k_edges = k.edge_set
@@ -249,8 +244,9 @@ def dangerous_cycles(g: PlaneGraph) -> list:
         _, faces = g._disk_faces(cyc)
         if len(faces) == 1 and faces[0].length == len(cyc):
             continue  # the disk is the cycle itself
-        if not _excused(cyc, faces):
-            out.append(DangerousCycle(cyc, "interior differs from C, C6c and C6v", g))
+        n, excused = _interior(cyc, faces)
+        if not excused:
+            out.append(DangerousCycle(cyc, n))
     return out
 
 

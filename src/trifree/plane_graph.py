@@ -7,9 +7,10 @@ from u leaves v toward the neighbor that follows u in v's rotation.  Each
 face walk therefore keeps its face on the left, and the ``outer:`` line of
 the file format lists one such walk.  Validity (genus zero) is checked per
 connected component via Euler's formula.  A ``PlaneGraph`` is immutable and
-every operation on it returns a new value.  ``Rotation`` is the one mutable
-form: the diamond chains, the reductions, the solver's pieces and the random
-generator edit it in place and end with one validated ``build``.
+every operation on it returns a new value; its faces are traced once, and a
+``re_embed`` shares them.  ``Rotation`` is the one mutable form: the diamond
+chains, the reductions, the solver's pieces and the random generator edit it
+in place and end with one validated ``build``.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ class InternalInvariantError(RuntimeError):
 
 def _canonical_walk(darts):
     """Rotate a cyclic dart sequence so it starts at the smallest dart."""
-    i = min(range(len(darts)), key=lambda k: darts[k])
+    i = min(range(len(darts)), key=lambda k: darts[k], default=0)
     return tuple(darts[i:]) + tuple(darts[:i])
 
 
@@ -75,8 +76,7 @@ class Face:
 class PlaneGraph:
     """Immutable combinatorial plane embedding."""
 
-    __slots__ = ("_rot", "_nbr", "_faces", "_face_keys", "_outer", "_dart_face_index",
-                 "_outer_comp")
+    __slots__ = ("_rot", "_nbr", "_faces", "_outer", "_dart_face_index", "_outer_comp")
 
     def __init__(self, rotation, outer_face=None, check=True):
         self._rot = {int(v): tuple(int(u) for u in ns) for v, ns in rotation.items()}
@@ -90,9 +90,9 @@ class PlaneGraph:
         self._outer_comp = None
         if outer_face is not None:
             key = outer_face.darts if isinstance(outer_face, Face) else _canonical_walk(tuple(outer_face))
-            if key not in self._face_keys:
+            self._outer = self._face_with(key)
+            if self._outer is None:
                 raise GraphError("designated outer face is not a face of this graph")
-            self._outer = Face(key)
 
     # -- construction helpers -------------------------------------------------
 
@@ -109,41 +109,44 @@ class PlaneGraph:
                     raise GraphError("asymmetric rotation: edge %d-%d missing reverse entry" % (v, u))
 
     def _trace_faces(self):
+        # a walk from the smallest untraced dart is canonical and the walks come
+        # out in face order; the dart index is the record of what is traced
         succ = {}
         for v, ns in self._rot.items():
             deg = len(ns)
             for i, u in enumerate(ns):
                 # the next-edge rule of the module docstring
                 succ[(u, v)] = (v, ns[(i + 1) % deg])
-        faces = []
-        seen = set()
+        faces, index = [], {}
         for start in sorted(succ):
-            if start in seen:
+            if start in index:
                 continue
-            walk = [start]
-            seen.add(start)
-            cur = succ[start]
+            walk, cur = [start], succ[start]
             while cur != start:
                 walk.append(cur)
-                seen.add(cur)
                 cur = succ[cur]
-            faces.append(Face.from_walk(walk))
-        self._faces = sorted(faces, key=lambda f: f.darts)
-        self._face_keys = {f.darts for f in self._faces}
-        self._dart_face_index = {d: i for i, f in enumerate(self._faces) for d in f.darts}
+            index.update(dict.fromkeys(walk, len(faces)))
+            faces.append(Face(tuple(walk)))
+        self._faces, self._dart_face_index = faces, index
 
     def _check_euler(self):
-        for comp in self.components():
-            vc = len(comp)
-            ec = sum(len(self._rot[v]) for v in comp) // 2
-            if ec == 0:
-                fc = 1
-            else:
-                fc = sum(1 for f in self._faces if f.darts[0][0] in comp)
+        comps = self.components()
+        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        fcs = [0] * len(comps)
+        for f in self._faces:
+            fcs[comp_of[f.darts[0][0]]] += 1
+        for comp, fc in zip(comps, fcs):
+            # an isolated vertex has one face and no walk
+            vc, ec, fc = len(comp), sum(len(self._rot[v]) for v in comp) // 2, max(fc, 1)
             if vc - ec + fc != 2:
                 raise GraphError(
                     "Euler violation (V-E+F = %d-%d+%d != 2): rotation is not planar"
                     % (vc, ec, fc))
+
+    def _face_with(self, key):
+        """The face whose canonical walk is ``key``, or None."""
+        i = self._dart_face_index.get(key[0]) if key else None
+        return self._faces[i] if i is not None and self._faces[i].darts == key else None
 
     # -- basic queries ---------------------------------------------------------
 
@@ -216,16 +219,19 @@ class PlaneGraph:
 
     def find_face(self, walk):
         """Face matching a cyclic vertex walk, or None."""
-        if not walk:
-            return None
         darts = tuple((walk[i], walk[(i + 1) % len(walk)]) for i in range(len(walk)))
-        key = _canonical_walk(darts)
-        return Face(key) if key in self._face_keys else None
+        return self._face_with(_canonical_walk(darts))
 
     def re_embed(self, f: Face) -> "PlaneGraph":
-        if not isinstance(f, Face) or f.darts not in self._face_keys:
+        """The same embedding with outer face ``f``; it shares the face table."""
+        outer = self._face_with(f.darts) if isinstance(f, Face) else None
+        if outer is None:
             raise GraphError("not a face of this graph: %r" % (f,))
-        return PlaneGraph(self._rot, outer_face=f, check=False)
+        h = object.__new__(PlaneGraph)
+        h._rot, h._nbr, h._faces, h._dart_face_index = (
+            self._rot, self._nbr, self._faces, self._dart_face_index)
+        h._outer, h._outer_comp = outer, None
+        return h
 
     # -- structure queries -----------------------------------------------------
 
@@ -307,8 +313,9 @@ class PlaneGraph:
 
     # -- disk extraction ---------------------------------------------------------
 
-    def disk_subgraph(self, cycle) -> "DiskSubgraph":
-        """Subgraph drawn in the closed disk bounded by ``cycle``.
+    def disk_subgraph(self, cycle) -> "PlaneGraph":
+        """Subgraph drawn in the closed disk bounded by ``cycle``, with the
+        cycle as its outer face.
 
         The disk's faces come from the dual flood of ``_disk_faces``; the
         subgraph keeps the darts of those faces and of the cycle, and is one
@@ -326,7 +333,7 @@ class PlaneGraph:
         if len(sub._faces) != len(disk_faces) + 1:
             raise InternalInvariantError("disk extraction produced %d boundary faces"
                                          % (len(sub._faces) - len(disk_faces)))
-        return DiskSubgraph(tuple(cycle), sub)
+        return sub
 
     def _disk_faces(self, cycle):
         """The faces inside the closed disk bounded by ``cycle``.
@@ -441,14 +448,6 @@ class Rotation(dict):
             return PlaneGraph(self)
         except GraphError as e:
             raise InternalInvariantError("rotation edit broke the embedding: %s" % e) from None
-
-
-@dataclass(frozen=True)
-class DiskSubgraph:
-    """A bounding cycle together with the subgraph inside its closed disk."""
-
-    cycle: tuple
-    subgraph: PlaneGraph
 
 
 # -- file format ---------------------------------------------------------------

@@ -30,8 +30,6 @@ class ReductionStep:
     identified: tuple | None     # (a, b, z): a and b merged into fresh z
     added_edges: frozenset
     gain_k: int
-    host_before: int
-    host_after: int
     roles: tuple
     # host neighbourhood of every vertex a lift candidate may add
     neighborhoods: dict = field(repr=False, compare=False)
@@ -115,8 +113,7 @@ def apply_reduction(rot, kind: str, roles):
             raise InternalInvariantError("reduction created a triangle (stale side-conditions?)")
     if len(rot) < host_before - 3 * k:
         raise InternalInvariantError("reduction deleted more than 3k vertices")
-    step = ReductionStep(kind, removed, identified, added, k, host_before, len(rot),
-                         roles, neighborhoods)
+    step = ReductionStep(kind, removed, identified, added, k, roles, neighborhoods)
     return step, touched
 
 

@@ -12,7 +12,7 @@ import itertools
 import networkx as nx
 
 from trifree import configurations, discharging, extremal, reductions, solver, verify
-from trifree.plane_graph import (DiskSubgraph, GraphError, InternalInvariantError, PlaneGraph,
+from trifree.plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph,
                                  isomorphic_small)
 
 
@@ -215,6 +215,26 @@ def quadratic_violating_edge(graph, vertices):
     return None
 
 
+def sorted_faces(g):
+    """Every face of ``g`` as its walk rotated to start at its smallest dart,
+    in sorted order.  A walk is traced from every dart with the next-edge
+    rule, so each face is traced once per dart and the copies are dropped."""
+    succ = {}
+    for v in g.vertices:
+        ns = g.rotation(v)
+        for i, u in enumerate(ns):
+            succ[(u, v)] = (v, ns[(i + 1) % len(ns)])
+    walks = set()
+    for start in succ:
+        walk, cur = [start], succ[start]
+        while cur != start:
+            walk.append(cur)
+            cur = succ[cur]
+        i = walk.index(min(walk))
+        walks.add(tuple(walk[i:] + walk[:i]))
+    return [Face(w) for w in sorted(walks)]
+
+
 def naive_disk(g, cycle):
     """Whole-graph disk extraction: union-find over every face of the cycle's
     component, joining the two faces of each edge that is not on the cycle;
@@ -266,7 +286,7 @@ def naive_disk(g, cycle):
     boundary = [f for f in sub.faces() if f not in disk_faces]
     if len(boundary) != 1:
         raise InternalInvariantError("disk extraction produced %d boundary faces" % len(boundary))
-    return DiskSubgraph(cycle, sub.re_embed(boundary[0]))
+    return sub.re_embed(boundary[0])
 
 
 def vf2_exception(g):
@@ -291,12 +311,12 @@ def vf2_dangerous_cycles(g):
                           for i in range(len(cyc)))
         if edges == k.edge_set and len(cyc) == k.length:
             continue
-        sub = g.disk_subgraph(cyc).subgraph
+        sub = g.disk_subgraph(cyc)
         if sub.n == len(cyc) and sub.m == len(cyc):
             continue
         if vf2_exception(sub) is not None:
             continue
-        out.append(discharging.DangerousCycle(cyc, "interior differs from C, C6c and C6v", g))
+        out.append(discharging.DangerousCycle(cyc, sub.n))
     return out
 
 

@@ -202,6 +202,42 @@ class TestDangerous:
         code, out, _ = run(capsys, "dangerous", golden_path("c5"))
         assert code == 0 and "count 0" in out
 
+    def _one_build(self, capsys, monkeypatch, path):
+        from trifree.plane_graph import PlaneGraph
+        builds = []
+        build = PlaneGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlaneGraph, "__init__", counted)
+        code, out, err = run(capsys, "dangerous", path)
+        assert code == 0 and err == ""
+        assert len(builds) == 1  # the parse; no disk is built
+        return out
+
+    def test_witness_lines_with_one_build(self, capsys, monkeypatch):
+        out = self._one_build(capsys, monkeypatch, golden_path("dangerous_witness"))
+        assert out == "dangerous 7-8-9-10 interior_n=5\ncount 1\n"
+
+    def test_random_600_lines_with_one_build(self, capsys, monkeypatch, tmp_path):
+        import hashlib
+        from trifree import corpus
+        from trifree.plane_graph import serialize
+        (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=600, seed=1, count=1))
+        g = g.re_embed(max((f for f in g.faces() if f.is_cycle() and f.length <= 6),
+                           key=lambda f: f.length))
+        p = tmp_path / "random600.graph"
+        p.write_text(serialize(g))
+        out = self._one_build(capsys, monkeypatch, str(p))
+        lines = out.splitlines()
+        assert lines[:2] == ["dangerous 1-5-158-111-282 interior_n=598",
+                             "dangerous 2-3-102-41-100-167 interior_n=12"]
+        assert lines[-1] == "count 1016" and len(lines) == 1017
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "eca8c2ce516475b5c121562a2fa968796c6360097f90d665e54d9b0a7f7a0221")
+
     def test_disconnected_input_is_one_error(self, capsys, tmp_path, two_cycles_text):
         p = tmp_path / "two_cycles.graph"
         p.write_text(two_cycles_text)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from trifree import corpus, discharging as dc
 from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, cycle_graph,
-                                 path_graph, serialize)
+                                 path_graph)
 
 import oracles
 
@@ -166,7 +166,7 @@ class TestDangerousCycles:
         found = dc.dangerous_cycles(g)
         assert len(found) == expectations["dangerous_witness"]["dangerous_count"]
         assert found[0].cycle == (7, 8, 9, 10)
-        assert found[0].disk.subgraph.n == 5
+        assert found[0].interior_n == 5
 
     def test_enclosed_exception_is_not_dangerous(self):
         # an inner hexagon-with-chord hangs off the outer hexagon: its disk
@@ -174,7 +174,7 @@ class TestDangerousCycles:
         from trifree.plane_graph import isomorphic_small
         h = _enclosed_chord_graph()
         d = h.disk_subgraph((7, 8, 9, 10, 11, 12))
-        assert isomorphic_small(d.subgraph, dc.c6_chord())
+        assert isomorphic_small(d, dc.c6_chord())
         assert dc.dangerous_cycles(h) == []
 
 
@@ -226,10 +226,8 @@ class TestDangerousCyclesCost:
         assert calls["host components"] <= 1
         assert dc.c6_chord() is dc.c6_chord()
         assert dc.c6_hub() is dc.c6_hub()
-        disks = [d.disk for d in found]
-        assert calls["validated builds"] == len(found)
-        # a second read is cached
-        assert all(d.disk is disk for d, disk in zip(found, disks))
+        # each found cycle carries the vertex count of its built disk
+        assert [d.interior_n for d in found] == [g.disk_subgraph(d.cycle).n for d in found]
         assert calls["validated builds"] == len(found)
 
     @pytest.mark.parametrize("make, min_faces", [(_grid_with_square_outer, 4),
@@ -250,14 +248,13 @@ class TestDangerousCyclesCost:
 
 
 class TestDangerousCycleValue:
-    def test_equality_ignores_the_host(self, golden):
-        g = golden["dangerous_witness"]
-        (a,) = dc.dangerous_cycles(g)
-        b = dc.DangerousCycle(a.cycle, a.verdict_reason, c5_with_outer())
+    def test_value_is_cycle_and_interior_n(self, golden):
+        (a,) = dc.dangerous_cycles(golden["dangerous_witness"])
+        b = dc.DangerousCycle((7, 8, 9, 10), 5)
         assert a == b and hash(a) == hash(b)
-        assert a != dc.DangerousCycle(a.cycle, "other", g)
-        assert "host" not in repr(a) and "PlaneGraph" not in repr(a)
-        assert repr(a) == repr(b)
+        assert a != dc.DangerousCycle(a.cycle, 6)
+        assert a != dc.DangerousCycle((7, 10, 9, 8), 5)
+        assert repr(a) == "DangerousCycle(cycle=(7, 8, 9, 10), interior_n=5)"
 
 
 def _short_faces(g):
@@ -286,7 +283,7 @@ class TestAgainstVF2:
 
     def _same(self, g):
         def key(found):
-            return [(d.cycle, serialize(d.disk.subgraph), d.verdict_reason) for d in found]
+            return [(d.cycle, d.interior_n) for d in found]
         got = key(dc.dangerous_cycles(g))
         assert got == key(oracles.vf2_dangerous_cycles(g))
         return len(got)

@@ -1,9 +1,11 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trifree import corpus
 from trifree.discharging import c6_chord, c6_hub
 from trifree.plane_graph import (Face, GraphError, InternalInvariantError,
                                  PlaneGraph, Rotation, cycle_graph, embed_edges,
@@ -171,6 +173,79 @@ class TestFaces:
         assert g.find_face((1, 3, 5, 2, 4)) is None
 
 
+def _face_table_graphs(corpus8, golden):
+    yield from corpus8
+    yield from golden.values()
+    yield from (oracles.grid(5, 7), oracles.grid(1, 6), oracles.cylinder(4, 3),
+                oracles.cylinder(6, 5))
+    yield from corpus.gen_random(corpus.CorpusSpec("random", n_max=60, seed=4, count=3))
+
+
+def _count_traces(monkeypatch):
+    calls = []
+    trace = PlaneGraph._trace_faces
+
+    def counted(self):
+        calls.append(self)
+        trace(self)
+
+    monkeypatch.setattr(PlaneGraph, "_trace_faces", counted)
+    return calls
+
+
+class TestFaceTable:
+    def test_faces_match_the_sorting_oracle(self, corpus8, golden):
+        for g in _face_table_graphs(corpus8, golden):
+            assert g.faces() == oracles.sorted_faces(g)
+            for f in g.faces():
+                assert all(g.face_of_dart(d) is f for d in f.darts)
+
+    def test_re_embed_equals_a_fresh_build_and_traces_nothing(self, corpus8, golden,
+                                                              monkeypatch):
+        traces = _count_traces(monkeypatch)
+        for g in _face_table_graphs(corpus8, golden):
+            rot = {v: g.rotation(v) for v in g.vertices}
+            for f in g.faces():
+                want = PlaneGraph(rot, outer_face=f)
+                del traces[:]
+                h = g.re_embed(f)
+                assert not traces
+                assert h.faces() == want.faces() and h.outer_face == want.outer_face == f
+                assert all(h.face_of_dart(d) == want.face_of_dart(d)
+                           for e in want.faces() for d in e.darts)
+                assert serialize(h) == serialize(want)
+
+    def test_parse_with_outer_line_traces_once(self, golden, monkeypatch):
+        texts = [serialize(g) for g in golden.values() if g.outer_face is not None]
+        assert texts
+        traces = _count_traces(monkeypatch)
+        for text in texts:
+            del traces[:]
+            assert serialize(parse(text)) == text
+            assert len(traces) == 1
+
+    def test_empty_outer_walk_is_no_face(self):
+        g = c5()
+        assert g.find_face(()) is None
+        with pytest.raises(GraphError, match="not a face"):
+            PlaneGraph({v: g.rotation(v) for v in g.vertices}, outer_face=())
+
+    def test_euler_check_is_linear_in_components(self):
+        # 10000 disjoint edges: a per-component scan of every face is quadratic
+        rot = {v: (v + 1 if v % 2 else v - 1,) for v in range(1, 20001)}
+
+        def best(check):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                PlaneGraph(rot, check=check)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        unchecked = best(False)
+        assert best(True) <= 5 * unchecked
+
+
 class TestTriangleFree:
     def test_c5(self):
         assert c5().is_triangle_free()
@@ -240,7 +315,7 @@ class TestDiskSubgraph:
     def test_inner_face_gives_cycle_itself(self):
         g = c6_chord()
         d = g.disk_subgraph((1, 2, 3, 6))
-        assert d.subgraph.n == 4 and d.subgraph.m == 4
+        assert d.n == 4 and d.m == 4
 
     def test_c6v_relocated_outer_leaves_empty_hexagon(self):
         # with a 4-face outside, the hub sits on the outer side of the
@@ -249,7 +324,7 @@ class TestDiskSubgraph:
         four_face = next(f for f in g.faces() if f.length == 4)
         h = g.re_embed(four_face)
         d = h.disk_subgraph((1, 2, 3, 4, 5, 6))
-        assert isomorphic_small(d.subgraph, cycle_graph(6))
+        assert isomorphic_small(d, cycle_graph(6))
 
     def test_enclosed_chord_is_c6c(self):
         # hexagon with the chord drawn inside and a pendant vertex outside
@@ -258,7 +333,7 @@ class TestDiskSubgraph:
         g = PlaneGraph(rot)
         outer = next(f for f in g.faces() if 7 in f.vertex_set)
         d = g.re_embed(outer).disk_subgraph((1, 2, 3, 4, 5, 6))
-        assert isomorphic_small(d.subgraph, c6_chord())
+        assert isomorphic_small(d, c6_chord())
 
     def test_outer_cycle_rejected(self):
         g = c6_chord()
@@ -272,19 +347,19 @@ class TestDiskSubgraph:
     def test_two_sides_partition_vertices(self, golden):
         g = golden["dangerous_witness"]
         cyc = (7, 8, 9, 10)
-        inside = g.disk_subgraph(cyc).subgraph
+        inside = g.disk_subgraph(cyc)
         # flip the outer face to a face inside the 4-cycle and look again
         other = g.re_embed(next(
             f for f in g.faces()
             if f.vertex_set <= inside.outer_face.vertex_set | {11}
-            and f.length == 4 and 11 in f.vertex_set)).disk_subgraph(cyc).subgraph
+            and f.length == 4 and 11 in f.vertex_set)).disk_subgraph(cyc)
         assert frozenset(inside.vertices) | frozenset(other.vertices) == frozenset(g.vertices)
         assert frozenset(inside.vertices) & frozenset(other.vertices) == frozenset(cyc)
 
 
 def _disk_outcome(extract, g, cyc):
     try:
-        return serialize(extract(g, cyc).subgraph)
+        return serialize(extract(g, cyc))
     except (GraphError, InternalInvariantError) as e:
         return type(e)
 
@@ -296,7 +371,7 @@ def _assert_disks_match_naive(g):
         got = _disk_outcome(PlaneGraph.disk_subgraph, g, cyc)
         assert got == _disk_outcome(oracles.naive_disk, g, cyc), (g.outer_face, cyc)
         if isinstance(got, str):
-            sizes.append(g.disk_subgraph(cyc).subgraph.n)
+            sizes.append(g.disk_subgraph(cyc).n)
     return sizes
 
 

@@ -30,9 +30,10 @@ g = corpus.golden_graphs()["member20"]
 solver.solve(g)
 solver.solve(oracles.cylinder(6, 30))
 extremal.member_max_independent_set(g, extremal.is_member(g))
-discharging.audit(corpus.golden_graphs()["dangerous_witness"])
-# audit builds no disk; the dangerous CLI reads it from the found cycle
-discharging.dangerous_cycles(corpus.golden_graphs()["dangerous_witness"])[0].disk
+w = corpus.golden_graphs()["dangerous_witness"]
+discharging.audit(w)
+# neither audit nor dangerous_cycles builds a disk; this builds one
+w.disk_subgraph(discharging.dangerous_cycles(w)[0].cycle)
 grid = oracles.grid(4, 5)
 discharging.audit(grid.re_embed(next(f for f in grid.faces() if f.length == 4)))
 print(json.dumps([t.calls, t.ancestor_counts]))
