@@ -1,6 +1,7 @@
 """Corpus generation: exhaustive small graphs, random instances, golden files."""
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -9,10 +10,9 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import networkx as nx
-
 from . import extremal, solver
-from .plane_graph import GraphError, PlaneGraph, Rotation, cycle_graph, embed_edges, parse
+from .plane_graph import (GraphError, InternalInvariantError, PlaneGraph, Rotation,
+                          cycle_graph, embed_edges, parse)
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent.parent / "corpus" / "golden"
 
@@ -28,8 +28,9 @@ class CorpusSpec:
     steps: int = 3
 
 
-def wl_hash(h: nx.Graph) -> str:
+def wl_hash(h) -> str:
     """Weisfeiler-Lehman hash of an unlabelled networkx graph."""
+    import networkx as nx
     with warnings.catch_warnings():
         # networkx >= 3.5 warns here that its hash values changed; they are only
         # ever compared within one process, so the change cannot affect any result
@@ -37,8 +38,9 @@ def wl_hash(h: nx.Graph) -> str:
         return nx.weisfeiler_lehman_graph_hash(h)
 
 
-def _iso_dedup_add(buckets, g: nx.Graph) -> bool:
+def _iso_dedup_add(buckets, g) -> bool:
     """Add to hash-bucketed store unless an isomorphic copy is present."""
+    import networkx as nx
     key = (g.number_of_nodes(), g.number_of_edges(), wl_hash(g))
     for h in buckets.setdefault(key, []):
         if nx.is_isomorphic(g, h):
@@ -56,6 +58,7 @@ def _abstract_level(n: int) -> tuple:
     neighborhood) to a connected graph one size down, so each level is grown
     from the cached level below and every ``n_max`` shares them.
     """
+    import networkx as nx
     if n == 1:
         g1 = nx.Graph()
         g1.add_node(0)
@@ -92,6 +95,14 @@ def enumerate_small(n_max: int):
     return out
 
 
+def _move_keys(keys, old, new):
+    """Swap face keys ``old`` for ``new`` in the sorted list ``keys``."""
+    for k in old:
+        del keys[bisect.bisect_left(keys, k)]
+    for k in new:
+        bisect.insort(keys, k)
+
+
 def gen_random(spec: CorpusSpec):
     """Seeded girth-preserving growth from C4; deterministic per seed.
 
@@ -100,7 +111,9 @@ def gen_random(spec: CorpusSpec):
     that are distinct and pairwise non-adjacent, so no triangle can appear.
     Both edits keep the rotation symmetric, and an insertion inside a face
     cannot raise the genus, so the one validated build at the end rejects
-    any bad step.
+    any bad step.  Between steps the sorted edge list and the sorted face
+    keys (each face's smallest dart, so ``faces()`` order) are kept, and a
+    step retraces only the faces it edits.
     """
     if spec.n_max < 4:
         raise GraphError("random graphs grow from C4: n must be at least 4")
@@ -109,19 +122,24 @@ def gen_random(spec: CorpusSpec):
     out = []
     for _ in range(spec.count):
         rot = Rotation.of(c4)
+        edges = sorted(tuple(sorted(e)) for e in c4.edges)
+        keys = [f.darts[0] for f in c4.faces()]
         while len(rot) < spec.n_max:
-            fresh = max(rot) + 1
+            fresh = len(rot) + 1
             if rng.random() < 0.45:
-                edges = sorted((v, u) for v, ns in rot.items() for u in ns if v < u)
-                u, v = edges[rng.randrange(len(edges))]
+                u, v = edges.pop(rng.randrange(len(edges)))
+                old = {min(rot.face_darts((u, v))), min(rot.face_darts((v, u)))}
                 rot[u][rot[u].index(v)] = fresh
                 rot[v][rot[v].index(u)] = fresh
                 rot[fresh] = [u, v]
+                bisect.insort(edges, (u, fresh))
+                bisect.insort(edges, (v, fresh))
+                _move_keys(keys, old, {min(rot.face_darts((u, fresh))),
+                                       min(rot.face_darts((v, fresh)))})
                 continue
-            faces = PlaneGraph(rot, check=False).faces()
-            face = faces[rng.randrange(len(faces))]
-            walk = face.vertex_walk()
-            idxs = list(range(face.length))
+            key = keys[rng.randrange(len(keys))]
+            walk = [d[0] for d in rot.face_darts(key)]
+            idxs = list(range(len(walk)))
             rng.shuffle(idxs)
             picks = []
             for i in idxs:
@@ -137,8 +155,13 @@ def gen_random(spec: CorpusSpec):
             for i in picks:
                 ns = rot[walk[i]]
                 ns.insert(ns.index(walk[i - 1]) + 1, fresh)
+                bisect.insort(edges, (walk[i], fresh))
             rot[fresh] = [walk[i] for i in reversed(picks)]
+            # each piece of the split face leaves the fresh vertex once
+            _move_keys(keys, (key,), [min(rot.face_darts((fresh, u))) for u in rot[fresh]])
         g = rot.build()
+        if [f.darts[0] for f in g.faces()] != keys:
+            raise InternalInvariantError("random generator lost track of its faces")
         if not g.is_triangle_free():
             raise GraphError("random generator produced a triangle")
         out.append(g)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 
 class GraphError(ValueError):
     """Malformed input or violated operation precondition."""
@@ -410,7 +408,9 @@ class PlaneGraph:
         rot = {mapping[v]: tuple(mapping[u] for u in ns) for v, ns in self._rot.items()}
         return PlaneGraph(rot, check=False)
 
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self):
+        """The abstract graph as a ``networkx.Graph``."""
+        import networkx as nx
         g = nx.Graph()
         g.add_nodes_from(self._rot)
         g.add_edges_from((v, u) for v, ns in self._rot.items() for u in ns if u > v)
@@ -441,6 +441,17 @@ class Rotation(dict):
 
     def has_edge(self, u, v) -> bool:
         return v in self.get(u, ())
+
+    def face_darts(self, dart) -> list:
+        """The darts of the face through ``dart``, in walk order from it."""
+        walk, (u, v) = [dart], dart
+        while True:
+            ns = self[v]
+            # the next-edge rule of the module docstring
+            u, v = v, ns[(ns.index(u) + 1) % len(ns)]
+            if (u, v) == dart:
+                return walk
+            walk.append((u, v))
 
     def build(self) -> PlaneGraph:
         """The validated plane graph; an edit that breaks it is a bug."""
@@ -536,11 +547,13 @@ def isomorphic_small(g: PlaneGraph, h: PlaneGraph) -> bool:
         return False
     if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
         return False
+    import networkx as nx
     return nx.is_isomorphic(g.to_networkx(), h.to_networkx())
 
 
 def embed_edges(vertices, edges) -> PlaneGraph:
     """Find some plane embedding of an abstract graph (convenience only)."""
+    import networkx as nx
     g = nx.Graph()
     g.add_nodes_from(vertices)
     g.add_edges_from(edges)

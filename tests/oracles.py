@@ -8,12 +8,13 @@ functions, the ``rebuild_*`` membership references only the public
 those two, ``diamond_lift`` and ``exact_alpha``.
 """
 import itertools
+import random
 
 import networkx as nx
 
 from trifree import configurations, discharging, extremal, reductions, solver, verify
 from trifree.plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph,
-                                 isomorphic_small)
+                                 Rotation, cycle_graph, isomorphic_small)
 
 
 def naive_alpha(g):
@@ -344,16 +345,23 @@ def cylinder(k, m):
 
 
 def enumerate6_by_matrix():
-    """Connected triangle-free planar graphs on <= 6 labeled vertices,
-    deduplicated by minimum adjacency matrix over all vertex permutations.
+    """Connected triangle-free planar graphs on <= 6 labeled vertices, counted
+    up to isomorphism by adjacency matrix: the first labelled graph met of
+    each class marks the matrices of its whole orbit under the vertex
+    permutations as seen.
 
     Entirely independent of the package's grow-and-filter enumeration.
     """
     counts = {}
     for n in range(1, 7):
         pairs = list(itertools.combinations(range(n), 2))
+        bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+        perms = list(itertools.permutations(range(n)))
         seen = set()
+        counts[n] = 0
         for bits in range(1 << len(pairs)):
+            if bits in seen:
+                continue
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             g = nx.Graph()
             g.add_nodes_from(range(n))
@@ -364,12 +372,65 @@ def enumerate6_by_matrix():
                 continue
             if not nx.check_planarity(g, counterexample=False)[0]:
                 continue
-            canon = min(
-                tuple(1 if g.has_edge(p[i], p[j]) else 0 for i, j in pairs)
-                for p in itertools.permutations(range(n)))
-            seen.add(canon)
-        counts[n] = len(seen)
+            counts[n] += 1
+            seen.update(sum(bit[min(p[a], p[b]), max(p[a], p[b])] for a, b in edges)
+                        for p in perms)
     return counts
+
+
+def traced_gen_random(spec):
+    """``corpus.gen_random`` with whole-graph work at every step: the edge
+    list is sorted afresh at each subdivision, and every face of the rotation
+    is traced at each face insertion.  The random calls and the edits are the
+    package's, so the output must be byte-identical."""
+    if spec.n_max < 4:
+        raise GraphError("random graphs grow from C4: n must be at least 4")
+    rng = random.Random(spec.seed)
+    c4 = cycle_graph(4)
+    out = []
+    for _ in range(spec.count):
+        rot = Rotation.of(c4)
+        while len(rot) < spec.n_max:
+            fresh = max(rot) + 1
+            if rng.random() < 0.45:
+                edges = sorted((v, u) for v, ns in rot.items() for u in ns if v < u)
+                u, v = edges[rng.randrange(len(edges))]
+                rot[u][rot[u].index(v)] = fresh
+                rot[v][rot[v].index(u)] = fresh
+                rot[fresh] = [u, v]
+                continue
+            # every face, each walk from its smallest dart, in sorted order
+            succ = {(u, v): (v, ns[(i + 1) % len(ns)])
+                    for v, ns in rot.items() for i, u in enumerate(ns)}
+            faces, traced = [], set()
+            for start in sorted(succ):
+                if start not in traced:
+                    walk, cur = [start], succ[start]
+                    while cur != start:
+                        walk.append(cur)
+                        cur = succ[cur]
+                    traced.update(walk)
+                    faces.append(walk)
+            walk = [d[0] for d in faces[rng.randrange(len(faces))]]
+            idxs = list(range(len(walk)))
+            rng.shuffle(idxs)
+            picks = []
+            for i in idxs:
+                u = walk[i]
+                if any(u == walk[j] or rot.has_edge(u, walk[j]) for j in picks):
+                    continue
+                picks.append(i)
+                if len(picks) == 3:
+                    break
+            picks.sort()
+            for i in picks:
+                ns = rot[walk[i]]
+                ns.insert(ns.index(walk[i - 1]) + 1, fresh)
+            rot[fresh] = [walk[i] for i in reversed(picks)]
+        g = rot.build()
+        assert g.is_triangle_free()
+        out.append(g)
+    return out
 
 
 def rebuild_solve_set(g):

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import time
 
 import pytest
 
@@ -39,6 +40,7 @@ class TestEnumerateSmall:
     def test_counts_match_matrix_enumeration(self):
         # independent generate-and-filter run with adjacency-matrix canon
         want = oracles.enumerate6_by_matrix()
+        assert want == {1: 1, 2: 1, 3: 1, 4: 3, 5: 6, 6: 18}
         got = {}
         for g in corpus.enumerate_small(6):
             got[g.n] = got.get(g.n, 0) + 1
@@ -90,6 +92,22 @@ class TestGenRandom:
         # the graph made for a seed must not change between versions
         (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=n, seed=seed, count=1))
         assert hashlib.sha256(serialize(g).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 9, 20, 60, 150, 210, 400])
+    def test_matches_whole_trace_generator(self, n):
+        # kept edges and face keys stand in for a whole trace per step
+        for seed in range(12):
+            spec = corpus.CorpusSpec("random", n_max=n, seed=seed, count=2)
+            assert ([serialize(g) for g in corpus.gen_random(spec)]
+                    == [serialize(g) for g in oracles.traced_gen_random(spec)])
+
+    def test_two_thousand_vertices_in_under_a_second(self):
+        # each step retraces only the faces it edits (a whole trace per face
+        # step takes about 8 s at this size)
+        start = time.perf_counter()
+        (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=2000, seed=0, count=1))
+        assert time.perf_counter() - start < 1.0
+        assert g.n == 2000
 
     def test_outputs_valid(self):
         spec = corpus.CorpusSpec("random", n_max=20, seed=3, count=5)

@@ -197,8 +197,12 @@ class TestFaceTable:
     def test_faces_match_the_sorting_oracle(self, corpus8, golden):
         for g in _face_table_graphs(corpus8, golden):
             assert g.faces() == oracles.sorted_faces(g)
+            rot = Rotation.of(g)
             for f in g.faces():
                 assert all(g.face_of_dart(d) is f for d in f.darts)
+                # a walk on the mutable rotation from any dart of f is f
+                assert all(Face.from_walk(rot.face_darts(d)) == f for d in f.darts)
+                assert rot.face_darts(f.darts[0]) == list(f.darts)
 
     def test_re_embed_equals_a_fresh_build_and_traces_nothing(self, corpus8, golden,
                                                               monkeypatch):
