@@ -424,10 +424,27 @@ class Rotation(dict):
     """A mutable rotation system, vertex -> clockwise neighbour list, with
     the read queries of ``PlaneGraph``."""
 
-    __slots__ = ()
+    __slots__ = ("_ids",)
     vertices = property(lambda self: tuple(sorted(self)))
     n = property(len)
     has_vertex = dict.__contains__
+
+    def fresh_ids(self, k: int) -> range:
+        """The k ids from ``max(self) + 1`` on, in amortised O(1 + k), from a
+        stack of ids kept in ascending order: ``sorted(self)`` at the first
+        call, then each call appends the ids it returns.  Once the deleted ids
+        above it are popped, its top is the largest vertex, provided every
+        vertex added after the first call took its id from here."""
+        try:
+            ids = self._ids
+        except AttributeError:   # the slot is set at the first call
+            ids = self._ids = sorted(self)
+        while ids and ids[-1] not in self:
+            ids.pop()
+        top = ids[-1] if ids else 0
+        fresh = range(top + 1, top + 1 + k)
+        ids.extend(fresh)
+        return fresh
 
     @classmethod
     def of(cls, g: PlaneGraph) -> "Rotation":

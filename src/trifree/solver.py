@@ -5,6 +5,7 @@ import heapq
 from dataclasses import dataclass
 
 from . import configurations, extremal, reductions, verify
+from .extremal import _add_checked
 from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, Rotation
 
 ORACLE_LIMIT = 40
@@ -188,17 +189,24 @@ def _solve_set(comps: list):
     loop over an explicit stack.
 
     A frame is (step, components of its reduced graph left to solve, union of
-    their sets so far); the bottom frame has no step.  A finished frame lifts
-    its union into the frame below, and the trace lists steps in pre-order.
+    their sets so far, C1 steps made on them); the bottom frame has no step.
     Components of more than ``EXACT_BASE`` vertices become pieces: C1 steps
     run on the piece in place, and only a C2-C5 step freezes it to a graph.
     Smaller components, graphs or pieces, go to ``exact_alpha`` as they are.
+    A C2-C5 step pushes a frame, which lifts its union into the frame below
+    by ``reductions.lift`` when it finishes.  A C1 step pushes none: its parts
+    are solved next in the current frame, which records the step and, when it
+    finishes, adds the step's vertex to its union in place, checked against
+    the vertex's stored neighbourhood as ``lift`` checks it.  So no set is
+    copied along a C1 chain.  The trace lists steps in pre-order.
     """
     trace = []
-    stack = [(None, comps[::-1], set())]
+    stack = [(None, comps[::-1], set(), [])]
     while True:
-        step, pending, found = stack[-1]
+        step, pending, found, c1_steps = stack[-1]
         if not pending:
+            for c1 in c1_steps[::-1]:
+                _add_checked(c1.neighborhoods, found, c1.roles)
             stack.pop()
             if step is None:
                 return frozenset(found), tuple(trace)
@@ -221,7 +229,11 @@ def _solve_set(comps: list):
             reduced, step = reductions.reduce(g, c)
             parts = _component_graphs(reduced)
         trace.append(step)
-        stack.append((step, parts[::-1], set()))
+        if step.kind == "C1":
+            c1_steps.append(step)
+            pending.extend(parts[::-1])
+        else:
+            stack.append((step, parts[::-1], set(), []))
 
 
 def _component_guarantee(g: PlaneGraph) -> int:

@@ -344,6 +344,18 @@ def cylinder(k, m):
     return PlaneGraph(rot)
 
 
+def edge_deleted_member(steps, seed, i):
+    """``generate_member(steps, seed)`` minus the edge at index i (taken
+    modulo m) of its sorted edge list.  n stays 2 mod 3, so only the diamond
+    descent can reject it, and it is never a member: every member but P2 has
+    3m = 5n - 10 (C5 does, and each diamond adds 3 vertices and 5 edges)."""
+    g = extremal.generate_member(steps, seed)
+    edges = sorted(tuple(sorted(e)) for e in g.edges)
+    a, b = edges[i % len(edges)]
+    return PlaneGraph({v: tuple(u for u in g.rotation(v) if {u, v} != {a, b})
+                       for v in g.vertices})
+
+
 def enumerate6_by_matrix():
     """Connected triangle-free planar graphs on <= 6 labeled vertices, counted
     up to isomorphism by adjacency matrix: the first labelled graph met of

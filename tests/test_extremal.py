@@ -56,6 +56,45 @@ def builds(monkeypatch):
     return made
 
 
+def recorded_steps(monkeypatch, run):
+    """The steps ``run()`` makes through ``extremal.replace_diamond_with_path``
+    on the first rotation it edits, whether it returns or raises
+    ``GraphError``.  A later chain on another rotation, the membership test
+    ``avoiding_independent_set`` makes at a dead end, is left out."""
+    made = []
+    real = extremal.replace_diamond_with_path
+
+    def record(rot, d):
+        made.append((rot, real(rot, d)))
+        return made[-1][1]
+
+    monkeypatch.setattr(extremal, "replace_diamond_with_path", record)
+    try:
+        run()
+    except GraphError:
+        pass
+    finally:
+        monkeypatch.setattr(extremal, "replace_diamond_with_path", real)
+    return [step for rot, step in made if rot is made[0][0]]
+
+
+def check_picks(g, steps, qualifies):
+    """Each step replaced the smallest diamond ``oracles.naive_diamonds``
+    finds on its graph that ``qualifies(graph, diamond tuple)``, on the graphs
+    ``oracles.rebuild_replay`` rebuilds and validates apart from the descent's
+    workspace and index; returns the last graph."""
+    graphs = oracles.rebuild_replay(g, extremal.MembershipTrace(tuple(steps), extremal.C5))
+    for step, h in zip(steps, graphs):
+        want = next(t for t in oracles.naive_diamonds(h) if qualifies(h, t))
+        assert step.diamond == Diamond(*want)
+    return graphs[-1]
+
+
+def avoids(fv):
+    """The face-avoiding descent's test of a diamond tuple on graph h."""
+    return lambda h, t: fv.isdisjoint(t[:5]) and not (t[5] in fv and h.degree(t[5]) <= 3)
+
+
 class TestFindDiamonds:
     def test_c5_has_none(self):
         assert find_diamonds(cycle_graph(5)) == []
@@ -176,17 +215,40 @@ class TestIsMember:
         assert text.splitlines()[0].startswith("replace ")
 
     @pytest.mark.parametrize("steps,seed", [(20, 3), (45, 4), (60, 5)])
-    def test_trace_matches_oracle_diamonds(self, monkeypatch, steps, seed):
-        # the search tries diamonds in sorted order; pin that choice order.
-        # After the first replacement the descent holds a rotation workspace,
-        # which the oracle reads as a graph
+    def test_trace_matches_oracle_diamonds(self, steps, seed):
+        # the descent replaces the smallest diamond at every step, so the
+        # index must return the naive search's first diamond on every graph
+        # along the trace, not only on the input
         g = generate_member(steps, seed)
-        want = is_member(g).serialize()
-        monkeypatch.setattr(extremal, "find_diamonds", lambda h: [
-            Diamond(*t) for t in oracles.naive_diamonds(
-                h if isinstance(h, PlaneGraph) else PlaneGraph(h))])
-        assert is_member(g).serialize() == want
-        assert want.count("replace ") == steps
+        trace = is_member(g)
+        assert len(trace.steps) == steps
+        assert check_picks(g, trace.steps, lambda h, t: True).n == 5
+
+    @pytest.mark.parametrize("steps,seed,edge", [(8, 0, 3), (20, 1, 40), (35, 2, 77),
+                                                 (45, 3, 150)])
+    def test_dead_end_picks_match_oracle_diamonds(self, monkeypatch, steps, seed, edge):
+        # an edge-deleted member is rejected, with no steps in its trace: the
+        # steps are recorded on the way, and the descent stops on a graph
+        # where the naive search finds no diamond
+        g = oracles.edge_deleted_member(steps, seed, edge)
+        assert is_member(g).terminal == "NOT_MEMBER"
+        made = recorded_steps(monkeypatch, lambda: is_member(g))
+        last = check_picks(g, made, lambda h, t: True)
+        assert last.n > 5 and oracles.naive_diamonds(last) == []
+
+    def test_one_scan_per_descent(self, monkeypatch):
+        # the index scans the input once; every later search is local
+        scans = []
+        real = extremal.find_diamonds
+        monkeypatch.setattr(extremal, "find_diamonds", lambda g: scans.append(g) or real(g))
+        member = generate_member(300, 0)
+        for g, verdict in ((member, True), (oracles.edge_deleted_member(100, 0, 7), False)):
+            scans.clear()
+            assert is_member(g).is_member == verdict
+            assert len(scans) == 1
+        scans.clear()
+        s = avoiding_independent_set(member, qualifying_faces(member)[0])
+        assert 3 * len(s) == member.n + 1 and len(scans) == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_near_miss_rejected_without_search(self, monkeypatch, seed):
@@ -299,6 +361,14 @@ class TestAgainstRebuild:
     def test_near_misses(self, seed):
         assert not self.same_as_rebuild(near_miss(seed)).is_member
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edge_deleted_members(self, seed):
+        # a member with k steps has 5k + 5 edges
+        for steps, stride in ((2, 1), (9, 4), (30, 23), (70, 97)):
+            for edge in range(seed, 5 * steps + 5, stride):
+                assert not self.same_as_rebuild(
+                    oracles.edge_deleted_member(steps, seed, edge)).is_member
+
     @pytest.mark.parametrize("n", [40, 120])
     def test_random(self, n):
         for seed in range(3):
@@ -378,6 +448,16 @@ class TestGenerateMember:
             builds.clear()
             diamond_reduce(g, d)
             assert len(builds) == 1
+
+    def test_one_path_scan(self, monkeypatch):
+        # the degree-2 paths are listed once; every later step edits the list
+        scans = []
+        real = extremal._degree2_paths
+        monkeypatch.setattr(extremal, "_degree2_paths", lambda g: scans.append(g) or real(g))
+        for steps, seed in ((0, 1), (1, 0), (300, 2)):
+            scans.clear()
+            assert generate_member(steps, seed).n == 5 + 3 * steps
+            assert len(scans) == 1
 
     def test_negative_steps_rejected(self):
         with pytest.raises(GraphError):
@@ -494,6 +574,20 @@ class TestAvoidingIndependentSet:
                 pairs += 1
         assert pairs == 1838
 
+    def test_picks_match_oracle_diamonds(self, monkeypatch):
+        # each step replaces the first diamond in naive order that avoids
+        # the face, on members and on edge-deleted members, which end in a
+        # dead end or in GraphError
+        graphs = [generate_member(steps, seed) for steps, seed in ((6, 0), (18, 1), (25, 2))]
+        graphs += [oracles.edge_deleted_member(steps, seed, edge)
+                   for steps, seed, edge in ((18, 0, 5), (24, 3, 61))]
+        for g in graphs:
+            for f in qualifying_faces(g)[:2]:
+                made = recorded_steps(monkeypatch, lambda: avoiding_independent_set(g, f))
+                last = check_picks(g, made, avoids(f.vertex_set))
+                assert last.n <= 11 or not any(avoids(f.vertex_set)(last, t)
+                                               for t in oracles.naive_diamonds(last))
+
     def test_at_most_one_validated_build(self, monkeypatch):
         validated = []
         init = PlaneGraph.__init__
@@ -510,3 +604,42 @@ class TestAvoidingIndependentSet:
                 s = avoiding_independent_set(g, f)
                 assert validated.count(True) <= 1
                 assert 3 * len(s) == g.n + 1
+
+
+class TestDiamondIndex:
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.integers(0, 40), seed=st.integers(0, 40),
+           edge=st.one_of(st.none(), st.integers(0, 200)), pick=st.randoms(use_true_random=False))
+    def test_live_diamonds_are_find_diamonds_after_every_step(self, steps, seed, edge, pick):
+        # replacing diamonds in any order, down to a dead end, keeps the
+        # index equal to a full scan; a diamond passed over stays
+        g = (generate_member(steps, seed) if edge is None
+             else oracles.edge_deleted_member(steps, seed, edge))
+        index, h = extremal._DiamondIndex(find_diamonds(g)), Rotation.of(g)
+        while True:
+            live = sorted(Diamond(*t) for t in index.live)
+            assert live == find_diamonds(h)
+            assert index.first() == (live[0] if live else None)
+            if not live:
+                break
+            if len(live) > 1:
+                assert index.first(lambda d: d != live[0]) == live[1]
+                assert index.first() == live[0]
+            index.replaced(h, replace_diamond_with_path(h, pick.choice(live)))
+
+    def test_back_to_back_diamonds(self):
+        # two diamonds whose w vertices 5 and 10 are joined, each the other's
+        # x2: replacing one changes the other's x2, and that diamond's z1 is
+        # three steps from v2, so it is found only from x2
+        g = embed_edges(range(1, 13), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (6, 1), (6, 4),
+                                       (5, 10), (7, 8), (8, 9), (9, 11), (11, 10), (10, 7),
+                                       (12, 7), (12, 11), (6, 12)])
+        diamonds = find_diamonds(g)
+        assert {(d.w, d.x2) for d in diamonds} >= {(5, 10), (10, 5)}
+        for d in diamonds:
+            index, h = extremal._DiamondIndex(find_diamonds(g)), Rotation.of(g)
+            step = replace_diamond_with_path(h, d)
+            index.replaced(h, step)
+            live = sorted(Diamond(*t) for t in index.live)
+            assert live == find_diamonds(h)
+            assert any(e.x2 == step.v2 for e in live)

@@ -134,6 +134,21 @@ class TestRotation:
             rot.build()
 
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6), st.integers(1, 5)),
+                    max_size=80))
+    def test_fresh_ids_are_max_plus_one(self, edits):
+        # deletions anywhere, the largest included, between mintings
+        rot = Rotation({v: [] for v in range(1, 30)})
+        for delete, pick, k in edits:
+            if delete and rot:
+                del rot[sorted(rot)[pick % len(rot)]]
+                continue
+            want = range(max(rot, default=0) + 1, max(rot, default=0) + 1 + k)
+            assert rot.fresh_ids(k) == want
+            rot.update((v, []) for v in want)
+
+
 class TestFaces:
     def test_c5_two_faces(self):
         assert sorted(f.length for f in c5().faces()) == [5, 5]

@@ -2,7 +2,7 @@ import pytest
 
 from trifree import configurations as cf, corpus, extremal as ex, reductions as rd, solver
 from trifree.extremal import Diamond, find_diamonds
-from trifree.plane_graph import (GraphError, InternalInvariantError,
+from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph,
                                  cycle_graph, isomorphic_small, path_graph)
 from trifree.verify import is_independent_set
 
@@ -256,6 +256,31 @@ class TestDiamondRoundTrip:
         for s in ({d.u1, d.z1}, {d.w, d.u2, d.z2}, {d.u1, d.x1}, {10 ** 6}):
             with pytest.raises(GraphError):
                 ex.diamond_project(g, d, s)
+
+    def test_project_builds_no_graph(self, monkeypatch):
+        # the projection is checked against the path's neighbourhoods, not
+        # on a built reduced graph; a dependent set still raises GraphError
+        g = ex.generate_member(10, 3)
+        wit = solver.exact_alpha(g)[1]
+        d = find_diamonds(g)[0]
+        reduced, step = rd.diamond_reduce(g, d)
+        builds = []
+        init = PlaneGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlaneGraph, "__init__", counted)
+        for d in find_diamonds(g):
+            projected = ex.diamond_project(g, d, wit)
+            assert len(projected) == len(wit) - 1
+            with pytest.raises(GraphError):
+                ex.diamond_project(g, d, {d.u1, d.z1})
+        assert builds == []
+        monkeypatch.undo()
+        projected = ex.diamond_project(g, step.diamond, wit)
+        assert is_independent_set(reduced, projected)
 
     def test_invalid_diamond(self):
         g = cycle_graph(5)

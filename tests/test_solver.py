@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from trifree import corpus, discharging, solver
 from trifree.extremal import (avoiding_independent_set, generate_member, is_member,
                               member_max_independent_set)
-from trifree.plane_graph import GraphError, PlaneGraph, cycle_graph, path_graph
+from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, cycle_graph,
+                                 path_graph)
 from trifree.verify import is_independent_set
 
 import oracles
@@ -179,6 +180,27 @@ class TestWorkspace:
         for steps, seed in ((10, 0), (25, 1), (40, 2), (60, 3)):
             self.same_as_rebuild(generate_member(steps, seed))
 
+    def test_edge_deleted_members(self):
+        # near-members: n is 2 mod 3, but membership is rejected on the way
+        for steps, seed in ((2, 0), (5, 1), (13, 2), (30, 3)):
+            for edge in range(0, 5 * steps + 5, 3):
+                self.same_as_rebuild(oracles.edge_deleted_member(steps, seed, edge))
+
+    @pytest.mark.parametrize("extra", [1, 2])
+    def test_c1_vertices_checked_when_the_frame_finishes(self, monkeypatch, extra):
+        # P12 takes C1 steps at 1 and 3, and exact_alpha solves 5..12.  A
+        # witness that holds vertex 1 itself or its neighbour 2 fails the
+        # check of vertex 1 before the final verification
+        real = solver.exact_alpha
+
+        def bad_alpha(g):
+            alpha, witness = real(g)
+            return alpha, witness | {extra}
+
+        monkeypatch.setattr(solver, "exact_alpha", bad_alpha)
+        with pytest.raises(InternalInvariantError, match="lift failed verification"):
+            solver.solve(path_graph(12))
+
     def test_split_then_frozen_piece(self, dodecahedron):
         # C1 at the path's middle vertex splits the piece into two cubic
         # parts, and each is then frozen for a C4 (dodecahedron) or C2
@@ -275,6 +297,36 @@ class TestWorkspace:
         assert [g.n for g in graphs] == [3600, 3200]
         assert member.n == 3005 and 3 * len(avoiding) == member.n + 1
         assert not avoiding & face.vertex_set and is_independent_set(member, avoiding)
+
+
+class TestScale:
+    """The n = 12005 member and the 200 x 200 grid, at the default recursion
+    limit.  The chains are near-linear, so each test takes about a second on
+    a 2-core host under CPython 3.11; sizes are asserted, times are not."""
+
+    def test_member_12005(self):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            g = generate_member(4000, 0)
+            trace = is_member(g)
+            cert = member_max_independent_set(g, trace)
+            face = next(f for f in g.faces() if all(g.degree(v) >= 3 for v in f.vertex_set))
+            avoiding = avoiding_independent_set(g, face)
+            res = solver.solve(g)
+        finally:
+            sys.setrecursionlimit(old)
+        assert g.n == 12005 and trace.terminal == "C5" and len(trace.steps) == 4000
+        for s in (cert, avoiding, res.independent_set):
+            assert 3 * len(s) == g.n + 1 and is_independent_set(g, s)
+        assert not avoiding & face.vertex_set
+        assert res.met and res.guarantee == (g.n + 3) // 3
+
+    def test_grid_200(self):
+        g = oracles.grid(200, 200)
+        res = solver.solve(g)
+        assert res.size == 20000 and res.guarantee == 13334 and res.met
+        assert is_independent_set(g, res.independent_set)
 
 
 class TestCheckTheoremBounds:
