@@ -1,9 +1,11 @@
+import hashlib
+
 import pytest
 
 from trifree import configurations as cf, corpus, extremal as ex, reductions as rd, solver
 from trifree.extremal import Diamond, find_diamonds
 from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph,
-                                 cycle_graph, isomorphic_small, path_graph)
+                                 cycle_graph, isomorphic_small, path_graph, serialize)
 from trifree.verify import is_independent_set
 
 import oracles
@@ -193,6 +195,43 @@ class TestLift:
                 reduced, _ = rd.reduce(g, c)
                 alpha_r, _ = solver.exact_alpha(reduced)
                 assert rd.check_tight(reduced, alpha_r)
+
+
+class TestPinnedReductions:
+    """Every ``find_all`` configuration of a fixed host set, its reduction and
+    the lifts of several sets, pinned by one digest.  ``solve --trace`` on
+    the golden files makes C1 steps only, so this is what holds C2-C4
+    reduction and lifting output fixed."""
+
+    def test_digest(self, corpus8, dodecahedron):
+        hosts = corpus8 + [dodecahedron, oracles.cylinder(4, 3), oracles.cylinder(5, 3),
+                           oracles.grid(4, 5)]
+        lines, kinds, seeds = [], set(), set()
+        for i, g in enumerate(hosts):
+            for c in cf.find_all(g):
+                kinds.add(c.kind)
+                lines.append("%d %r %s" % (i, c, sorted(c.interference_vertices())))
+                if c.kind == "C5":
+                    c = cf.c5_to_c2(g, c)
+                    lines.append("c5_to_c2 %r" % (c,))
+                reduced, step = rd.reduce(g, c)
+                lines += [serialize(reduced), step.serialize(),
+                          repr(sorted((x, sorted(ns)) for x, ns in step.neighborhoods.items()))]
+                z = (step.identified[2],) if step.identified else ()
+                u1 = (c.roles[5],) if c.kind == "C4" else ()
+                sets = {"empty": frozenset(),
+                        "solve": solver.solve(reduced).independent_set}
+                for name, seed in (("greedy", ()), ("z", z), ("u1", u1), ("u1+z", u1 + z)):
+                    if (name == "greedy" or seed) and is_independent_set(reduced, seed):
+                        sets[name] = ex._augment_maximal(reduced, seed)
+                        seeds.add((c.kind, name))
+                for name, s in sets.items():
+                    lines.append("%s %s -> %s" % (name, sorted(s), sorted(rd.lift(step, s))))
+        assert kinds == {"C1", "C2", "C3", "C4", "C5"}
+        assert {("C2", "z"), ("C4", "z"), ("C4", "u1"), ("C4", "u1+z")} <= seeds
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8526c4c284ba68726e057c31ab0a8c7690d71b263d39bc0f351166061ec805f8")
 
 
 class TestDiamondRoundTrip:
