@@ -9,6 +9,8 @@ Role vertex conventions (``Configuration.roles``):
 * C4: (v1, ..., v5, u1, ..., u4) where v1..v5 is a 5-face, deg(v1..v4) = 3,
   u_i is v_i's neighbor off the face, and the side-conditions below hold
 * C5: (v1, v2, v3, v4) in 4-face order with deg(v1) = deg(v2) = 3
+
+Everything else known per kind is its row of ``KINDS``.
 """
 from __future__ import annotations
 
@@ -21,22 +23,16 @@ class NoConfigurationError(InternalInvariantError):
     """Every plane triangle-free graph must contain some configuration."""
 
 
-# per kind, the role indices whose vertices must avoid the outer cycle
-_INTERFERENCE_ROLES = {"C1": (0,), "C2": (0, 2, 3), "C3": (0, 2),
-                       "C4": tuple(range(9)), "C5": (0, 1)}
-
-
 @dataclass(frozen=True, order=True)
 class Configuration:
     kind: str
     roles: tuple
 
     def __post_init__(self):
-        if self.kind not in _INTERFERENCE_ROLES:
-            raise GraphError("unknown configuration kind %r" % (self.kind,))
+        kind_row(self.kind, self.roles)
 
     def interference_vertices(self) -> frozenset:
-        return frozenset(self.roles[i] for i in _INTERFERENCE_ROLES[self.kind])
+        return frozenset(self.roles[i] for i in kind_row(self.kind, self.roles)[3])
 
 
 def interferes(c: Configuration, k: Face) -> bool:
@@ -157,14 +153,52 @@ def c5_to_c2(g: PlaneGraph, c: Configuration) -> Configuration:
         "(input not plane triangle-free?)" % (c.roles, p24[0], p13[0]))
 
 
-_FINDERS = (("C1", find_c1), ("C2", find_c2), ("C3", find_c3),
-            ("C4", find_c4), ("C5", find_c5))
+# One row per kind, a plain tuple read by position:
+#   (kind, finder, role count, roles that must avoid the outer cycle, reduction)
+# and a reduction, None for C5, is
+#   (gain k, roles deleted, roles whose neighbours are deleted too,
+#    contracted path (a, a's path neighbour, b, b's path neighbour) or None,
+#    roles a lift adds when the fresh vertex z is not in the set,
+#    the candidates, tried in order, when it is)
+# with each role given by its index in ``Configuration.roles``.  C2 merges w
+# and w' into z, C4 merges u2 and u3; ``reductions`` reads the reductions.
+# Rows stay plain tuples and are looked up when used: perfbench's tracer
+# swaps the finders it wraps inside module-level tuples, and only there.
+KINDS = (
+    ("C1", find_c1, 1, (0,), (1, (0,), (0,), None, (0,), ())),
+    ("C2", find_c2, 4, (0, 2, 3), (1, (0, 1), (), (2, 0, 3, 0), (0,), ((2, 3),))),
+    ("C3", find_c3, 4, (0, 2), (2, (0, 1, 2, 3), (0, 2), None, (0, 2), ())),
+    ("C4", find_c4, 9, tuple(range(9)), (
+        2, (0, 1, 2, 3, 4), (), (6, 1, 7, 2),
+        # read after the lift's reflection, so u1 is not in s.  z, which is
+        # u2 and u3, is not in s either, and the v_i were deleted.  So s holds
+        # no neighbor of v1 (v2, v5, u1) or of v3 (v2, v4, u3), and v1, v3
+        # are not adjacent on the 5-face: s | {v1, v3} always works
+        (0, 2),
+        # {v1,u3,u4} is the generic choice.  base = s - {z} holds no host
+        # neighbour of u2, u3 (z's), nor u1.  So {v1,u2,u3} passes if u1 != u3
+        # (N(v1) = {v2,v5,u1}, u1 != u2, u2u3 no edge), and {v4,u1,u2} if
+        # u1 = u3 (u4 is z's neighbour by the new edge, u2 != u4, u1u2 no edge)
+        ((0, 7, 8), (0, 6, 7), (3, 5, 6)))),
+    ("C5", find_c5, 4, (0, 1), None),
+)
+
+
+def kind_row(kind, roles) -> tuple:
+    """The row of ``kind`` in ``KINDS``, looked up when called, once checked
+    that ``roles`` are as many as the kind has."""
+    for row in KINDS:
+        if row[0] == kind:
+            if len(roles) != row[2]:
+                raise GraphError("%s has %d roles, not %d" % (kind, row[2], len(roles)))
+            return row
+    raise GraphError("unknown configuration kind %r" % (kind,))
 
 
 def find_all(g: PlaneGraph) -> list:
     out = []
-    for _, finder in _FINDERS:
-        out.extend(finder(g))
+    for row in KINDS:
+        out.extend(row[1](g))
     return out
 
 
@@ -172,8 +206,8 @@ def find_any(g: PlaneGraph) -> Configuration:
     """Some configuration, searched in order C1..C5; never empty on valid input."""
     if g.n == 0:
         raise GraphError("empty graph")
-    for _, finder in _FINDERS:
-        found = finder(g)
+    for row in KINDS:
+        found = row[1](g)
         if found:
             return found[0]
     raise NoConfigurationError(

@@ -223,50 +223,35 @@ def diamond_reduce(g: PlaneGraph, d: Diamond):
     return rot.build(), step
 
 
-def _violating_edge(neighborhoods, added, s):
-    """The first (a, b) with a in ``added`` and b a stored neighbour of a in s."""
-    return next(((a, b) for a in sorted(added) for b in sorted(s.intersection(neighborhoods[a]))),
-                None)
-
-
-def _verified(neighborhoods, candidates, expected_size: int):
-    """The first candidate ``(kept, added)`` whose union has the expected size
-    and whose added vertices have no stored neighbour in it."""
+def _add_checked(neighborhoods, s: set, candidates, size: int) -> None:
+    """Add to ``s``, in place, the first candidate of new vertices that brings
+    it to exactly ``size`` vertices with no added vertex having a stored
+    neighbour in the result, else raise ``InternalInvariantError``.  Every
+    lift is checked here: ``reductions.lift``, the diamond lifts,
+    ``diamond_project`` and the solver's C1 steps."""
     reasons = []
-    for kept, added in candidates:
-        s = kept | added
-        if len(s) != expected_size:
-            reasons.append("size %d != %d" % (len(s), expected_size))
+    for added in candidates:
+        if not s.isdisjoint(added) or len(s) + len(set(added)) != size:
+            reasons.append("size %d != %d" % (len(s.union(added)), size))
             continue
-        bad = _violating_edge(neighborhoods, added, s)
+        s.update(added)
+        bad = next(((a, b) for a in sorted(added)
+                    for b in sorted(s.intersection(neighborhoods[a]))), None)
         if bad is None:
-            return s
+            return
+        s.difference_update(added)
         reasons.append("violating edge %r" % (bad,))
-    raise InternalInvariantError(
-        "every candidate lift failed verification: %s" % "; ".join(reasons))
-
-
-def _add_checked(neighborhoods, s: set, added) -> None:
-    """Add ``added`` to ``s`` in place.  Each added vertex must be new to s
-    and have no stored neighbour in the result, else
-    ``InternalInvariantError``; this is ``_verified``'s check of one
-    candidate, whose size test is the same as the first condition."""
-    if not s.isdisjoint(added):
-        raise InternalInvariantError("lift failed verification: %r already in the set"
-                                     % sorted(s.intersection(added)))
-    s.update(added)
-    bad = _violating_edge(neighborhoods, added, s)
-    if bad is not None:
-        raise InternalInvariantError("lift failed verification: violating edge %r" % (bad,))
+    raise InternalInvariantError("lift failed verification: %s" % "; ".join(reasons))
 
 
 def _lift_into(step: DiamondStep, s: set) -> None:
     """``diamond_lift`` in place on ``s``."""
     d = step.diamond
     added = [d.z2] + [x for v, x in ((step.v1, d.u1), (step.v2, d.w)) if v in s]
+    size = len(s) + 1
     s.difference_update((step.v1, step.v2))
     nbhd = {d.u1: (d.z1, d.w, d.x1), d.w: (d.u1, d.u2, d.x2), d.z2: (d.z1, d.u2)}
-    _add_checked(nbhd, s, added)
+    _add_checked(nbhd, s, (added,), size)
 
 
 def diamond_lift(step: DiamondStep, s_reduced) -> frozenset:
@@ -311,14 +296,11 @@ def diamond_project(g: PlaneGraph, d: Diamond, s) -> frozenset:
         # mirror the diamond so the proof's normalization z2 in S applies
         u1, u2 = u2, u1
         z1, z2 = z2, z1
-    size = len(s)
     v1 = g.max_vertex_id() + 1
     v2 = v1 + 1
     out = s - {u1, z1, z2, u2, w}
     _add_checked({v1: (d.x1, v2), v2: (v1, d.x2)}, out,
-                 [v for v, x in ((v1, u1), (v2, w)) if x in s])
-    if len(out) != size - 1:
-        raise InternalInvariantError("diamond projection failed verification")
+                 ([v for v, x in ((v1, u1), (v2, w)) if x in s],), len(s) - 1)
     return frozenset(out)
 
 

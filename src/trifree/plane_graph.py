@@ -1,4 +1,4 @@
-"""Plane graph substrate: rotation systems, faces, and small-graph queries.
+"""Plane graph substrate: rotation systems, faces, and structure queries.
 
 A plane graph is stored as a rotation system: for every vertex, the cyclic
 clockwise order of its neighbors (the order ``networkx`` planar embeddings
@@ -40,10 +40,6 @@ class Face:
     """
 
     darts: tuple
-
-    @staticmethod
-    def from_walk(darts) -> "Face":
-        return Face(_canonical_walk(tuple(darts)))
 
     @property
     def length(self) -> int:
@@ -396,26 +392,6 @@ class PlaneGraph:
                     todo[i].append(f)
                     reached[i] = reached[i] or f == outer
 
-    # -- derived graphs ------------------------------------------------------------
-
-    def delete_vertices(self, vs) -> "PlaneGraph":
-        vs = set(vs)
-        rot = {v: tuple(u for u in ns if u not in vs)
-               for v, ns in self._rot.items() if v not in vs}
-        return PlaneGraph(rot, check=False)
-
-    def relabel(self, mapping) -> "PlaneGraph":
-        rot = {mapping[v]: tuple(mapping[u] for u in ns) for v, ns in self._rot.items()}
-        return PlaneGraph(rot, check=False)
-
-    def to_networkx(self):
-        """The abstract graph as a ``networkx.Graph``."""
-        import networkx as nx
-        g = nx.Graph()
-        g.add_nodes_from(self._rot)
-        g.add_edges_from((v, u) for v, ns in self._rot.items() for u in ns if u > v)
-        return g
-
     def __repr__(self):
         return "PlaneGraph(n=%d, m=%d)" % (self.n, self.m)
 
@@ -553,19 +529,7 @@ def serialize(g: PlaneGraph) -> str:
     return "\n".join(out) + "\n"
 
 
-# -- isomorphism and embedding helpers -----------------------------------------
-
-
-def isomorphic_small(g: PlaneGraph, h: PlaneGraph) -> bool:
-    """Abstract-graph isomorphism for graphs with at most 12 vertices."""
-    if g.n > 12 or h.n > 12:
-        raise GraphError("isomorphic_small limited to 12 vertices")
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
-        return False
-    import networkx as nx
-    return nx.is_isomorphic(g.to_networkx(), h.to_networkx())
+# -- embedding helpers ---------------------------------------------------------
 
 
 def embed_edges(vertices, edges) -> PlaneGraph:
@@ -587,15 +551,3 @@ def cycle_graph(k, start=1) -> PlaneGraph:
     rot = {vs[i]: (vs[(i - 1) % k], vs[(i + 1) % k]) for i in range(k)}
     return PlaneGraph(rot)
 
-
-def path_graph(k, start=1) -> PlaneGraph:
-    vs = list(range(start, start + k))
-    rot = {}
-    for i, v in enumerate(vs):
-        ns = []
-        if i > 0:
-            ns.append(vs[i - 1])
-        if i < k - 1:
-            ns.append(vs[i + 1])
-        rot[v] = tuple(ns)
-    return PlaneGraph(rot)

@@ -3,15 +3,18 @@
 Each reduction shrinks the host by at most 3k vertices while the lift gains
 exactly k independent vertices (k = 1 for C1/C2, 2 for C3/C4).  C5 has no
 reduction of its own; callers convert it via ``configurations.c5_to_c2``.
-One in-place rotation edit, ``apply_reduction``, serves every kind: ``reduce``
-applies it to a ``Rotation`` copy of the host, and ``solver`` to its pieces
-for C1 chains.  Reduced rotations are derived, never re-embedded: deletion
-keeps rotation order and the C2/C4 identification is a contraction, so every
-reduced graph inherits the host's embedding.  A ``ReductionStep``
-keeps no host graph: it stores the host neighbourhoods of the vertices its
-lift may add, and every lift is checked against them (see ``lift``).  The
-diamond step and its lift live in ``extremal`` and are re-exported here as
-``diamond_reduce`` and ``diamond_lift``; both lifts share one candidate check.
+What a kind deletes, contracts and adds back is read from its row of
+``configurations.KINDS``; only C4's drawn edge u1u4 and its reflection are
+code of their own.  One in-place rotation edit, ``apply_reduction``, serves
+every kind: ``reduce`` applies it to a ``Rotation`` copy of the host, and
+``solver`` to its pieces for C1 chains.  Reduced rotations are derived, never
+re-embedded: deletion keeps rotation order and the C2/C4 identification is a
+contraction, so every reduced graph inherits the host's embedding.  A
+``ReductionStep`` keeps no host graph: it stores the host neighbourhoods of
+the vertices its lift may add, and every lift is checked against them (see
+``lift``).  The diamond step and its lift live in ``extremal`` and are
+re-exported here as ``diamond_reduce`` and ``diamond_lift``; every lift
+shares one candidate check, ``extremal._add_checked``.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import configurations
 from .configurations import Configuration
-from .extremal import _verified, diamond_lift, diamond_reduce
+from .extremal import _add_checked, diamond_lift, diamond_reduce
 from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, Rotation
 
 
@@ -45,6 +48,10 @@ class ReductionStep:
         return " ".join(parts)
 
 
+# C4's reflection v1..v4 -> v4..v1, u1..u4 -> u4..u1, as role indices
+_C4_MIRROR = (3, 2, 1, 0, 4, 8, 7, 6, 5)
+
+
 def apply_reduction(rot, kind: str, roles):
     """Apply the reduction of configuration ``(kind, roles)``, C1-C4, in place
     to ``rot``, each vertex's clockwise neighbour list; returns the step and
@@ -58,35 +65,28 @@ def apply_reduction(rot, kind: str, roles):
     u1-v1-v5-v4-u4, so that u1 = u3 and u2 = u4 come out right.  Every new
     edge meets a changed vertex, so triangles are looked for there only.
     """
+    reduction = configurations.kind_row(kind, roles)[4]
+    if reduction is None:
+        raise GraphError("%s has no direct reduction; convert with c5_to_c2 first" % kind)
+    k, deleted, closed, path, adds, z_adds = reduction
     host_before = len(rot)
-    identified, added, path = None, frozenset(), None
-    if kind == "C1":
-        (v,) = roles
-        removed, k, liftable = frozenset((v, *rot[v])), 1, roles
-    elif kind == "C2":
-        v, u, w, w2 = roles
-        removed, k, liftable = frozenset((v, u)), 1, (v, w, w2)
-        path = (w, v, w2, v)   # a, a's path neighbour, b, b's path neighbour
-    elif kind == "C3":
-        v1, v2, v3, v4 = roles
-        removed, k, liftable = frozenset((*roles, *rot[v1], *rot[v3])), 2, (v1, v3)
-    elif kind == "C4":
-        v1, v2, v3, v4, v5, u1, u2, u3, u4 = roles
-        # v1..v4 and u1..u4 may be lifted, in either reflection
-        removed, k, liftable = frozenset(roles[:5]), 2, roles[:4] + roles[5:]
-        path = (u2, v2, u3, v3)
-    else:
-        raise GraphError("no reduction for kind %r" % (kind,))
-    neighborhoods = {x: frozenset(rot[x]) for x in liftable}
-    touched = set()
+    removed = set(map(roles.__getitem__, deleted))
+    for i in closed:
+        removed.update(rot[roles[i]])
+    liftable = set(adds).union(*z_adds)
+    if kind == "C4":  # the lift may read the roles reflected
+        liftable.update([_C4_MIRROR[i] for i in liftable])
+    neighborhoods = {roles[i]: frozenset(rot[roles[i]]) for i in liftable}
+    touched, identified, added = set(), None, frozenset()
     if kind == "C4":
+        v1, v4, u1, u4 = (roles[i] for i in (0, 3, 5, 8))
         for x, old, new in ((u1, v1, u4), (u4, v4, u1)):
             rot[x][rot[x].index(old)] = new
             rot[old].remove(x)
             touched.add(x)
         added = frozenset((frozenset((u1, u4)),))
     if path:
-        a, pa, b, pb = path
+        a, pa, b, pb = (roles[i] for i in path)
         z = max(rot) + 1
         arc_a, arc_b = ([y for y in ns[ns.index(p) + 1:] + ns[:ns.index(p)] if y not in removed]
                         for ns, p in ((rot[a], pa), (rot[b], pb)))
@@ -109,21 +109,20 @@ def apply_reduction(rot, kind: str, roles):
         identified = (a, b, z)
     for t in touched:
         nbrs = set(rot[t])
-        if any(not nbrs.isdisjoint(rot[y]) for y in nbrs):
-            raise InternalInvariantError("reduction created a triangle (stale side-conditions?)")
+        for y in nbrs:   # a loop, not any(): this runs at every C1 step of solve
+            if not nbrs.isdisjoint(rot[y]):
+                raise InternalInvariantError(
+                    "reduction created a triangle (stale side-conditions?)")
     if len(rot) < host_before - 3 * k:
         raise InternalInvariantError("reduction deleted more than 3k vertices")
-    step = ReductionStep(kind, removed, identified, added, k, roles, neighborhoods)
+    step = ReductionStep(kind, frozenset(removed), identified, added, k, roles, neighborhoods)
     return step, touched
 
 
 def reduce(g: PlaneGraph, c: Configuration):
     """Apply the configuration's reduction; returns (reduced graph, step).  The
     derived rotation is built once, validated: Euler's formula proves it plane."""
-    if c.kind == "C5":
-        raise GraphError("C5 has no direct reduction; convert with c5_to_c2 first")
-    finder = dict(configurations._FINDERS)[c.kind]
-    if c not in finder(g):
+    if c not in configurations.kind_row(c.kind, c.roles)[1](g):
         raise GraphError("stale configuration: %r no longer holds" % (c,))
     if c.kind == "C2" and g.has_edge(c.roles[2], c.roles[3]):
         raise GraphError("host contains a triangle at %r" % (c,))
@@ -138,56 +137,28 @@ def reduce(g: PlaneGraph, c: Configuration):
 def lift(step: ReductionStep, s_reduced) -> frozenset:
     """Lift an independent set of the reduced graph back to the host.
 
-    ``s_reduced`` must be independent in the reduced graph.  Each candidate
-    lift is checked against the host neighbourhoods stored in the step: no
-    vertex it adds may have a host neighbour in it, and it must hold exactly
-    |s| + k vertices; the first candidate that passes is returned, and
+    ``s_reduced`` must be independent in the reduced graph.  The candidates
+    come from the kind's row of ``configurations.KINDS``, and each is checked
+    against the host neighbourhoods stored in the step: no vertex it adds may
+    have a host neighbour in it, and it must hold exactly |s| + k vertices;
+    the first candidate that passes is returned, and
     ``InternalInvariantError`` is raised when none does.  For such an
     ``s_reduced`` this is a full host independence check: every host edge
     between kept vertices is an edge of the reduced graph (which adds only
     edges at the fresh vertex z and the C4 edge u1u4), so an edge inside a
     candidate has an added endpoint.
     """
-    s = frozenset(s_reduced)
-    nbhd = step.neighborhoods
-    expected = len(s) + step.gain_k
-    if step.kind == "C1":
-        return _verified(nbhd, [(s, {step.roles[0]})], expected)
-    if step.kind == "C2":
-        v, u, w, w2 = step.roles
-        z = step.identified[2]
-        if z in s:
-            return _verified(nbhd, [(s - {z}, {w, w2})], expected)
-        return _verified(nbhd, [(s, {v})], expected)
-    if step.kind == "C3":
-        return _verified(nbhd, [(s, {step.roles[0], step.roles[2]})], expected)
-    if step.kind == "C4":
-        v1, v2, v3, v4, v5, u1, u2, u3, u4 = step.roles
-        z = step.identified[2]
-        if u1 in s:
-            # u1u4 is an edge of the reduced graph, so u4 is free; reflect the
-            # labeling to realize the proof's "assume u1 not in S" symmetry
-            v1, v2, v3, v4 = v4, v3, v2, v1
-            u1, u2, u3, u4 = u4, u3, u2, u1
-        if z in s:
-            # {v1,u3,u4} is the generic choice.  base holds no host neighbour
-            # of u2, u3 (z's), nor u1.  So {v1,u2,u3} passes if u1 != u3 (N(v1)
-            # = {v2,v5,u1}, u1 != u2, u2u3 no edge), and {v4,u1,u2} if u1 = u3
-            # (u4 is z's neighbour by the new edge, u2 != u4, u1u2 no edge)
-            base = s - {z}
-            candidates = [(base, {v1, u3, u4}),
-                          (base, {v1, u2, u3}),
-                          (base, {v4, u1, u2})]
-        else:
-            # u2 and u3 were merged into z, which is not in s, and after the
-            # reflection u1 is not in s either; the v_i were deleted.  So s
-            # holds no neighbor of v1 (v2, v5, u1) or of v3 (v2, v4, u3), and
-            # v1, v3 are not adjacent on the 5-face: s | {v1, v3} always works
-            candidates = [(s, {v1, v3})]
-        return _verified(nbhd, candidates, expected)
-    raise GraphError("unknown reduction kind %r" % step.kind)
-
-
-def check_tight(g: PlaneGraph, alpha: int) -> bool:
-    """Tightness test; alpha must be the exact independence number."""
-    return g.is_triangle_free() and 3 * alpha <= g.n + 1
+    adds, z_adds = configurations.kind_row(step.kind, step.roles)[4][4:]
+    s = set(s_reduced)
+    size = len(s) + step.gain_k
+    roles = step.roles
+    if step.kind == "C4" and roles[5] in s:
+        # u1u4 is an edge of the reduced graph, so u4 is free; reflect the
+        # labeling to realize the proof's "assume u1 not in S" symmetry
+        roles = tuple(roles[i] for i in _C4_MIRROR)
+    candidates = (adds,)
+    if step.identified and step.identified[2] in s:
+        s.discard(step.identified[2])
+        candidates = z_adds
+    _add_checked(step.neighborhoods, s, [[roles[i] for i in c] for c in candidates], size)
+    return frozenset(s)

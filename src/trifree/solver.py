@@ -93,8 +93,8 @@ class _Piece(Rotation):
     ``low`` is a min-heap of the vertices whose degree was at most 2 when
     pushed, and ``ids`` a min-heap of all vertices; both drop deleted
     entries lazily.  C1 steps delete in place, keeping rotation order, so
-    the graph a piece freezes to is the one repeated ``delete_vertices``
-    calls would give.  ``frozen`` is that graph while the piece is unchanged.
+    the graph a piece freezes to is the component with those vertices
+    deleted.  ``frozen`` is that graph while the piece is unchanged.
     """
 
     __slots__ = ("low", "ids", "frozen")
@@ -206,7 +206,7 @@ def _solve_set(comps: list):
         step, pending, found, c1_steps = stack[-1]
         if not pending:
             for c1 in c1_steps[::-1]:
-                _add_checked(c1.neighborhoods, found, c1.roles)
+                _add_checked(c1.neighborhoods, found, (c1.roles,), len(found) + 1)
             stack.pop()
             if step is None:
                 return frozenset(found), tuple(trace)

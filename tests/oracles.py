@@ -7,6 +7,7 @@ functions, the ``rebuild_*`` membership references only the public
 ``find_diamonds`` and ``diamond_reduce``, and ``recursive_avoiding_set``
 those two, ``diamond_lift`` and ``exact_alpha``.
 """
+import functools
 import itertools
 import random
 
@@ -14,7 +15,78 @@ import networkx as nx
 
 from trifree import configurations, discharging, extremal, reductions, solver, verify
 from trifree.plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph,
-                                 Rotation, cycle_graph, isomorphic_small)
+                                 Rotation, cycle_graph, embed_edges)
+
+
+def path_graph(k, start=1):
+    """The path on vertices start..start+k-1."""
+    vs = list(range(start, start + k))
+    return PlaneGraph({v: tuple(vs[j] for j in (i - 1, i + 1) if 0 <= j < k)
+                       for i, v in enumerate(vs)})
+
+
+_HEX = [(i, i % 6 + 1) for i in range(1, 7)]
+
+
+@functools.cache
+def c6_chord():
+    """The 6-cycle with one chord splitting it into two 4-faces, outer face
+    the hexagon."""
+    g = embed_edges(range(1, 7), _HEX + [(3, 6)])
+    return g.re_embed(g.find_face((1, 2, 3, 4, 5, 6)) or g.find_face((6, 5, 4, 3, 2, 1)))
+
+
+@functools.cache
+def c6_hub():
+    """The 6-cycle with a hub adjacent to every other cycle vertex, outer face
+    the hexagon."""
+    g = embed_edges(range(1, 8), _HEX + [(7, 1), (7, 3), (7, 5)])
+    return g.re_embed(g.find_face((1, 2, 3, 4, 5, 6)) or g.find_face((6, 5, 4, 3, 2, 1)))
+
+
+def face_from_walk(darts):
+    """The face with this cyclic dart walk, rotated to start at its smallest dart."""
+    darts = tuple(darts)
+    i = darts.index(min(darts))
+    return Face(darts[i:] + darts[:i])
+
+
+def delete_vertices(g, vs):
+    """g minus vs, keeping rotation order."""
+    vs = set(vs)
+    return PlaneGraph({v: tuple(u for u in g.rotation(v) if u not in vs)
+                       for v in g.vertices if v not in vs}, check=False)
+
+
+def relabel(g, mapping):
+    """g with every vertex v renamed mapping[v]."""
+    return PlaneGraph({mapping[v]: tuple(mapping[u] for u in g.rotation(v))
+                       for v in g.vertices}, check=False)
+
+
+def to_networkx(g):
+    """The abstract graph of g as a ``networkx.Graph``."""
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from((v, u) for v in g.vertices for u in g.rotation(v) if u > v)
+    return h
+
+
+def isomorphic_small(g, h):
+    """Abstract-graph isomorphism by VF2, for graphs with at most 12 vertices."""
+    if g.n > 12 or h.n > 12:
+        raise GraphError("isomorphic_small limited to 12 vertices")
+    if g.n != h.n or g.m != h.m:
+        return False
+    if sorted(g.degree(v) for v in g.vertices) != sorted(h.degree(v) for v in h.vertices):
+        return False
+    return nx.is_isomorphic(to_networkx(g), to_networkx(h))
+
+
+def check_tight(g, alpha):
+    """Whether g is triangle-free and meets (n+1)/3 with equality, given its
+    exact independence number alpha."""
+    return g.is_triangle_free() and 3 * alpha <= g.n + 1
 
 
 def naive_alpha(g):
@@ -58,7 +130,7 @@ def naive_paths(g, a, b, length, forbidden=()):
 def naive_cycles(g, max_len):
     """All simple cycles of length <= max_len, each as a frozenset of edges."""
     out = set()
-    for cyc in nx.simple_cycles(g.to_networkx(), length_bound=max_len):
+    for cyc in nx.simple_cycles(to_networkx(g), length_bound=max_len):
         if len(cyc) < 3:
             continue
         edges = frozenset(frozenset((cyc[i], cyc[(i + 1) % len(cyc)]))
@@ -142,7 +214,7 @@ def naive_c4(g):
                 continue
             if g.has_edge(u1, u2) or g.has_edge(u3, u4):
                 continue
-            h = g.delete_vertices(vs)
+            h = delete_vertices(g, vs)
             if naive_paths(h, u1, u4, 1) or naive_paths(h, u1, u4, 2):
                 continue
             if naive_paths(h, u2, u3, 1) or naive_paths(h, u2, u3, 3):
@@ -183,7 +255,7 @@ def naive_reduced_edges(g, c):
 def naive_diamonds(g):
     """Diamond tuples by scanning ordered 5-tuples of vertices."""
     out = set()
-    for cyc in nx.simple_cycles(g.to_networkx(), length_bound=5):
+    for cyc in nx.simple_cycles(to_networkx(g), length_bound=5):
         if len(cyc) != 5:
             continue
         for i in range(5):
@@ -293,9 +365,9 @@ def naive_disk(g, cycle):
 def vf2_exception(g):
     """The whole-graph C6c/C6v test by VF2: "C6c", "C6v" or None."""
     if g.n <= 12:
-        if isomorphic_small(g, discharging.c6_chord()):
+        if isomorphic_small(g, c6_chord()):
             return "C6c"
-        if isomorphic_small(g, discharging.c6_hub()):
+        if isomorphic_small(g, c6_hub()):
             return "C6v"
     return None
 
@@ -537,7 +609,7 @@ def recursive_avoiding_set(g, f):
     def recurse(h, face, want):
         fv = face.vertex_set
         if h.n <= 11:
-            alpha, witness = solver.exact_alpha(h.delete_vertices(fv))
+            alpha, witness = solver.exact_alpha(delete_vertices(h, fv))
             if alpha < want:
                 return None
             return witness if alpha == want else frozenset(sorted(witness)[:want])

@@ -1,9 +1,7 @@
 import pytest
 
 from trifree import configurations as cf
-from trifree.discharging import c6_chord, c6_hub
-from trifree.plane_graph import (GraphError, PlaneGraph, cycle_graph,
-                                 embed_edges, path_graph)
+from trifree.plane_graph import GraphError, PlaneGraph, cycle_graph, embed_edges
 
 import oracles
 
@@ -41,7 +39,7 @@ class TestFindC2:
         assert sorted(c.roles for c in got) == oracles.naive_c2(cube)
 
     def test_c6v_hub_with_odd_pair(self):
-        g = c6_hub()
+        g = oracles.c6_hub()
         roles = {c.roles for c in cf.find_c2(g)}
         assert (7, 5, 1, 3) in roles
 
@@ -61,7 +59,7 @@ class TestFindC3:
         assert cf.find_c3(cycle_graph(5)) == []
 
     def test_c6c_empty(self):
-        assert cf.find_c3(c6_chord()) == []
+        assert cf.find_c3(oracles.c6_chord()) == []
 
     def test_oracle_agreement(self, corpus8):
         for g in corpus8[::6]:
@@ -105,7 +103,7 @@ class TestFindC5:
         assert cf.find_c5(cycle_graph(5)) == []
 
     def test_c6v_nonempty(self):
-        assert cf.find_c5(c6_hub())
+        assert cf.find_c5(oracles.c6_hub())
 
     def test_oracle_agreement(self, corpus8):
         for g in corpus8[::6]:
@@ -114,7 +112,7 @@ class TestFindC5:
 
 class TestC5ToC2:
     def test_c6v_routes_through_hub(self):
-        g = c6_hub()
+        g = oracles.c6_hub()
         for c in cf.find_c5(g):
             c2 = cf.c5_to_c2(g, c)
             assert c2.kind == "C2"
@@ -147,22 +145,22 @@ class TestC5ToC2:
 
 class TestInterferes:
     def test_c1_internal(self):
-        g = c6_hub()
+        g = oracles.c6_hub()
         k = g.outer_face
         assert not cf.interferes(cf.Configuration("C1", (7,)), k)
 
     def test_c2_w_on_outer(self):
-        g = c6_hub()
+        g = oracles.c6_hub()
         k = g.outer_face
         assert cf.interferes(cf.Configuration("C2", (7, 5, 1, 3)), k)
 
     def test_c4_all_internal(self):
-        k = c6_hub().outer_face
+        k = oracles.c6_hub().outer_face
         c = cf.Configuration("C4", (101, 102, 103, 104, 105, 106, 107, 108, 109))
         assert not cf.interferes(c, k)
 
     def test_c3_only_diagonal_counts(self):
-        k = c6_hub().outer_face
+        k = oracles.c6_hub().outer_face
         # v2, v4 on the outer cycle do not interfere; v1, v3 do
         assert not cf.interferes(cf.Configuration("C3", (101, 1, 102, 3)), k)
         assert cf.interferes(cf.Configuration("C3", (1, 101, 102, 103)), k)
@@ -170,6 +168,15 @@ class TestInterferes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(GraphError):
             cf.Configuration("C9", ())
+
+    @pytest.mark.parametrize("kind, count", [("C1", 1), ("C2", 4), ("C3", 4), ("C4", 9),
+                                             ("C5", 4)])
+    def test_role_count_checked(self, kind, count):
+        for wrong in {count - 1, count + 1, 2} - {count}:
+            with pytest.raises(GraphError, match="roles"):
+                cf.Configuration(kind, tuple(range(1, wrong + 1)))
+        c = cf.Configuration(kind, tuple(range(1, count + 1)))
+        assert c.interference_vertices() <= set(c.roles)
 
 
 class TestFindAny:
@@ -191,5 +198,5 @@ class TestFindAny:
             cf.find_any(PlaneGraph({}))
 
     def test_tree_input(self):
-        c = cf.find_any(path_graph(5))
+        c = cf.find_any(oracles.path_graph(5))
         assert c.kind == "C1"

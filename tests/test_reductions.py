@@ -4,8 +4,8 @@ import pytest
 
 from trifree import configurations as cf, corpus, extremal as ex, reductions as rd, solver
 from trifree.extremal import Diamond, find_diamonds
-from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph,
-                                 cycle_graph, isomorphic_small, path_graph, serialize)
+from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, Rotation,
+                                 cycle_graph, serialize)
 from trifree.verify import is_independent_set
 
 import oracles
@@ -26,11 +26,10 @@ class TestReduce:
         reduced, step = rd.reduce(g, cf.Configuration("C1", (1,)))
         assert reduced.n == 2 and reduced.m == 1
         assert step.gain_k == 1
-        assert isomorphic_small(reduced, path_graph(2))
+        assert oracles.isomorphic_small(reduced, oracles.path_graph(2))
 
     def test_c1_on_c6v(self):
-        from trifree.discharging import c6_hub
-        g = c6_hub()
+        g = oracles.c6_hub()
         v = next(x for x in g.vertices if g.degree(x) == 2)
         reduced, step = rd.reduce(g, cf.Configuration("C1", (v,)))
         assert reduced.n == 4 and step.gain_k == 1
@@ -50,6 +49,18 @@ class TestReduce:
         c = cf.find_c5(cube)[0]
         with pytest.raises(GraphError):
             rd.reduce(cube, c)
+
+    @pytest.mark.parametrize("kind, count", [("C1", 1), ("C2", 4), ("C3", 4), ("C4", 9)])
+    def test_role_count_checked(self, cube, kind, count):
+        for wrong in {count - 1, count + 1, 2} - {count}:
+            with pytest.raises(GraphError, match="roles"):
+                rd.apply_reduction(Rotation.of(cube), kind, tuple(range(1, wrong + 1)))
+
+    def test_c5_and_unknown_kinds_have_no_reduction(self, cube):
+        c = cf.find_c5(cube)[0]
+        for kind, roles in ((c.kind, c.roles), ("C9", (1,))):
+            with pytest.raises(GraphError):
+                rd.apply_reduction(Rotation.of(cube), kind, roles)
 
     def test_stale_configuration_rejected(self, cube):
         with pytest.raises(GraphError):
@@ -107,7 +118,7 @@ class TestDerivedReduction:
 
 class TestLift:
     def test_c1_singleton(self):
-        g = path_graph(3)
+        g = oracles.path_graph(3)
         reduced, step = rd.reduce(g, cf.Configuration("C1", (2,)))
         assert reduced.n == 0
         assert rd.lift(step, frozenset()) == frozenset({2})
@@ -189,12 +200,12 @@ class TestLift:
     def test_tightness_preserved(self, corpus8):
         for g in corpus8[::4]:
             alpha_g, _ = solver.exact_alpha(g)
-            if not rd.check_tight(g, alpha_g):
+            if not oracles.check_tight(g, alpha_g):
                 continue
             for c in all_configs(g):
                 reduced, _ = rd.reduce(g, c)
                 alpha_r, _ = solver.exact_alpha(reduced)
-                assert rd.check_tight(reduced, alpha_r)
+                assert oracles.check_tight(reduced, alpha_r)
 
 
 class TestPinnedReductions:
@@ -239,7 +250,7 @@ class TestDiamondRoundTrip:
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
         reduced, step = rd.diamond_reduce(g, d)
-        assert isomorphic_small(reduced, cycle_graph(5))
+        assert oracles.isomorphic_small(reduced, cycle_graph(5))
         assert step.diamond.x1 == d.x1 and step.diamond.x2 == d.x2
 
     def test_exact_alpha_drop(self, golden):
@@ -339,10 +350,10 @@ class TestDiamondRoundTrip:
 
 class TestCheckTight:
     def test_c5(self):
-        assert rd.check_tight(cycle_graph(5), 2)
+        assert oracles.check_tight(cycle_graph(5), 2)
 
     def test_cube(self, cube):
-        assert not rd.check_tight(cube, 4)
+        assert not oracles.check_tight(cube, 4)
 
     def test_p2(self):
-        assert rd.check_tight(path_graph(2), 1)
+        assert oracles.check_tight(oracles.path_graph(2), 1)

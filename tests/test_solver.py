@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from trifree import corpus, discharging, solver
 from trifree.extremal import (avoiding_independent_set, generate_member, is_member,
                               member_max_independent_set)
-from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, cycle_graph,
-                                 path_graph)
+from trifree.plane_graph import GraphError, InternalInvariantError, PlaneGraph, cycle_graph
 from trifree.verify import is_independent_set
 
 import oracles
@@ -101,7 +100,7 @@ class TestSolve:
         first = generate_member(6, 1)
         second = golden["member14"]
         offset = first.max_vertex_id()
-        shifted = second.relabel({v: v + offset for v in second.vertices})
+        shifted = oracles.relabel(second, {v: v + offset for v in second.vertices})
         rot = {v: first.rotation(v) for v in first.vertices}
         rot.update({v: shifted.rotation(v) for v in shifted.vertices})
         union = solver.solve(PlaneGraph(rot))
@@ -199,7 +198,7 @@ class TestWorkspace:
 
         monkeypatch.setattr(solver, "exact_alpha", bad_alpha)
         with pytest.raises(InternalInvariantError, match="lift failed verification"):
-            solver.solve(path_graph(12))
+            solver.solve(oracles.path_graph(12))
 
     def test_split_then_frozen_piece(self, dodecahedron):
         # C1 at the path's middle vertex splits the piece into two cubic
@@ -256,11 +255,8 @@ class TestWorkspace:
 
     def test_no_networkx_on_hot_paths(self, monkeypatch, golden):
         # random growth, the diamond chains, solve on a grid and the audit
-        # make no planarity, isomorphism or hashing call; the audit must not
-        # even build the exceptional hexagons
+        # make no planarity, isomorphism or hashing call
         grid = oracles.grid(20, 20)
-        discharging.c6_chord.cache_clear()
-        discharging.c6_hub.cache_clear()
 
         def refuse(*args, **kwargs):
             raise AssertionError("networkx called")
@@ -348,4 +344,4 @@ class TestCheckTheoremBounds:
 
     def test_path_graphs(self):
         for k in (1, 2, 3, 4, 7):
-            assert solver.check_theorem_bounds(path_graph(k)).ok
+            assert solver.check_theorem_bounds(oracles.path_graph(k)).ok
