@@ -227,8 +227,8 @@ def _add_checked(neighborhoods, s: set, candidates, size: int) -> None:
     """Add to ``s``, in place, the first candidate of new vertices that brings
     it to exactly ``size`` vertices with no added vertex having a stored
     neighbour in the result, else raise ``InternalInvariantError``.  Every
-    lift is checked here: ``reductions.lift``, the diamond lifts,
-    ``diamond_project`` and the solver's C1 steps."""
+    lift is checked here: ``reductions.lift`` and ``_lift_into`` (which
+    ``solve`` calls), the diamond lifts and ``diamond_project``."""
     reasons = []
     for added in candidates:
         if not s.isdisjoint(added) or len(s) + len(set(added)) != size:

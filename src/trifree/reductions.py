@@ -3,18 +3,18 @@
 Each reduction shrinks the host by at most 3k vertices while the lift gains
 exactly k independent vertices (k = 1 for C1/C2, 2 for C3/C4).  C5 has no
 reduction of its own; callers convert it via ``configurations.c5_to_c2``.
-What a kind deletes, contracts and adds back is read from its row of
-``configurations.KINDS``; only C4's drawn edge u1u4 and its reflection are
-code of their own.  One in-place rotation edit, ``apply_reduction``, serves
-every kind: ``reduce`` applies it to a ``Rotation`` copy of the host, and
-``solver`` to its pieces for C1 chains.  Reduced rotations are derived, never
-re-embedded: deletion keeps rotation order and the C2/C4 identification is a
-contraction, so every reduced graph inherits the host's embedding.  A
-``ReductionStep`` keeps no host graph: it stores the host neighbourhoods of
-the vertices its lift may add, and every lift is checked against them (see
-``lift``).  The diamond step and its lift live in ``extremal`` and are
-re-exported here as ``diamond_reduce`` and ``diamond_lift``; every lift
-shares one candidate check, ``extremal._add_checked``.
+Each kind's row of ``configurations.KINDS`` says what it deletes, contracts
+and adds back; only C4's drawn edge u1u4 and its reflection are code of
+their own.  One in-place rotation edit, ``apply_reduction``, serves every
+kind: ``reduce`` applies it to a copy of the host, ``solver`` to its pieces.
+Its caller names a contraction's fresh vertex, so ``solve`` can give ids
+unique in the whole solve and lift one set through every step in place by
+``_lift_into``.  Reduced rotations are derived, never re-embedded: deletion
+keeps rotation order and the C2/C4 identification is a contraction.  A
+``ReductionStep`` keeps no host graph, only the host neighbourhoods of the
+vertices its lift may add, and every lift is checked against them by
+``extremal._add_checked``, which the diamond lifts (re-exported here as
+``diamond_reduce`` and ``diamond_lift``) share.
 """
 from __future__ import annotations
 
@@ -52,18 +52,18 @@ class ReductionStep:
 _C4_MIRROR = (3, 2, 1, 0, 4, 8, 7, 6, 5)
 
 
-def apply_reduction(rot, kind: str, roles):
+def apply_reduction(rot, kind: str, roles, z):
     """Apply the reduction of configuration ``(kind, roles)``, C1-C4, in place
     to ``rot``, each vertex's clockwise neighbour list; returns the step and
     the vertices left whose rotation changed.  The caller checks that the
-    configuration holds.
+    configuration holds, and gives z, an id no vertex has.
 
     Deletion keeps the rotation order.  C2 and C4 contract a path a-...-b
-    through deleted vertices into z = max id + 1, so z reads a's rotation
-    clockwise from just after the path, then b's; a common neighbour of a and
-    b keeps one of its two parallel edges to z.  C4 first draws u1u4 along
-    u1-v1-v5-v4-u4, so that u1 = u3 and u2 = u4 come out right.  Every new
-    edge meets a changed vertex, so triangles are looked for there only.
+    through deleted vertices into z, which reads a's rotation clockwise from
+    just after the path, then b's; a common neighbour of a and b keeps one of
+    its two parallel edges to z.  C4 first draws u1u4 along u1-v1-v5-v4-u4,
+    so that u1 = u3 and u2 = u4 come out right.  Only C2 and C4 add edges,
+    each at a changed vertex, so only they look for triangles, and only there.
     """
     reduction = configurations.kind_row(kind, roles)[4]
     if reduction is None:
@@ -87,7 +87,6 @@ def apply_reduction(rot, kind: str, roles):
         added = frozenset((frozenset((u1, u4)),))
     if path:
         a, pa, b, pb = (roles[i] for i in path)
-        z = max(rot) + 1
         arc_a, arc_b = ([y for y in ns[ns.index(p) + 1:] + ns[:ns.index(p)] if y not in removed]
                         for ns, p in ((rot[a], pa), (rot[b], pb)))
     for x in removed:
@@ -107,10 +106,9 @@ def apply_reduction(rot, kind: str, roles):
             ns[ns.index(a if a in ns else b)] = z
         touched = (touched - {a, b}) | {z, *rot[z]}
         identified = (a, b, z)
-    for t in touched:
-        nbrs = set(rot[t])
-        for y in nbrs:   # a loop, not any(): this runs at every C1 step of solve
-            if not nbrs.isdisjoint(rot[y]):
+        for t in touched:
+            nbrs = set(rot[t])
+            if any(not nbrs.isdisjoint(rot[y]) for y in nbrs):
                 raise InternalInvariantError(
                     "reduction created a triangle (stale side-conditions?)")
     if len(rot) < host_before - 3 * k:
@@ -127,29 +125,38 @@ def reduce(g: PlaneGraph, c: Configuration):
     if c.kind == "C2" and g.has_edge(c.roles[2], c.roles[3]):
         raise GraphError("host contains a triangle at %r" % (c,))
     rot = Rotation.of(g)
-    step, _ = apply_reduction(rot, c.kind, c.roles)
+    step, _ = apply_reduction(rot, c.kind, c.roles, g.max_vertex_id() + 1)
+    return _checked_build(rot), step
+
+
+def _checked_build(rot) -> PlaneGraph:
+    """The validated build of a reduced rotation, checked triangle-free."""
     reduced = rot.build()
     if not reduced.is_triangle_free():
         raise InternalInvariantError("reduction created a triangle (stale side-conditions?)")
-    return reduced, step
+    return reduced
 
 
 def lift(step: ReductionStep, s_reduced) -> frozenset:
     """Lift an independent set of the reduced graph back to the host.
 
     ``s_reduced`` must be independent in the reduced graph.  The candidates
-    come from the kind's row of ``configurations.KINDS``, and each is checked
-    against the host neighbourhoods stored in the step: no vertex it adds may
-    have a host neighbour in it, and it must hold exactly |s| + k vertices;
-    the first candidate that passes is returned, and
-    ``InternalInvariantError`` is raised when none does.  For such an
-    ``s_reduced`` this is a full host independence check: every host edge
-    between kept vertices is an edge of the reduced graph (which adds only
-    edges at the fresh vertex z and the C4 edge u1u4), so an edge inside a
-    candidate has an added endpoint.
+    come from the kind's row of ``configurations.KINDS``; the first that
+    holds exactly |s| + k vertices, none it adds having a host neighbour
+    (stored in the step) in it, is returned, else ``InternalInvariantError``
+    is raised.  For such an ``s_reduced`` this is a full host independence
+    check: every host edge between kept vertices is a reduced edge (the
+    reduction adds edges only at the fresh vertex z and the C4 edge u1u4),
+    so an edge inside a candidate has an added endpoint.
     """
-    adds, z_adds = configurations.kind_row(step.kind, step.roles)[4][4:]
     s = set(s_reduced)
+    _lift_into(step, s)
+    return frozenset(s)
+
+
+def _lift_into(step: ReductionStep, s: set) -> None:
+    """``lift`` in place on ``s``."""
+    adds, z_adds = configurations.kind_row(step.kind, step.roles)[4][4:]
     size = len(s) + step.gain_k
     roles = step.roles
     if step.kind == "C4" and roles[5] in s:
@@ -161,4 +168,3 @@ def lift(step: ReductionStep, s_reduced) -> frozenset:
         s.discard(step.identified[2])
         candidates = z_adds
     _add_checked(step.neighborhoods, s, [[roles[i] for i in c] for c in candidates], size)
-    return frozenset(s)

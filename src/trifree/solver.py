@@ -5,7 +5,6 @@ import heapq
 from dataclasses import dataclass
 
 from . import configurations, extremal, reductions, verify
-from .extremal import _add_checked
 from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, Rotation
 
 ORACLE_LIMIT = 40
@@ -92,9 +91,8 @@ class _Piece(Rotation):
 
     ``low`` is a min-heap of the vertices whose degree was at most 2 when
     pushed, and ``ids`` a min-heap of all vertices; both drop deleted
-    entries lazily.  C1 steps delete in place, keeping rotation order, so
-    the graph a piece freezes to is the component with those vertices
-    deleted.  ``frozen`` is that graph while the piece is unchanged.
+    entries lazily; no step raises a degree.  ``frozen`` is the piece as a
+    ``PlaneGraph`` while the piece is unchanged.
     """
 
     __slots__ = ("low", "ids", "frozen")
@@ -121,19 +119,24 @@ class _Piece(Rotation):
             self.frozen = PlaneGraph(self, check=False)
         return self.frozen
 
-    def c1_step(self, v):
-        """Delete N[v] for the C1 configuration at v by
-        ``reductions.apply_reduction``; returns the step and the pieces left,
-        ascending by smallest vertex."""
-        if self.degree(v) > 2:
+    def reduce(self, kind, roles, z):
+        """Reduce ``(kind, roles)`` in place by ``reductions.apply_reduction``,
+        naming a contraction's fresh vertex z; returns the step and the pieces
+        left, ascending by smallest vertex.  Every step but C1 is checked as
+        ``reductions.reduce`` checks it, by a validated triangle-free build."""
+        if kind == "C1" and self.degree(roles[0]) > 2:
             raise InternalInvariantError("stale C1 configuration at %d (degree %d)"
-                                         % (v, self.degree(v)))
-        step, touched = reductions.apply_reduction(self, "C1", (v,))
-        self.frozen = None
+                                         % (roles[0], self.degree(roles[0])))
+        step, touched = reductions.apply_reduction(self, kind, roles, z)
+        built = None if kind == "C1" else reductions._checked_build(self)
+        if step.identified:
+            heapq.heappush(self.ids, z)
         for t in touched:
             if self.degree(t) <= 2:
                 heapq.heappush(self.low, t)
-        return step, self._split(sorted(touched))
+        parts = self._split(sorted(touched))
+        self.frozen = built if len(parts) == 1 else None
+        return step, parts
 
     def _split(self, starts) -> list:
         """The pieces this one falls into, given that every vertex whose
@@ -185,55 +188,46 @@ class _Piece(Rotation):
 
 
 def _solve_set(comps: list):
-    """(independent set, trace) of the graph with components ``comps``, by a
-    loop over an explicit stack.
+    """(independent set, trace) of the graph with components ``comps``, by one
+    loop over a stack of pieces.
 
-    A frame is (step, components of its reduced graph left to solve, union of
-    their sets so far, C1 steps made on them); the bottom frame has no step.
-    Components of more than ``EXACT_BASE`` vertices become pieces: C1 steps
-    run on the piece in place, and only a C2-C5 step freezes it to a graph.
-    Smaller components, graphs or pieces, go to ``exact_alpha`` as they are.
-    A C2-C5 step pushes a frame, which lifts its union into the frame below
-    by ``reductions.lift`` when it finishes.  A C1 step pushes none: its parts
-    are solved next in the current frame, which records the step and, when it
-    finishes, adds the step's vertex to its union in place, checked against
-    the vertex's stored neighbourhood as ``lift`` checks it.  So no set is
-    copied along a C1 chain.  The trace lists steps in pre-order.
+    Components of more than ``EXACT_BASE`` vertices become pieces, and each
+    step reduces its piece in place and splits it; a piece is frozen to a
+    graph only for ``find_any``, when it has no vertex of degree at most 2.
+    Smaller components go to ``exact_alpha`` as they are, into one set, and
+    that set is lifted through the pre-order trace in reverse, so every
+    step's reduced graph is lifted before the step.  Pieces share no vertex,
+    and the i-th contraction's fresh vertex is ``max(input id) + i``, found
+    at the first frozen step, so one set serves every piece.
     """
-    trace = []
-    stack = [(None, comps[::-1], set(), [])]
-    while True:
-        step, pending, found, c1_steps = stack[-1]
-        if not pending:
-            for c1 in c1_steps[::-1]:
-                _add_checked(c1.neighborhoods, found, (c1.roles,), len(found) + 1)
-            stack.pop()
-            if step is None:
-                return frozenset(found), tuple(trace)
-            stack[-1][2].update(reductions.lift(step, found))
+    trace, found, z = [], set(), None
+    pending = comps[::-1]
+    while pending:
+        piece = pending.pop()
+        if piece.n <= EXACT_BASE:
+            found.update(exact_alpha(piece)[1])
             continue
-        comp = pending.pop()
-        if comp.n <= EXACT_BASE:
-            found.update(exact_alpha(comp)[1])
-            continue
-        if isinstance(comp, PlaneGraph):
-            comp = _Piece(Rotation.of(comp), comp)
-        v = comp.c1_vertex()
+        if isinstance(piece, PlaneGraph):
+            piece = _Piece(Rotation.of(piece), piece)
+        v = piece.c1_vertex()
         if v is not None:
-            step, parts = comp.c1_step(v)
+            kind, roles = "C1", (v,)
         else:
-            g = comp.freeze()
+            g = piece.freeze()
             c = configurations.find_any(g)
             if c.kind == "C5":
                 c = configurations.c5_to_c2(g, c)
-            reduced, step = reductions.reduce(g, c)
-            parts = _component_graphs(reduced)
+            kind, roles = c.kind, c.roles
+            if z is None:
+                z = max(map(PlaneGraph.max_vertex_id, comps)) + 1
+        step, parts = piece.reduce(kind, roles, z)
+        if step.identified:
+            z += 1
         trace.append(step)
-        if step.kind == "C1":
-            c1_steps.append(step)
-            pending.extend(parts[::-1])
-        else:
-            stack.append((step, parts[::-1], set(), []))
+        pending.extend(parts[::-1])
+    for step in reversed(trace):
+        reductions._lift_into(step, found)
+    return frozenset(found), tuple(trace)
 
 
 def _component_guarantee(g: PlaneGraph) -> int:

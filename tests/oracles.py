@@ -7,6 +7,7 @@ functions, the ``rebuild_*`` membership references only the public
 ``find_diamonds`` and ``diamond_reduce``, and ``recursive_avoiding_set``
 those two, ``diamond_lift`` and ``exact_alpha``.
 """
+import dataclasses
 import functools
 import itertools
 import random
@@ -521,14 +522,17 @@ def rebuild_solve_set(g):
     """(independent set, trace) of g by the reduction chain that rebuilds a
     whole graph after every step: one public ``find_any`` / ``c5_to_c2`` /
     ``reduce`` / ``lift`` per step, components solved in ascending order of
-    their smallest vertex, the trace in pre-order."""
+    their smallest vertex, the trace in pre-order.  Each frame lifts its own
+    set.  The i-th contraction's fresh vertex, max id + 1 of its host after
+    ``reduce``, is renamed to ``solve``'s id for it, ``g.max_vertex_id() + i``,
+    in the reduced graph and in the step."""
     def component_graphs(h):
         comps = h.components()
         if len(comps) == 1:
             return [h]
         return [PlaneGraph({v: h.rotation(v) for v in comp}, check=False) for comp in comps]
 
-    trace = []
+    trace, fresh = [], g.max_vertex_id()
     stack = [(None, component_graphs(g)[::-1], set())]
     while True:
         step, pending, found = stack[-1]
@@ -546,6 +550,11 @@ def rebuild_solve_set(g):
         if c.kind == "C5":
             c = configurations.c5_to_c2(comp, c)
         reduced, step = reductions.reduce(comp, c)
+        if step.identified:
+            a, b, z = step.identified
+            fresh += 1
+            reduced = relabel(reduced, {v: fresh if v == z else v for v in reduced.vertices})
+            step = dataclasses.replace(step, identified=(a, b, fresh))
         trace.append(step)
         stack.append((step, component_graphs(reduced)[::-1], set()))
 

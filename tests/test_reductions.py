@@ -54,13 +54,14 @@ class TestReduce:
     def test_role_count_checked(self, cube, kind, count):
         for wrong in {count - 1, count + 1, 2} - {count}:
             with pytest.raises(GraphError, match="roles"):
-                rd.apply_reduction(Rotation.of(cube), kind, tuple(range(1, wrong + 1)))
+                rd.apply_reduction(Rotation.of(cube), kind, tuple(range(1, wrong + 1)),
+                                   cube.max_vertex_id() + 1)
 
     def test_c5_and_unknown_kinds_have_no_reduction(self, cube):
         c = cf.find_c5(cube)[0]
         for kind, roles in ((c.kind, c.roles), ("C9", (1,))):
             with pytest.raises(GraphError):
-                rd.apply_reduction(Rotation.of(cube), kind, roles)
+                rd.apply_reduction(Rotation.of(cube), kind, roles, cube.max_vertex_id() + 1)
 
     def test_stale_configuration_rejected(self, cube):
         with pytest.raises(GraphError):

@@ -4,7 +4,7 @@ import networkx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trifree import corpus, discharging, solver
+from trifree import configurations, corpus, discharging, solver
 from trifree.extremal import (avoiding_independent_set, generate_member, is_member,
                               member_max_independent_set)
 from trifree.plane_graph import GraphError, InternalInvariantError, PlaneGraph, cycle_graph
@@ -213,6 +213,46 @@ class TestWorkspace:
             assert kinds[0] == "C1"
             later += any(k != "C1" for k in kinds[1:])
         assert later == 3
+
+    def test_three_part_chain(self, dodecahedron):
+        # C1 steps split off a dodecahedron, a cylinder and a dodecahedron,
+        # whose C4, C2 and C4 steps name their fresh vertices 71, 72 and 73
+        g = _join_by_path(_join_by_path(dodecahedron, oracles.cylinder(6, 4)), dodecahedron)
+        res = self.same_as_rebuild(g)
+        fresh = [(step.kind, step.identified[2]) for step in res.trace if step.identified]
+        assert g.max_vertex_id() == 70 and res.met
+        assert fresh == [("C4", 71), ("C2", 72), ("C4", 73)]
+
+    def test_fresh_ids_unique_per_solve(self, dodecahedron):
+        # every contraction's fresh vertex follows the input's ids, one more
+        # per contraction in trace order, so no two pieces share an id
+        cylinder = oracles.cylinder(6, 4)
+        graphs = [oracles.cylinder(8, 400)] + [
+            _join_by_path(first, second) for first, second in (
+                (dodecahedron, dodecahedron), (dodecahedron, cylinder),
+                (cylinder, dodecahedron), (cylinder, cylinder))]
+        for g in graphs:
+            fresh = [step.identified[2] for step in solver.solve(g).trace if step.identified]
+            start = g.max_vertex_id() + 1
+            assert fresh and fresh == list(range(start, start + len(fresh)))
+
+    def test_one_finder_run_per_frozen_step(self, monkeypatch):
+        # the configuration find_any picks is reduced on the piece as it is,
+        # with no second finder run to check that it still holds
+        runs = []
+
+        def counted(finder):
+            def run(g):
+                runs.append(g.n)
+                return finder(g)
+            return run
+
+        monkeypatch.setattr(configurations, "KINDS", tuple(
+            row[:1] + (counted(row[1]),) + row[2:] if row[0] == "C2" else row
+            for row in configurations.KINDS))
+        res = solver.solve(oracles.cylinder(6, 30))
+        assert [step.kind for step in res.trace].count("C2") == 1
+        assert runs == [180]
 
     def test_no_large_build(self, monkeypatch):
         # a C1 chain builds no graph, and small pieces go to exact_alpha as

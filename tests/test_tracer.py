@@ -18,7 +18,7 @@ import json, sys
 sys.path[:0] = sys.argv[1:]
 import tracer
 import oracles
-from trifree import configurations, corpus, discharging, extremal, solver
+from trifree import configurations, corpus, discharging, extremal, reductions, solver
 from trifree.plane_graph import PlaneGraph
 
 t = tracer.install(tracer.Tracer())
@@ -26,10 +26,14 @@ t.keep_spans = False
 t.active = True
 g = corpus.golden_graphs()["member20"]
 # solve reduces member20 by C1 four times on its own workspace, without
-# find_c1 or reduce; the cylinder's C2 step goes through find_any, find_c1
-# and reduce.  The cube would be solved exactly
+# find_c1; the cylinder's C2 step goes through find_any and find_c1.  solve
+# calls neither reduce nor lift, so the cylinder's C2 configuration is
+# reduced and lifted here.  The cube would be solved exactly
 solver.solve(g)
-solver.solve(oracles.cylinder(6, 30))
+cylinder = oracles.cylinder(6, 30)
+solver.solve(cylinder)
+reduced, step = reductions.reduce(cylinder, configurations.find_c2(cylinder)[0])
+reductions.lift(step, solver.solve(reduced).independent_set)
 extremal.member_max_independent_set(g, extremal.is_member(g))
 w = corpus.golden_graphs()["dangerous_witness"]
 discharging.audit(w)
