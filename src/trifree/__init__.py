@@ -9,9 +9,9 @@ from .plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph, 
                           embed_edges, parse, serialize)
 from .configurations import Configuration, NoConfigurationError, find_any, interferes
 from .extremal import (Diamond, DiamondStep, MembershipTrace, avoiding_independent_set,
-                       diamond_lift, diamond_project, diamond_reduce, find_diamonds,
-                       generate_member, is_member, member_max_independent_set,
-                       path_diamond_replacement, replace_diamond_with_path)
+                       diamond_project, diamond_reduce, find_diamonds, generate_member,
+                       is_member, member_max_independent_set, path_diamond_replacement,
+                       replace_diamond_with_path)
 from .reductions import ReductionStep, lift, reduce
 from .solver import SolveResult, check_theorem_bounds, exact_alpha, solve
 from .discharging import (AuditReport, ChargeLedger, DangerousCycle, apply_rules,

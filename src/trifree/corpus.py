@@ -14,7 +14,7 @@ from . import extremal, solver
 from .plane_graph import (GraphError, InternalInvariantError, PlaneGraph, Rotation,
                           cycle_graph, embed_edges, parse)
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent.parent / "corpus" / "golden"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 ENUM_LIMIT = 11
 
@@ -179,8 +179,8 @@ def generate_extremal(spec: CorpusSpec):
 def golden_names():
     """Names of the golden fixtures; an empty or missing directory is an error.
 
-    ``GOLDEN_DIR`` sits outside the package, so an install that does not keep
-    the source tree would otherwise make every golden check pass vacuously.
+    ``GOLDEN_DIR`` ships as package data; an install that left it out would
+    otherwise make every golden check pass vacuously.
     """
     names = sorted(p.stem for p in GOLDEN_DIR.glob("*.graph"))
     if not names:

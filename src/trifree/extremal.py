@@ -4,22 +4,24 @@ A diamond is a 5-cycle u1-z1-z2-u2-w with degrees (3, 2, 2, 3, 3), an apex
 x1 adjacent to both u1 and u2, and x2 the third neighbor of w.  Replacing
 the diamond by the path x1-v1-v2-x2 removes three vertices and drops the
 independence number by exactly one.  The replacement and its inverse are
-in-place edits of a ``Rotation`` that take their fresh ids from its id stack
-(``Rotation.fresh_ids``), and each chain runs on one copy: membership
-testing replaces the first diamond found down to C5 or P2, never
-backtracking; the certificate replays that trace; the generator grows C5,
-keeping its degree-2 paths in order, and builds once; the face-avoiding set
-replaces the first diamond that spares the face, never backtracking either.
-Both descents read their diamonds from one ``_DiamondIndex``: one
-``find_diamonds`` scan, then a local search near each replacement, so a
-chain costs about O(n log n) instead of one scan per step.
-``diamond_reduce`` is copy, edit, one validated build.  ``diamond_lift(step,
-s)``, for s independent in the reduced graph, checks what it adds against
-the host neighbourhoods the degree pattern pins, a full host independence
-check, and raises ``InternalInvariantError`` when it fails; the certificate
-and the face-avoiding set lift into one mutable set with the same check.
-``diamond_project`` goes the other way, from a host set to the reduced graph,
-checked against the path's neighbourhoods without building that graph.
+in-place edits of a ``Rotation`` whose fresh ids the caller names, as
+``solve`` names its contractions: each chain numbers its ids on from its
+input's largest id and runs on one copy.  Membership testing replaces the
+first diamond found down to C5 or P2, never backtracking; the certificate
+replays that trace; the generator grows C5, keeping its degree-2 paths in
+order, and builds once; the face-avoiding set replaces the first diamond
+that spares the face, never backtracking either.  Both descents read their
+diamonds from one ``_DiamondIndex``: one ``find_diamonds`` scan, then a
+local search near each replacement, so a chain costs about O(n log n)
+instead of one scan per step.  ``diamond_reduce`` is copy, edit, one
+validated build.  ``DiamondStep.lift_into(s)``, for s independent in the
+reduced graph, checks what it adds against the host neighbourhoods the
+degree pattern pins, a full host independence check, and raises
+``InternalInvariantError`` when it fails; ``reductions.lift`` is its copying
+form.  Every chain ends in ``_lift_back``: one set lifted back through the
+steps, then checked against the chain's input.  ``diamond_project`` goes the
+other way, from a host set to the reduced graph, checked against the path's
+neighbourhoods without building that graph.
 """
 from __future__ import annotations
 
@@ -65,6 +67,21 @@ class DiamondStep:
         d = self.diamond
         return "replace %d %d %d %d %d -> path %d %d %d %d" % (
             d.u1, d.z1, d.z2, d.u2, d.w, d.x1, self.v1, self.v2, d.x2)
+
+    def lift_into(self, s: set) -> None:
+        """Lift ``s``, independent in the reduced graph, to the host, in
+        place: v1 and v2 go back to u1 and w, and z2 is added.  The lift is
+        checked against the host neighbourhoods the degree pattern pins,
+        N(u1) = {z1, w, x1}, N(w) = {u1, u2, x2} and N(z2) = {z1, u2}, and
+        must gain exactly one vertex, else ``InternalInvariantError``.  Every
+        host edge between kept vertices is a reduced edge, so this is a full
+        host independence check."""
+        d = self.diamond
+        added = [d.z2] + [x for v, x in ((self.v1, d.u1), (self.v2, d.w)) if v in s]
+        size = len(s) + 1
+        s.difference_update((self.v1, self.v2))
+        nbhd = {d.u1: (d.z1, d.w, d.x1), d.w: (d.u1, d.u2, d.x2), d.z2: (d.z1, d.u2)}
+        _add_checked(nbhd, s, (added,), size)
 
 
 @dataclass(frozen=True)
@@ -197,15 +214,25 @@ class _DiamondIndex:
                 self._add(t)
 
 
-def replace_diamond_with_path(rot: Rotation, d: Diamond) -> DiamondStep:
+def _fresh(rot: Rotation, first: int, k: int) -> range:
+    """The k ids from ``first`` on; one in use raises ``GraphError``."""
+    ids = range(first, first + k)
+    if any(map(rot.__contains__, ids)):
+        raise GraphError("an id of %d..%d is in use" % (first, first + k - 1))
+    return ids
+
+
+def replace_diamond_with_path(rot: Rotation, d: Diamond, v1: int) -> DiamondStep:
     """Replace the diamond by the path x1-v1-v2-x2 in ``rot``, in place;
-    returns the step.  v1 takes u1's slot at x1 (u2 is dropped) and v2 takes
-    w's slot at x2: the host minus z1, z2, u2 with its path x1-u1-w-x2
-    renamed, so still plane.  The degree pattern pins every cycle-vertex
-    neighbor, so only the rotations at x1 and x2 mention removed vertices."""
+    returns the step.  The caller names v1, and v2 is v1 + 1; an id in use
+    raises ``GraphError`` before any edit.  v1 takes u1's slot at x1 (u2 is
+    dropped) and v2 takes w's slot at x2: the host minus z1, z2, u2 with its
+    path x1-u1-w-x2 renamed, so still plane.  The degree pattern pins every
+    cycle-vertex neighbor, so only the rotations at x1 and x2 mention removed
+    vertices."""
     if not _check_diamond(rot, d):
         raise GraphError("not a diamond of this graph: %r" % (d,))
-    v1, v2 = rot.fresh_ids(2)
+    v1, v2 = _fresh(rot, v1, 2)
     for v in d.cycle:
         del rot[v]
     rot[d.x2][rot[d.x2].index(d.w)] = v2
@@ -219,7 +246,7 @@ def replace_diamond_with_path(rot: Rotation, d: Diamond) -> DiamondStep:
 def diamond_reduce(g: PlaneGraph, d: Diamond):
     """Replace a diamond by a path on a copy of g; returns (reduced graph, step)."""
     rot = Rotation.of(g)
-    step = replace_diamond_with_path(rot, d)
+    step = replace_diamond_with_path(rot, d, g.max_vertex_id() + 1)
     return rot.build(), step
 
 
@@ -227,8 +254,8 @@ def _add_checked(neighborhoods, s: set, candidates, size: int) -> None:
     """Add to ``s``, in place, the first candidate of new vertices that brings
     it to exactly ``size`` vertices with no added vertex having a stored
     neighbour in the result, else raise ``InternalInvariantError``.  Every
-    lift is checked here: ``reductions.lift`` and ``_lift_into`` (which
-    ``solve`` calls), the diamond lifts and ``diamond_project``."""
+    lift is checked here: both step kinds' ``lift_into`` and
+    ``diamond_project``."""
     reasons = []
     for added in candidates:
         if not s.isdisjoint(added) or len(s) + len(set(added)) != size:
@@ -244,25 +271,16 @@ def _add_checked(neighborhoods, s: set, candidates, size: int) -> None:
     raise InternalInvariantError("lift failed verification: %s" % "; ".join(reasons))
 
 
-def _lift_into(step: DiamondStep, s: set) -> None:
-    """``diamond_lift`` in place on ``s``."""
-    d = step.diamond
-    added = [d.z2] + [x for v, x in ((step.v1, d.u1), (step.v2, d.w)) if v in s]
-    size = len(s) + 1
-    s.difference_update((step.v1, step.v2))
-    nbhd = {d.u1: (d.z1, d.w, d.x1), d.w: (d.u1, d.u2, d.x2), d.z2: (d.z1, d.u2)}
-    _add_checked(nbhd, s, (added,), size)
-
-
-def diamond_lift(step: DiamondStep, s_reduced) -> frozenset:
-    """Lift ``s_reduced``, independent in the reduced graph, to the host: v1
-    and v2 go back to u1 and w, and z2 is added.  The lift is checked against
-    the host neighbourhoods the degree pattern pins, N(u1) = {z1, w, x1},
-    N(w) = {u1, u2, x2} and N(z2) = {z1, u2}, and must gain exactly one
-    vertex, else ``InternalInvariantError``.  Every host edge between kept
-    vertices is a reduced edge, so this is a full host independence check."""
-    s = set(s_reduced)
-    _lift_into(step, s)
+def _lift_back(g, steps, s: set) -> frozenset:
+    """Lift ``s`` back through ``steps``, a chain that started at g, in
+    reverse and in place, each step by its own ``lift_into``; then check the
+    result against g itself, since each lift checks only what it adds.  This
+    ends every chain: ``solve``, the certificate and the face-avoiding set."""
+    for step in reversed(steps):
+        step.lift_into(s)
+    bad = verify.violating_edge(g, s)
+    if bad is not None:
+        raise InternalInvariantError("lifted set is not independent in the input: %r" % (bad,))
     return frozenset(s)
 
 
@@ -304,18 +322,19 @@ def diamond_project(g: PlaneGraph, d: Diamond, s) -> frozenset:
     return frozenset(out)
 
 
-def path_diamond_replacement(rot: Rotation, path) -> Diamond:
+def path_diamond_replacement(rot: Rotation, path, u1: int) -> Diamond:
     """Exact inverse edit, in place: grow a path x1-v1-v2-x2 of ``rot`` into a
-    diamond u1, z1, z2, u2, w = max id + 1..5, drawn along the path: u1 and u2
+    diamond u1, z1, z2, u2, w = u1..u1 + 4, drawn along the path: u1 and u2
     replace v1 at x1, w replaces v2 at x2, and u1-z1-z2-u2 lies inside the
-    4-cycle x1-u1-w-u2.  Returns the diamond."""
+    4-cycle x1-u1-w-u2.  The caller names u1; an id in use raises
+    ``GraphError`` before any edit.  Returns the diamond."""
     x1, v1, v2, x2 = path
     for a, b in ((x1, v1), (v1, v2), (v2, x2)):
         if not (rot.has_vertex(a) and rot.has_edge(a, b)):
             raise GraphError("not a path of this graph: %r" % (path,))
     if rot.degree(v1) != 2 or rot.degree(v2) != 2:
         raise GraphError("path interior must have degree 2: %r" % (path,))
-    u1, z1, z2, u2, w = rot.fresh_ids(5)
+    u1, z1, z2, u2, w = _fresh(rot, u1, 5)
     del rot[v1], rot[v2]
     rot[x2][rot[x2].index(v2)] = w
     i = rot[x1].index(v1)
@@ -357,19 +376,22 @@ def is_member(g: PlaneGraph) -> MembershipTrace:
     less (the diamond lemma).  That graph is tight again, and by the theorem
     every connected planar triangle-free graph with alpha < (n+2)/3 is a
     member.  Hence the first diamond found is as good as any, and a graph
-    that reaches a dead end was never a member.  The descent edits one copy
-    of g, made at the first replacement, and checks connectivity on g only:
-    a replacement keeps a connected graph connected.  Its diamonds come from
-    one ``_DiamondIndex`` of g.
+    that reaches a dead end was never a member.  No connectivity scan is
+    needed: a replacement edits one component and keeps x1, x2, v1 and v2 in
+    it, so the number of components never changes, and both terminals are
+    connected, so a disconnected g ends ``NOT_MEMBER``.  The descent edits one
+    copy of g, made at the first replacement; step i names its path
+    m + 1 + 2i, m + 2 + 2i, for m the largest id of g.  Its diamonds come
+    from one ``_DiamondIndex`` of g.
     """
-    steps, h, index = [], g, None
+    steps, h, index, m = [], g, None, g.max_vertex_id()
     while True:
         if h.n == 2 and h.m == 1:   # never a copy: a replacement leaves n >= 5
             return MembershipTrace(tuple(steps), P2)
         # a simple 2-regular graph on five vertices is one 5-cycle
         if h.n == 5 and all(h.degree(v) == 2 for v in h.vertices):
             return MembershipTrace(tuple(steps), C5)
-        if h.n < 5 or h.n % 3 != 2 or (h is g and not g.is_connected()):
+        if h.n < 5 or h.n % 3 != 2:
             break
         if index is None:
             diamonds = find_diamonds(g)
@@ -383,7 +405,7 @@ def is_member(g: PlaneGraph) -> MembershipTrace:
             break
         if h is g:
             h = Rotation.of(g)
-        steps.append(replace_diamond_with_path(h, d))
+        steps.append(replace_diamond_with_path(h, d, m + 1 + 2 * len(steps)))
     return MembershipTrace((), NOT_MEMBER)
 
 
@@ -394,19 +416,20 @@ def generate_member(steps: int, seed) -> PlaneGraph:
     in ``_degree2_paths`` order.  That list is kept sorted across steps: a
     growth changes neighbourhoods only at x1, x2 and the path and diamond
     vertices, so the paths through x1, v1, v2, x2 leave it and those through
-    x1, x2, z1, z2 enter."""
+    x1, x2, z1, z2 enter.  Step i names its diamond 6 + 5i..10 + 5i, above
+    every id of C5 and of the steps before."""
     if steps < 0:
         raise GraphError("steps must be non-negative")
     rng = random.Random(seed)
     rot = Rotation.of(cycle_graph(5))
     paths = _degree2_paths(rot)
-    for _ in range(steps):
+    for i in range(steps):
         if not paths:
             raise InternalInvariantError("member lost all degree-2 paths")
         path = rng.choice(paths)
         for p in set(_paths_at(rot, path)):
             del paths[bisect.bisect_left(paths, _interior(p), key=_interior)]
-        d = path_diamond_replacement(rot, path)
+        d = path_diamond_replacement(rot, path, 6 + 5 * i)
         for p in set(_paths_at(rot, (d.x1, d.x2, d.z1, d.z2))):
             bisect.insort(paths, p, key=_interior)
     # replacements leave gaps in the label range; restore vertices 1..n
@@ -415,10 +438,11 @@ def generate_member(steps: int, seed) -> PlaneGraph:
 
 
 def _replay(g: PlaneGraph, trace: MembershipTrace) -> Rotation:
-    """The terminal graph of the trace, replayed on one copy of g."""
-    h = Rotation.of(g)
-    for step in trace.steps:
-        if replace_diamond_with_path(h, step.diamond) != step:
+    """The terminal graph of the trace, replayed on one copy of g with the
+    fresh ids ``is_member`` gives."""
+    h, m = Rotation.of(g), g.max_vertex_id()
+    for i, step in enumerate(trace.steps):
+        if replace_diamond_with_path(h, step.diamond, m + 1 + 2 * i) != step:
             raise GraphError("trace does not replay on this graph")
     return h
 
@@ -435,18 +459,13 @@ def _terminal_set(g, terminal: str) -> frozenset:
 
 def member_max_independent_set(g: PlaneGraph, trace: MembershipTrace) -> frozenset:
     """An independent set of the exact extremal size (n+1)/3, built by
-    lifting the terminal's set through the trace into one set, in place."""
+    lifting the terminal's set back through the trace by ``_lift_back``."""
     if not trace.is_member:
         raise GraphError("trace does not certify membership")
-    s = set(_terminal_set(_replay(g, trace), trace.terminal))
-    for step in reversed(trace.steps):
-        _lift_into(step, s)
-    bad = verify.violating_edge(g, s)
-    if bad is not None:
-        raise InternalInvariantError("lifted set is not independent: %r" % (bad,))
+    s = _lift_back(g, trace.steps, set(_terminal_set(_replay(g, trace), trace.terminal)))
     if 3 * len(s) != g.n + 1:
         raise InternalInvariantError("lifted set has size %d != (n+1)/3" % len(s))
-    return frozenset(s)
+    return s
 
 
 def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
@@ -455,13 +474,13 @@ def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
     Precondition: g is a family member and f is a face not incident with any
     vertex of degree at most two.  One descent on one copy of g, as in
     ``is_member``: while n > 11, replace the first diamond whose 5-cycle
-    misses V(f) and whose x1 is not a face vertex of degree 3; solve the
-    rest exactly; lift back into one set.  Nothing is undone: the
-    replacement leaves a member (the diamond lemma), touches f's vertices
-    only by lowering x1's degree, and changes no rotation step of f's walk,
-    so f stays a face with degrees at least 3.  A dead end means g was not a
-    qualifying member: ``GraphError`` if ``is_member`` rejects g, else
-    ``InternalInvariantError``.
+    misses V(f) and whose x1 is not a face vertex of degree 3, naming its
+    path as ``is_member`` does; solve the rest exactly; ``_lift_back``.
+    Nothing is undone: the replacement leaves a member (the diamond lemma),
+    touches f's vertices only by lowering x1's degree, and changes no
+    rotation step of f's walk, so f stays a face with degrees at least 3.
+    A dead end means g was not a qualifying member: ``GraphError`` if
+    ``is_member`` rejects g, else ``InternalInvariantError``.
     """
     from .solver import exact_alpha
     face = g.find_face(f.vertex_walk())
@@ -470,7 +489,7 @@ def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
     fv = face.vertex_set
     if any(g.degree(v) <= 2 for v in fv):
         raise GraphError("face is incident with a vertex of degree at most two")
-    size = (g.n + 1) // 3
+    size, m = (g.n + 1) // 3, g.max_vertex_id()
     steps, h, index = [], Rotation.of(g), _DiamondIndex(find_diamonds(g))
 
     def qualifies(d):
@@ -482,7 +501,7 @@ def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
         d = index.first(qualifies)
         if d is None:
             break
-        steps.append(replace_diamond_with_path(h, d))
+        steps.append(replace_diamond_with_path(h, d, m + 1 + 2 * len(steps)))
     want, s = size - len(steps), None
     if h.n <= 11:
         alpha, witness = exact_alpha(Rotation((v, [u for u in ns if u not in fv])
@@ -493,11 +512,7 @@ def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
         if not is_member(g).is_member:
             raise GraphError("input is not a family member")
         raise InternalInvariantError("no avoiding set found for a family member")
-    for step in reversed(steps):
-        _lift_into(step, s)
-    bad = verify.violating_edge(g, s)
-    if bad is not None:
-        raise InternalInvariantError("avoiding set is not independent: %r" % (bad,))
+    s = _lift_back(g, steps, s)
     if s & fv or len(s) != size:
         raise InternalInvariantError("avoiding set violates its contract")
-    return frozenset(s)
+    return s

@@ -72,14 +72,12 @@ class PlaneGraph:
 
     __slots__ = ("_rot", "_nbr", "_faces", "_outer", "_dart_face_index", "_outer_comp")
 
-    def __init__(self, rotation, outer_face=None, check=True):
+    def __init__(self, rotation, outer_face=None):
         self._rot = {int(v): tuple(int(u) for u in ns) for v, ns in rotation.items()}
         self._nbr = {v: frozenset(ns) for v, ns in self._rot.items()}
-        if check:
-            self._check_simple_symmetric()
+        self._check_simple_symmetric()
         self._trace_faces()
-        if check:
-            self._check_euler()
+        self._check_euler()
         self._outer = None
         self._outer_comp = None
         if outer_face is not None:
@@ -400,27 +398,10 @@ class Rotation(dict):
     """A mutable rotation system, vertex -> clockwise neighbour list, with
     the read queries of ``PlaneGraph``."""
 
-    __slots__ = ("_ids",)
+    __slots__ = ()
     vertices = property(lambda self: tuple(sorted(self)))
     n = property(len)
     has_vertex = dict.__contains__
-
-    def fresh_ids(self, k: int) -> range:
-        """The k ids from ``max(self) + 1`` on, in amortised O(1 + k), from a
-        stack of ids kept in ascending order: ``sorted(self)`` at the first
-        call, then each call appends the ids it returns.  Once the deleted ids
-        above it are popped, its top is the largest vertex, provided every
-        vertex added after the first call took its id from here."""
-        try:
-            ids = self._ids
-        except AttributeError:   # the slot is set at the first call
-            ids = self._ids = sorted(self)
-        while ids and ids[-1] not in self:
-            ids.pop()
-        top = ids[-1] if ids else 0
-        fresh = range(top + 1, top + 1 + k)
-        ids.extend(fresh)
-        return fresh
 
     @classmethod
     def of(cls, g: PlaneGraph) -> "Rotation":
@@ -545,9 +526,7 @@ def embed_edges(vertices, edges) -> PlaneGraph:
     return PlaneGraph({v: tuple(data.get(v, ())) for v in g.nodes})
 
 
-def cycle_graph(k, start=1) -> PlaneGraph:
-    """The k-cycle on vertices start..start+k-1."""
-    vs = list(range(start, start + k))
-    rot = {vs[i]: (vs[(i - 1) % k], vs[(i + 1) % k]) for i in range(k)}
-    return PlaneGraph(rot)
+def cycle_graph(k) -> PlaneGraph:
+    """The k-cycle on vertices 1..k."""
+    return PlaneGraph({v: ((v - 2) % k + 1, v % k + 1) for v in range(1, k + 1)})
 

@@ -8,13 +8,13 @@ and adds back; only C4's drawn edge u1u4 and its reflection are code of
 their own.  One in-place rotation edit, ``apply_reduction``, serves every
 kind: ``reduce`` applies it to a copy of the host, ``solver`` to its pieces.
 Its caller names a contraction's fresh vertex, so ``solve`` can give ids
-unique in the whole solve and lift one set through every step in place by
-``_lift_into``.  Reduced rotations are derived, never re-embedded: deletion
-keeps rotation order and the C2/C4 identification is a contraction.  A
-``ReductionStep`` keeps no host graph, only the host neighbourhoods of the
-vertices its lift may add, and every lift is checked against them by
-``extremal._add_checked``, which the diamond lifts (re-exported here as
-``diamond_reduce`` and ``diamond_lift``) share.
+unique in the whole solve and lift one set back through every step.
+Reduced rotations are derived, never re-embedded: deletion keeps rotation
+order and the C2/C4 identification is a contraction.  A ``ReductionStep``
+keeps no host graph, only the host neighbourhoods of the vertices its lift
+may add.  Each step kind lifts itself in place, ``ReductionStep.lift_into``
+and ``extremal.DiamondStep.lift_into``, checked by
+``extremal._add_checked``; ``lift`` is the copying form for both.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import configurations
 from .configurations import Configuration
-from .extremal import _add_checked, diamond_lift, diamond_reduce
+from .extremal import _add_checked
 from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, Rotation
 
 
@@ -46,6 +46,29 @@ class ReductionStep:
                 "%d-%d" % tuple(sorted(e)) for e in sorted(self.added_edges, key=sorted)))
         parts.append("k=%d" % self.gain_k)
         return " ".join(parts)
+
+    def lift_into(self, s: set) -> None:
+        """Lift ``s``, independent in the reduced graph, to the host, in
+        place.  The candidates come from the kind's row of
+        ``configurations.KINDS``; the first that holds exactly |s| + k
+        vertices, none it adds having a host neighbour (stored in the step)
+        in it, is taken, else ``InternalInvariantError`` is raised.  This is
+        a full host independence check: every host edge between kept
+        vertices is a reduced edge (the reduction adds edges only at the
+        fresh vertex z and the C4 edge u1u4), so an edge inside a candidate
+        has an added endpoint."""
+        adds, z_adds = configurations.kind_row(self.kind, self.roles)[4][4:]
+        size = len(s) + self.gain_k
+        roles = self.roles
+        if self.kind == "C4" and roles[5] in s:
+            # u1u4 is an edge of the reduced graph, so u4 is free; reflect the
+            # labeling to realize the proof's "assume u1 not in S" symmetry
+            roles = tuple(roles[i] for i in _C4_MIRROR)
+        candidates = (adds,)
+        if self.identified and self.identified[2] in s:
+            s.discard(self.identified[2])
+            candidates = z_adds
+        _add_checked(self.neighborhoods, s, [[roles[i] for i in c] for c in candidates], size)
 
 
 # C4's reflection v1..v4 -> v4..v1, u1..u4 -> u4..u1, as role indices
@@ -137,34 +160,10 @@ def _checked_build(rot) -> PlaneGraph:
     return reduced
 
 
-def lift(step: ReductionStep, s_reduced) -> frozenset:
-    """Lift an independent set of the reduced graph back to the host.
-
-    ``s_reduced`` must be independent in the reduced graph.  The candidates
-    come from the kind's row of ``configurations.KINDS``; the first that
-    holds exactly |s| + k vertices, none it adds having a host neighbour
-    (stored in the step) in it, is returned, else ``InternalInvariantError``
-    is raised.  For such an ``s_reduced`` this is a full host independence
-    check: every host edge between kept vertices is a reduced edge (the
-    reduction adds edges only at the fresh vertex z and the C4 edge u1u4),
-    so an edge inside a candidate has an added endpoint.
-    """
+def lift(step, s_reduced) -> frozenset:
+    """Lift an independent set of the reduced graph back to the host through
+    ``step``, a ``ReductionStep`` or an ``extremal.DiamondStep``: a copy of
+    ``s_reduced`` and the step's checked ``lift_into``."""
     s = set(s_reduced)
-    _lift_into(step, s)
+    step.lift_into(s)
     return frozenset(s)
-
-
-def _lift_into(step: ReductionStep, s: set) -> None:
-    """``lift`` in place on ``s``."""
-    adds, z_adds = configurations.kind_row(step.kind, step.roles)[4][4:]
-    size = len(s) + step.gain_k
-    roles = step.roles
-    if step.kind == "C4" and roles[5] in s:
-        # u1u4 is an edge of the reduced graph, so u4 is free; reflect the
-        # labeling to realize the proof's "assume u1 not in S" symmetry
-        roles = tuple(roles[i] for i in _C4_MIRROR)
-    candidates = (adds,)
-    if step.identified and step.identified[2] in s:
-        s.discard(step.identified[2])
-        candidates = z_adds
-    _add_checked(step.neighborhoods, s, [[roles[i] for i in c] for c in candidates], size)

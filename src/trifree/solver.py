@@ -1,10 +1,14 @@
-"""Reduction-chain lower-bound solver and the exact branch-and-bound oracle."""
+"""Reduction-chain lower-bound solver and the exact branch-and-bound oracle.
+
+``solve`` reduces its pieces in place down to ``exact_alpha`` base cases and
+ends, as every chain does, in ``extremal._lift_back``.
+"""
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 
-from . import configurations, extremal, reductions, verify
+from . import configurations, extremal, reductions
 from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, Rotation
 
 ORACLE_LIMIT = 40
@@ -83,7 +87,7 @@ def _component_graphs(g: PlaneGraph) -> list:
     comps = g.components()
     if len(comps) == 1:
         return [g]
-    return [PlaneGraph({v: g.rotation(v) for v in comp}, check=False) for comp in comps]
+    return [PlaneGraph({v: g.rotation(v) for v in comp}) for comp in comps]
 
 
 class _Piece(Rotation):
@@ -116,7 +120,7 @@ class _Piece(Rotation):
 
     def freeze(self) -> PlaneGraph:
         if self.frozen is None:
-            self.frozen = PlaneGraph(self, check=False)
+            self.frozen = self.build()
         return self.frozen
 
     def reduce(self, kind, roles, z):
@@ -188,17 +192,17 @@ class _Piece(Rotation):
 
 
 def _solve_set(comps: list):
-    """(independent set, trace) of the graph with components ``comps``, by one
+    """(base-case set, trace) of the graph with components ``comps``, by one
     loop over a stack of pieces.
 
     Components of more than ``EXACT_BASE`` vertices become pieces, and each
     step reduces its piece in place and splits it; a piece is frozen to a
     graph only for ``find_any``, when it has no vertex of degree at most 2.
     Smaller components go to ``exact_alpha`` as they are, into one set, and
-    that set is lifted through the pre-order trace in reverse, so every
-    step's reduced graph is lifted before the step.  Pieces share no vertex,
-    and the i-th contraction's fresh vertex is ``max(input id) + i``, found
-    at the first frozen step, so one set serves every piece.
+    ``solve`` lifts that set back through the pre-order trace in reverse, so
+    every step's reduced graph is lifted before the step.  Pieces share no
+    vertex, and the i-th contraction's fresh vertex is ``max(input id) + i``,
+    found at the first frozen step, so one set serves every piece.
     """
     trace, found, z = [], set(), None
     pending = comps[::-1]
@@ -225,9 +229,7 @@ def _solve_set(comps: list):
             z += 1
         trace.append(step)
         pending.extend(parts[::-1])
-    for step in reversed(trace):
-        reductions._lift_into(step, found)
-    return frozenset(found), tuple(trace)
+    return found, tuple(trace)
 
 
 def _component_guarantee(g: PlaneGraph) -> int:
@@ -241,9 +243,8 @@ def solve(g: PlaneGraph) -> SolveResult:
     if not g.is_triangle_free():
         raise GraphError("solver requires a triangle-free input")
     comps = _component_graphs(g)
-    s, trace = _solve_set(comps)
-    if not verify.is_independent_set(g, s):
-        raise InternalInvariantError("solver output failed verification")
+    found, trace = _solve_set(comps)
+    s = extremal._lift_back(g, trace, found)
     guarantee = sum(_component_guarantee(comp) for comp in comps)
     return SolveResult(s, trace, guarantee, len(s) >= guarantee)
 

@@ -5,7 +5,7 @@ DFS, permutation scans.  None of it shares code with trifree internals;
 ``rebuild_solve_set`` drives only the public configuration and reduction
 functions, the ``rebuild_*`` membership references only the public
 ``find_diamonds`` and ``diamond_reduce``, and ``recursive_avoiding_set``
-those two, ``diamond_lift`` and ``exact_alpha``.
+those two, ``reductions.lift`` and ``exact_alpha``.
 """
 import dataclasses
 import functools
@@ -56,13 +56,13 @@ def delete_vertices(g, vs):
     """g minus vs, keeping rotation order."""
     vs = set(vs)
     return PlaneGraph({v: tuple(u for u in g.rotation(v) if u not in vs)
-                       for v in g.vertices if v not in vs}, check=False)
+                       for v in g.vertices if v not in vs})
 
 
 def relabel(g, mapping):
     """g with every vertex v renamed mapping[v]."""
     return PlaneGraph({mapping[v]: tuple(mapping[u] for u in g.rotation(v))
-                       for v in g.vertices}, check=False)
+                       for v in g.vertices})
 
 
 def to_networkx(g):
@@ -530,7 +530,7 @@ def rebuild_solve_set(g):
         comps = h.components()
         if len(comps) == 1:
             return [h]
-        return [PlaneGraph({v: h.rotation(v) for v in comp}, check=False) for comp in comps]
+        return [PlaneGraph({v: h.rotation(v) for v in comp}) for comp in comps]
 
     trace, fresh = [], g.max_vertex_id()
     stack = [(None, component_graphs(g)[::-1], set())]
@@ -610,7 +610,7 @@ def recursive_avoiding_set(g, f):
     """The face-avoiding maximum set of a member by the recursive chain that
     makes a validated graph and a face lookup per step, and backtracks over
     diamonds when a sub-call finds nothing: public ``find_diamonds``,
-    ``diamond_reduce`` and ``diamond_lift``, ``exact_alpha`` on the terminal
+    ``diamond_reduce`` and ``reductions.lift``, ``exact_alpha`` on the terminal
     graph minus the face."""
     if any(g.degree(v) <= 2 for v in f.vertex_set):
         raise GraphError("face is incident with a vertex of degree at most two")
@@ -633,7 +633,7 @@ def recursive_avoiding_set(g, f):
                 continue
             sub = recurse(reduced, new_face, want - 1)
             if sub is not None:
-                return extremal.diamond_lift(step, sub)
+                return reductions.lift(step, sub)
         return None
 
     face = g.find_face(f.vertex_walk())

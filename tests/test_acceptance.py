@@ -107,13 +107,13 @@ def test_criterion_06_diamond_drop(corpus9, golden):
             continue
         alpha_g, wit_g = solver.exact_alpha(g)
         for d in diamonds:
-            reduced, step = rd.diamond_reduce(g, d)
+            reduced, step = extremal.diamond_reduce(g, d)
             alpha_r, wit = solver.exact_alpha(reduced)
             tag = "%s diamond %s" % (name, (d.u1, d.w, d.u2))
             if alpha_g != alpha_r + 1:
                 failures.append(tag + " drop != 1")
                 continue
-            lifted = rd.diamond_lift(step, wit)
+            lifted = rd.lift(step, wit)
             if len(lifted) != alpha_g or not is_independent_set(g, lifted):
                 failures.append(tag + " bad lift")
                 continue
@@ -121,7 +121,7 @@ def test_criterion_06_diamond_drop(corpus9, golden):
             if not is_independent_set(reduced, projected):
                 failures.append(tag + " bad projection")
                 continue
-            back = rd.diamond_lift(step, projected)
+            back = rd.lift(step, projected)
             if len(back) != len(projected) + 1 or not is_independent_set(g, back):
                 failures.append(tag + " round trip size")
     report("criterion 06: diamond replacement drops alpha by exactly one", failures)

@@ -206,9 +206,9 @@ class TestDangerousCyclesCost:
             calls["floods"] += 1
             return flood(self, cycle)
 
-        def counted_build(self, rotation, outer_face=None, check=True):
-            calls["validated builds"] += check
-            build(self, rotation, outer_face, check)
+        def counted_build(self, rotation, outer_face=None):
+            calls["validated builds"] += 1
+            build(self, rotation, outer_face)
 
         monkeypatch.setattr(nx, "check_planarity", counted_planarity)
         monkeypatch.setattr(nx, "is_isomorphic", counted_iso)

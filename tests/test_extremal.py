@@ -27,7 +27,7 @@ def diamond_tuples(ds):
 def grow(g, path):
     """g with the path grown into a diamond: a copy, the in-place edit, one build."""
     rot = Rotation.of(g)
-    path_diamond_replacement(rot, path)
+    path_diamond_replacement(rot, path, max(rot) + 1)
     return rot.build()
 
 
@@ -64,8 +64,8 @@ def recorded_steps(monkeypatch, run):
     made = []
     real = extremal.replace_diamond_with_path
 
-    def record(rot, d):
-        made.append((rot, real(rot, d)))
+    def record(rot, d, v1):
+        made.append((rot, real(rot, d, v1)))
         return made[-1][1]
 
     monkeypatch.setattr(extremal, "replace_diamond_with_path", record)
@@ -142,8 +142,22 @@ class TestReplaceDiamondWithPath:
     def test_invalid_diamond_rejected(self):
         g = cycle_graph(5)
         fake = Diamond(1, 2, 3, 4, 5, 6, 7)
+        rot = Rotation.of(g)
         with pytest.raises(GraphError):
-            replace_diamond_with_path(Rotation.of(g), fake)
+            replace_diamond_with_path(rot, fake, max(rot) + 1)
+
+    def test_ids_in_use_rejected_before_any_edit(self, golden):
+        # v1 = 0 makes only v2 = 1 clash, v1 = max only v1 itself
+        g = golden["c5_dagger"]
+        d = find_diamonds(g)[0]
+        rot = Rotation.of(g)
+        before = {v: list(ns) for v, ns in rot.items()}
+        for v1 in (0, max(rot), d.u1):
+            with pytest.raises(GraphError, match="in use"):
+                replace_diamond_with_path(rot, d, v1)
+            assert rot == before
+        step = replace_diamond_with_path(rot, d, max(rot) + 1)
+        assert (step.v1, step.v2) == (g.max_vertex_id() + 1, g.max_vertex_id() + 2)
 
     def test_size_and_girth(self, golden):
         g = golden["member14"]
@@ -175,6 +189,15 @@ class TestPathDiamondReplacement:
     def test_p2_has_no_qualifying_path(self):
         with pytest.raises(GraphError):
             grow(oracles.path_graph(2), (1, 2, 3, 4))
+
+    def test_ids_in_use_rejected_before_any_edit(self):
+        # u1 = -3 makes only u1 + 4 = 1 clash, u1 = 5 only u1 itself
+        rot = Rotation.of(cycle_graph(5))
+        for u1 in (-3, 5, 2):
+            with pytest.raises(GraphError, match="in use"):
+                path_diamond_replacement(rot, (1, 2, 3, 4), u1)
+            assert rot == Rotation.of(cycle_graph(5))
+        assert path_diamond_replacement(rot, (1, 2, 3, 4), 6).cycle == (6, 7, 8, 9, 10)
 
     def test_interior_degree_enforced(self, golden):
         g = golden["c5_dagger"]
@@ -236,6 +259,20 @@ class TestIsMember:
         last = check_picks(g, made, lambda h, t: True)
         assert last.n > 5 and oracles.naive_diamonds(last) == []
 
+    @pytest.mark.parametrize("steps,seed,edge", [(30, 0, None), (60, 1, None), (20, 1, 40),
+                                                 (45, 3, 150)])
+    def test_step_i_names_its_path_after_the_largest_input_id(self, monkeypatch, steps,
+                                                               seed, edge):
+        # the ids of members' traces, and of the steps an edge-deleted member
+        # makes before its dead end, follow g's ids two at a time
+        g = (generate_member(steps, seed) if edge is None
+             else oracles.edge_deleted_member(steps, seed, edge))
+        made = recorded_steps(monkeypatch, lambda: is_member(g))
+        m = g.max_vertex_id()
+        assert made and [(s.v1, s.v2) for s in made] == [
+            (m + 1 + 2 * i, m + 2 + 2 * i) for i in range(len(made))]
+        assert is_member(g).steps == (tuple(made) if edge is None else ())
+
     def test_one_scan_per_descent(self, monkeypatch):
         # the index scans the input once; every later search is local
         scans = []
@@ -258,11 +295,11 @@ class TestIsMember:
         reductions = []
         real_replace = extremal.replace_diamond_with_path
 
-        def counted_replace(rot, d):
+        def counted_replace(rot, d, v1):
             reductions.append(d)
             if len(reductions) > cap:
                 raise AssertionError("more than %d diamond reductions" % cap)
-            return real_replace(rot, d)
+            return real_replace(rot, d, v1)
 
         hashes = []
         real_hash = nx.weisfeiler_lehman_graph_hash
@@ -368,6 +405,19 @@ class TestAgainstRebuild:
             for edge in range(seed, 5 * steps + 5, stride):
                 assert not self.same_as_rebuild(
                     oracles.edge_deleted_member(steps, seed, edge)).is_member
+
+    def test_disconnected_members_rejected(self):
+        # a member plus a disjoint P3 or C6 keeps n = 2 mod 3; no connectivity
+        # scan is needed, since a replacement keeps the number of components
+        # and both terminals are connected
+        g = generate_member(10, 0)
+        m = g.max_vertex_id()
+        p3 = {m + 1: (m + 2,), m + 2: (m + 1, m + 3), m + 3: (m + 2,)}
+        c6 = {m + i: (m + (i - 2) % 6 + 1, m + i % 6 + 1) for i in range(1, 7)}
+        for extra in (p3, c6):
+            h = PlaneGraph({**{v: g.rotation(v) for v in g.vertices}, **extra})
+            assert h.n % 3 == 2 and not h.is_connected()
+            assert self.same_as_rebuild(h).terminal == "NOT_MEMBER"
 
     @pytest.mark.parametrize("n", [40, 120])
     def test_random(self, n):
@@ -574,6 +624,24 @@ class TestAvoidingIndependentSet:
                 pairs += 1
         assert pairs == 1838
 
+    def test_final_check_against_the_input(self, monkeypatch, golden):
+        # the lifts check only the vertices they add; a dependent base-case
+        # witness reaches the end and is caught by the check against the
+        # input, as the certificate's is.  c5_ddagger has n = 11: no step
+        g = golden["c5_ddagger"]
+        real = solver.exact_alpha
+
+        def dependent(h):
+            alpha, witness = real(h)
+            a = min(v for v in h.vertices if h.degree(v))
+            b = min(h.neighbors(a))
+            return alpha, frozenset({a, b}.union(v for v in witness if v > b))
+
+        monkeypatch.setattr(solver, "exact_alpha", dependent)
+        for f in qualifying_faces(g):
+            with pytest.raises(InternalInvariantError, match="not independent in the input"):
+                avoiding_independent_set(g, f)
+
     def test_picks_match_oracle_diamonds(self, monkeypatch):
         # each step replaces the first diamond in naive order that avoids
         # the face, on members and on edge-deleted members, which end in a
@@ -592,9 +660,9 @@ class TestAvoidingIndependentSet:
         validated = []
         init = PlaneGraph.__init__
 
-        def counted(self, rotation, outer_face=None, check=True):
-            validated.append(check)
-            init(self, rotation, outer_face, check)
+        def counted(self, rotation, outer_face=None):
+            validated.append(True)
+            init(self, rotation, outer_face)
 
         graphs = [generate_member(steps, 2) for steps in (2, 10, 40)]
         monkeypatch.setattr(PlaneGraph, "__init__", counted)
@@ -602,7 +670,7 @@ class TestAvoidingIndependentSet:
             for f in qualifying_faces(g)[:3]:
                 validated.clear()
                 s = avoiding_independent_set(g, f)
-                assert validated.count(True) <= 1
+                assert len(validated) <= 1
                 assert 3 * len(s) == g.n + 1
 
 
@@ -625,7 +693,7 @@ class TestDiamondIndex:
             if len(live) > 1:
                 assert index.first(lambda d: d != live[0]) == live[1]
                 assert index.first() == live[0]
-            index.replaced(h, replace_diamond_with_path(h, pick.choice(live)))
+            index.replaced(h, replace_diamond_with_path(h, pick.choice(live), max(h) + 1))
 
     def test_back_to_back_diamonds(self):
         # two diamonds whose w vertices 5 and 10 are joined, each the other's
@@ -638,7 +706,7 @@ class TestDiamondIndex:
         assert {(d.w, d.x2) for d in diamonds} >= {(5, 10), (10, 5)}
         for d in diamonds:
             index, h = extremal._DiamondIndex(find_diamonds(g)), Rotation.of(g)
-            step = replace_diamond_with_path(h, d)
+            step = replace_diamond_with_path(h, d, max(h) + 1)
             index.replaced(h, step)
             live = sorted(Diamond(*t) for t in index.live)
             assert live == find_diamonds(h)

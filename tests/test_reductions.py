@@ -250,7 +250,7 @@ class TestDiamondRoundTrip:
     def test_c5_dagger_context(self, golden):
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
-        reduced, step = rd.diamond_reduce(g, d)
+        reduced, step = ex.diamond_reduce(g, d)
         assert oracles.isomorphic_small(reduced, cycle_graph(5))
         assert step.diamond.x1 == d.x1 and step.diamond.x2 == d.x2
 
@@ -259,38 +259,38 @@ class TestDiamondRoundTrip:
             g = golden[name]
             alpha_g, _ = solver.exact_alpha(g)
             for d in find_diamonds(g):
-                reduced, step = rd.diamond_reduce(g, d)
+                reduced, step = ex.diamond_reduce(g, d)
                 alpha_r, wit = solver.exact_alpha(reduced)
                 assert alpha_g == alpha_r + 1
-                lifted = rd.diamond_lift(step, wit)
+                lifted = rd.lift(step, wit)
                 assert is_independent_set(g, lifted)
                 assert len(lifted) == alpha_g
 
     def test_lift_without_path_vertices(self, golden):
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
-        reduced, step = rd.diamond_reduce(g, d)
+        reduced, step = ex.diamond_reduce(g, d)
         s = frozenset()
-        lifted = rd.diamond_lift(step, s)
+        lifted = rd.lift(step, s)
         assert lifted == frozenset({d.z2})
 
     def test_dependent_lift_rejected(self, golden):
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
-        _, step = rd.diamond_reduce(g, d)
+        _, step = ex.diamond_reduce(g, d)
         # v1 lifts to u1, which is adjacent to x1
         with pytest.raises(InternalInvariantError):
-            rd.diamond_lift(step, {step.v1, d.x1})
+            rd.lift(step, {step.v1, d.x1})
 
     def test_project_then_lift_sizes(self, golden):
         for name in ("c5_dagger", "c5_ddagger"):
             g = golden[name]
             for d in find_diamonds(g):
-                reduced, step = rd.diamond_reduce(g, d)
+                reduced, step = ex.diamond_reduce(g, d)
                 _, wit = solver.exact_alpha(g)
                 projected = ex.diamond_project(g, d, wit)
                 assert is_independent_set(reduced, projected)
-                back = rd.diamond_lift(step, projected)
+                back = rd.lift(step, projected)
                 assert is_independent_set(g, back)
                 assert len(back) == len(projected) + 1
 
@@ -298,7 +298,7 @@ class TestDiamondRoundTrip:
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
         projected = ex.diamond_project(g, d, {d.z1})
-        reduced = rd.diamond_reduce(g, d)[0]
+        reduced = ex.diamond_reduce(g, d)[0]
         assert is_independent_set(reduced, projected)
 
     def test_project_rejects_dependent_or_foreign_sets(self):
@@ -314,7 +314,7 @@ class TestDiamondRoundTrip:
         g = ex.generate_member(10, 3)
         wit = solver.exact_alpha(g)[1]
         d = find_diamonds(g)[0]
-        reduced, step = rd.diamond_reduce(g, d)
+        reduced, step = ex.diamond_reduce(g, d)
         builds = []
         init = PlaneGraph.__init__
 
@@ -336,16 +336,16 @@ class TestDiamondRoundTrip:
     def test_invalid_diamond(self):
         g = cycle_graph(5)
         with pytest.raises(GraphError):
-            rd.diamond_reduce(g, Diamond(1, 2, 3, 4, 5, 6, 7))
+            ex.diamond_reduce(g, Diamond(1, 2, 3, 4, 5, 6, 7))
 
     def test_diamonds_on_corpus(self, corpus8):
         for g in corpus8[::2]:
             for d in find_diamonds(g):
                 alpha_g, _ = solver.exact_alpha(g)
-                reduced, step = rd.diamond_reduce(g, d)
+                reduced, step = ex.diamond_reduce(g, d)
                 alpha_r, wit = solver.exact_alpha(reduced)
                 assert alpha_g == alpha_r + 1
-                lifted = rd.diamond_lift(step, wit)
+                lifted = rd.lift(step, wit)
                 assert is_independent_set(g, lifted) and len(lifted) == alpha_g
 
 

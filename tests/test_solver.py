@@ -146,8 +146,9 @@ def _join_by_path(first, second):
 
 
 class TestWorkspace:
-    """``solve`` runs C1 chains on a mutable piece; the rebuild-per-step loop
-    of ``oracles.rebuild_solve_set`` must give the same sets and traces."""
+    """``solve`` reduces its pieces in place and lifts one set back through the
+    trace; the rebuild-per-step loop of ``oracles.rebuild_solve_set`` must
+    give the same sets and traces."""
 
     @staticmethod
     def same_as_rebuild(g):
@@ -186,10 +187,10 @@ class TestWorkspace:
                 self.same_as_rebuild(oracles.edge_deleted_member(steps, seed, edge))
 
     @pytest.mark.parametrize("extra", [1, 2])
-    def test_c1_vertices_checked_when_the_frame_finishes(self, monkeypatch, extra):
+    def test_bad_base_case_set_fails_the_reverse_lift(self, monkeypatch, extra):
         # P12 takes C1 steps at 1 and 3, and exact_alpha solves 5..12.  A
         # witness that holds vertex 1 itself or its neighbour 2 fails the
-        # check of vertex 1 before the final verification
+        # reverse lift's check of vertex 1, before the check against the input
         real = solver.exact_alpha
 
         def bad_alpha(g):
