@@ -206,24 +206,26 @@ def _interior(cyc, faces):
 
 
 def dangerous_cycles(g: PlaneGraph) -> list:
-    """All cycles of length <= 6 whose closed disk is not C, C6c or C6v.
+    """All cycles of length <= 6 whose closed disk is not C, C6c or C6v, in
+    the sorted order of ``cycles_up_to``.
 
-    Each cycle is flooded once and its disk classified from the flood's
-    faces, with no graph built: one inner face of the cycle's length is the
-    bare cycle; any other disk passes an Euler count on its faces, and only
-    one with the counts of C6c or C6v is read as neighbour sets and tested
-    with ``hexagon_exception``.  A found cycle carries its disk's vertex count.
+    The graph must be connected; a disconnected one raises ``GraphError``.
+    A facial cycle is decided from the dart index, with nothing built: it
+    bounds the outer face or a bare disk, so it is never dangerous.  Only
+    the other cycles are flooded, once each, and their disks classified
+    from the flood's faces with no graph built: every such disk passes an
+    Euler count on its faces, and only one with the counts of C6c or C6v is
+    read as neighbour sets and tested with ``hexagon_exception``.  A found
+    cycle carries its disk's vertex count.
     """
-    k = _outer_cycle(g)
-    k_edges = k.edge_set
+    _outer_cycle(g)
+    if not g.is_connected():
+        raise GraphError("dangerous-cycle search runs on connected graphs")
     out = []
     for cyc in g.cycles_up_to(6):
-        if len(cyc) == k.length and k_edges == frozenset(
-                frozenset((cyc[i - 1], cyc[i])) for i in range(len(cyc))):
-            continue  # bounds the outer face
+        if g._is_face(cyc):
+            continue
         _, faces = g._disk_faces(cyc)
-        if len(faces) == 1 and faces[0].length == len(cyc):
-            continue  # the disk is the cycle itself
         n, excused = _interior(cyc, faces)
         if not excused:
             out.append(DangerousCycle(cyc, n))

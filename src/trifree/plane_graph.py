@@ -70,7 +70,8 @@ class Face:
 class PlaneGraph:
     """Immutable combinatorial plane embedding."""
 
-    __slots__ = ("_rot", "_nbr", "_faces", "_outer", "_dart_face_index", "_outer_comp")
+    __slots__ = ("_rot", "_nbr", "_faces", "_outer", "_dart_face_index", "_outer_comp",
+                 "_dual")
 
     def __init__(self, rotation, outer_face=None):
         self._rot = {int(v): tuple(int(u) for u in ns) for v, ns in rotation.items()}
@@ -78,13 +79,13 @@ class PlaneGraph:
         self._check_simple_symmetric()
         self._trace_faces()
         self._check_euler()
-        self._outer = None
-        self._outer_comp = None
+        self._outer = None  # the outer face's index in the face table
+        self._outer_comp = self._dual = None
         if outer_face is not None:
             key = outer_face.darts if isinstance(outer_face, Face) else _canonical_walk(tuple(outer_face))
-            self._outer = self._face_with(key)
-            if self._outer is None:
+            if self._face_with(key) is None:
                 raise GraphError("designated outer face is not a face of this graph")
+            self._outer = self._dart_face_index[key[0]]
 
     # -- construction helpers -------------------------------------------------
 
@@ -204,7 +205,7 @@ class PlaneGraph:
 
     @property
     def outer_face(self):
-        return self._outer
+        return None if self._outer is None else self._faces[self._outer]
 
     def face_of_dart(self, dart) -> Face:
         return self._faces[self._dart_face_index[dart]]
@@ -222,7 +223,8 @@ class PlaneGraph:
         h = object.__new__(PlaneGraph)
         h._rot, h._nbr, h._faces, h._dart_face_index = (
             self._rot, self._nbr, self._faces, self._dart_face_index)
-        h._outer, h._outer_comp = outer, None
+        h._outer, h._outer_comp = self._dart_face_index[outer.darts[0]], None
+        h._dual = self._dual  # the dual of the shared face table
         return h
 
     # -- structure queries -----------------------------------------------------
@@ -268,10 +270,14 @@ class PlaneGraph:
         return out
 
     def cycles_up_to(self, max_len) -> list:
-        """All simple cycles of length <= max_len, once up to rotation/reflection.
+        """All simple cycles of length <= max_len, once up to rotation/reflection,
+        in sorted order.
 
         Each cycle is reported as a vertex tuple starting at its smallest
-        vertex, oriented so the second vertex is smaller than the last.
+        vertex, oriented so the second vertex is smaller than the last.  The
+        search nests one loop per position over sorted neighbour lists, every
+        later vertex larger than the first, and closes a path before it
+        extends it, so the tuples come out in lexicographic order.
         """
         if max_len > 6:
             raise GraphError("cycle search limited to length 6")
@@ -279,28 +285,35 @@ class PlaneGraph:
         if max_len < 3:
             return cycles
         nbrs = {v: sorted(ns) for v, ns in self._nbr.items()}
-
-        def extend(path, used):
-            v, first = path[-1], path[0]
-            last = len(path) + 1 == max_len  # a step to w ends the path
-            for w in nbrs[v]:
-                if w == first:
-                    if len(path) >= 3 and path[1] < v:
-                        cycles.append(tuple(path))
-                elif w < first or w in used:
+        for a in sorted(nbrs):
+            close = self._nbr[a]  # a path from a closes at a neighbour of a
+            for b in nbrs[a]:
+                if b <= a:
                     continue
-                elif last:  # the one cycle a path ending at w can close
-                    if path[1] < w and first in self._nbr[w]:
-                        cycles.append(tuple(path) + (w,))
-                else:
-                    path.append(w)
-                    used.add(w)
-                    extend(path, used)
-                    used.discard(w)
-                    path.pop()
-
-        for v in sorted(nbrs):
-            extend([v], {v})
+                for c in nbrs[b]:
+                    if c <= a:
+                        continue
+                    if b < c and c in close:
+                        cycles.append((a, b, c))
+                    if max_len == 3:
+                        continue
+                    for d in nbrs[c]:
+                        if d <= a or d == b:
+                            continue
+                        if b < d and d in close:
+                            cycles.append((a, b, c, d))
+                        if max_len == 4:
+                            continue
+                        for e in nbrs[d]:
+                            if e <= a or e == b or e == c:
+                                continue
+                            if b < e and e in close:
+                                cycles.append((a, b, c, d, e))
+                            if max_len == 5:
+                                continue
+                            for f in nbrs[e]:
+                                if b < f and f in close and f != c and f != d:
+                                    cycles.append((a, b, c, d, e, f))
         return cycles
 
     # -- disk extraction ---------------------------------------------------------
@@ -309,11 +322,31 @@ class PlaneGraph:
         """Subgraph drawn in the closed disk bounded by ``cycle``, with the
         cycle as its outer face.
 
-        The disk's faces come from the dual flood of ``_disk_faces``; the
-        subgraph keeps the darts of those faces and of the cycle, and is one
-        validated build whose faces must be exactly the flooded ones plus the
-        cycle itself as outer face.
+        ``cycle`` must be a simple cycle of this graph, not the outer face's
+        boundary, in the outer face's component.  The disk's faces come from
+        the dual flood of ``_disk_faces``; the subgraph keeps the darts of
+        those faces and of the cycle, and is one validated build whose faces
+        must be exactly the flooded ones plus the cycle itself as outer face.
         """
+        cycle = tuple(cycle)
+        outer = self.outer_face
+        if outer is None:
+            raise GraphError("disk extraction needs a designated outer face")
+        k = len(cycle)
+        if k < 3 or len(set(cycle)) != k:
+            raise GraphError("not a simple cycle: %r" % (cycle,))
+        darts = [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
+        for u, v in darts:
+            if not self.has_edge(u, v):
+                raise GraphError("not a cycle of this graph: missing edge %d-%d" % (u, v))
+        if k == outer.length and {frozenset(d) for d in darts} == outer.edge_set:
+            raise GraphError("cycle bounds the outer face")
+        if self._outer_comp is None:  # one component search per graph, not per cycle
+            start = outer.darts[0][0]
+            self._outer_comp = next(c for c in self.components() if start in c)
+        if cycle[0] not in self._outer_comp:
+            raise GraphError("outer face lies in a different component than the cycle")
+
         boundary, disk_faces = self._disk_faces(cycle)
         kept = set(boundary)
         kept.update((v, u) for u, v in boundary)
@@ -327,44 +360,46 @@ class PlaneGraph:
                                          % (len(sub._faces) - len(disk_faces)))
         return sub
 
+    def _is_face(self, cycle) -> bool:
+        """True iff the simple cycle ``cycle`` is a face walk in one
+        orientation or the other, that is, all its darts lie on one face of
+        its length.  It reads the dart index and builds nothing."""
+        index, k = self._dart_face_index, len(cycle)
+        for walk in (cycle, cycle[::-1]):
+            f = index[walk[-1], walk[0]]
+            if self._faces[f].length == k and all(
+                    index[walk[i - 1], walk[i]] == f for i in range(1, k)):
+                return True
+        return False
+
     def _disk_faces(self, cycle):
-        """The faces inside the closed disk bounded by ``cycle``.
+        """The faces inside the closed disk bounded by ``cycle``: the one
+        dual flood, shared by ``disk_subgraph`` and ``dangerous_cycles``.
 
-        Returns ``(boundary, faces)``: ``boundary`` is the cycle's dart walk
-        that keeps the disk on its right, so it is the disk's outer face
-        walk.  The faces left of the cycle's darts (c_i, c_i+1) lie on one
-        side of it and the faces right of them on the other.  Both sides are
-        flooded alternately through the dual, never crossing a cycle edge,
-        and the disk is the first side that closes off without reaching the
+        ``cycle`` must be a simple cycle of this graph, in the outer face's
+        component, that does not bound the outer face; ``disk_subgraph``
+        checks that for a caller's cycle, and every cycle of a connected
+        graph's ``cycles_up_to`` that is not a face meets it.  Returns
+        ``(boundary, faces)``: ``boundary`` is the cycle's dart walk that
+        keeps the disk on its right, so it is the disk's outer face walk.
+        The faces left of the cycle's darts (c_i, c_i+1) lie on one side of
+        it and the faces right of them on the other.  Both sides are flooded
+        alternately through the dual, never crossing a cycle edge, and the
+        disk is the first side that closes off without reaching the
         designated outer face.  The cost therefore follows the disk (and the
-        other side while it is smaller), not the whole graph.
+        other side while it is smaller), not the whole graph.  A side that
+        meets the other one other than across the cycle is a broken
+        embedding, reported as a cycle that encloses no face.
         """
-        cycle = tuple(cycle)
-        if self._outer is None:
-            raise GraphError("disk extraction needs a designated outer face")
         k = len(cycle)
-        if k < 3 or len(set(cycle)) != k:
-            raise GraphError("not a simple cycle: %r" % (cycle,))
         darts = tuple((cycle[i], cycle[(i + 1) % k]) for i in range(k))
-        for u, v in darts:
-            if not self.has_edge(u, v):
-                raise GraphError("not a cycle of this graph: missing edge %d-%d" % (u, v))
-        cyc_edges = {frozenset(d) for d in darts}
-        if len(cyc_edges) != k:
-            raise GraphError("not a simple cycle: %r" % (cycle,))
-        if cyc_edges == self._outer.edge_set and k == self._outer.length:
-            raise GraphError("cycle bounds the outer face")
-        if self._outer_comp is None:  # one component search per graph, not per cycle
-            start = self._outer.darts[0][0]
-            self._outer_comp = next(c for c in self.components() if start in c)
-        if cycle[0] not in self._outer_comp:
-            raise GraphError("outer face lies in a different component than the cycle")
-
         reverse = tuple((v, u) for u, v in reversed(darts))
         cut = set(darts) | set(reverse)
         # flood over face indices: an int hashes faster than a dart tuple
-        index = self._dart_face_index
-        outer = index[self._outer.darts[0]]
+        index, faces, outer = self._dart_face_index, self._faces, self._outer
+        dual = self._dual  # per face, (face across the dart, dart) for each dart
+        if dual is None:  # built once per face table, on the first flood
+            dual = self._dual = [tuple((index[d[1], d[0]], d) for d in f.darts) for f in faces]
         seen = ({index[d] for d in darts}, {index[d] for d in reverse})
         if seen[0] & seen[1]:
             raise InternalInvariantError("cycle does not enclose any face")
@@ -376,17 +411,16 @@ class PlaneGraph:
                 if reached[i]:
                     continue
                 if not todo[i]:
-                    faces = [self._faces[j] for j in sorted(seen[i])]
-                    return (reverse if i == 0 else darts), faces
-                for u, v in self._faces[todo[i].pop()].darts:
-                    if (v, u) in cut:
+                    return (reverse if i == 0 else darts), [faces[j] for j in sorted(seen[i])]
+                mine, other = seen[i], seen[1 - i]
+                for f, d in dual[todo[i].pop()]:
+                    if f in mine:
                         continue
-                    f = index[(v, u)]
-                    if f in seen[i]:
-                        continue
-                    if f in seen[1 - i]:
+                    if f in other:  # allowed only across a cycle edge
+                        if d in cut:
+                            continue
                         raise InternalInvariantError("cycle does not enclose any face")
-                    seen[i].add(f)
+                    mine.add(f)
                     todo[i].append(f)
                     reached[i] = reached[i] or f == outer
 

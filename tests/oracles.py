@@ -129,15 +129,19 @@ def naive_paths(g, a, b, length, forbidden=()):
 
 
 def naive_cycles(g, max_len):
-    """All simple cycles of length <= max_len, each as a frozenset of edges."""
+    """All simple cycles of length <= max_len from networkx, sorted, each
+    rotated to start at its smallest vertex and oriented so the second
+    vertex is smaller than the last."""
     out = set()
     for cyc in nx.simple_cycles(to_networkx(g), length_bound=max_len):
         if len(cyc) < 3:
             continue
-        edges = frozenset(frozenset((cyc[i], cyc[(i + 1) % len(cyc)]))
-                          for i in range(len(cyc)))
-        out.add(edges)
-    return out
+        i = cyc.index(min(cyc))
+        cyc = cyc[i:] + cyc[:i]
+        if cyc[1] > cyc[-1]:
+            cyc = cyc[:1] + cyc[:0:-1]
+        out.add(tuple(cyc))
+    return sorted(out)
 
 
 def naive_c1(g):
@@ -374,18 +378,19 @@ def vf2_exception(g):
 
 
 def vf2_dangerous_cycles(g):
-    """Dangerous cycles with one validated disk build per cycle and C6c/C6v
-    decided by VF2 against the two exceptional graphs."""
+    """Dangerous cycles from networkx's cycles, one whole-graph disk
+    extraction per cycle (``naive_disk``) and C6c/C6v decided by VF2
+    against the two exceptional graphs."""
     k = g.outer_face
     if k is None or not k.is_cycle() or k.length > 6:
         raise GraphError("outer face is not a cycle of length at most 6")
     out = []
-    for cyc in g.cycles_up_to(6):
+    for cyc in naive_cycles(g, 6):
         edges = frozenset(frozenset((cyc[i], cyc[(i + 1) % len(cyc)]))
                           for i in range(len(cyc)))
         if edges == k.edge_set and len(cyc) == k.length:
             continue
-        sub = g.disk_subgraph(cyc)
+        sub = naive_disk(g, cyc)
         if sub.n == len(cyc) and sub.m == len(cyc):
             continue
         if vf2_exception(sub) is not None:

@@ -243,8 +243,20 @@ class TestDangerous:
         p.write_text(two_cycles_text)
         code, out, err = run(capsys, "dangerous", str(p))
         assert code == 2 and out == ""
-        assert err.splitlines() == [
-            "error: outer face lies in a different component than the cycle"]
+        assert err.splitlines() == ["error: dangerous-cycle search runs on connected graphs"]
+
+    @pytest.mark.parametrize("text", [
+        "7 6\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n5: 6\n6: 5 7\n7: 6\nouter: 1 2 3 4\n",
+        "8 8\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n5: 6 8\n6: 7 5\n7: 8 6\n8: 5 7\n"
+        "outer: 1 2 3 4\n",
+    ], ids=["c4+p3", "c4+c4"])
+    def test_disconnected_whatever_the_other_component(self, capsys, tmp_path, text):
+        # a 4-cycle (outer) beside a path or a 4-cycle: refused the same way
+        p = tmp_path / "disconnected.graph"
+        p.write_text(text)
+        code, out, err = run(capsys, "dangerous", str(p))
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: dangerous-cycle search runs on connected graphs"]
 
 
 class TestAudit:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from trifree import corpus, discharging as dc
-from trifree.plane_graph import GraphError, InternalInvariantError, PlaneGraph, cycle_graph
+from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, cycle_graph,
+                                 parse)
 
 import oracles
 
@@ -167,6 +168,18 @@ class TestDangerousCycles:
         assert found[0].cycle == (7, 8, 9, 10)
         assert found[0].interior_n == 5
 
+    @pytest.mark.parametrize("text", [
+        # a 4-cycle (outer) and a disjoint path on three vertices
+        "7 6\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n5: 6\n6: 5 7\n7: 6\nouter: 1 2 3 4\n",
+        # a 4-cycle (outer) and a disjoint 4-cycle
+        "8 8\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n5: 6 8\n6: 7 5\n7: 8 6\n8: 5 7\n"
+        "outer: 1 2 3 4\n",
+    ], ids=["c4+p3", "c4+c4"])
+    def test_disconnected_input_rejected(self, text):
+        # the other component's cycles decide nothing: the input is refused
+        with pytest.raises(GraphError, match="connected graphs"):
+            dc.dangerous_cycles(parse(text))
+
     def test_enclosed_exception_is_not_dangerous(self):
         # an inner hexagon-with-chord hangs off the outer hexagon: its disk
         # is exactly C6c, which the danger test must excuse
@@ -181,10 +194,13 @@ class TestDangerousCyclesCost:
         import networkx as nx
         oracles.c6_chord(), oracles.c6_hub()
         g = _grid_with_square_outer()
-        k_edges = g.outer_face.edge_set
-        inner_cycles = sum(
-            frozenset(frozenset((c[i - 1], c[i])) for i in range(len(c))) != k_edges
-            for c in g.cycles_up_to(6))
+        # a cycle is facial when it or its reverse is a face walk; the outer
+        # face's cycle is one of them
+        facial = {c for c in g.cycles_up_to(6)
+                  if g.find_face(c) is not None or g.find_face(c[::-1]) is not None}
+        assert g.outer_face.vertex_set in {frozenset(c) for c in facial}
+        non_facial = len(g.cycles_up_to(6)) - len(facial)
+        flooded = []
         calls = Counter()
         planarity, iso, components, flood, build = (
             nx.check_planarity, nx.is_isomorphic, PlaneGraph.components,
@@ -203,7 +219,7 @@ class TestDangerousCyclesCost:
             return components(self)
 
         def counted_flood(self, cycle):
-            calls["floods"] += 1
+            flooded.append(tuple(cycle))
             return flood(self, cycle)
 
         def counted_build(self, rotation, outer_face=None):
@@ -217,7 +233,8 @@ class TestDangerousCyclesCost:
         monkeypatch.setattr(PlaneGraph, "__init__", counted_build)
         found = dc.dangerous_cycles(g)
         assert found
-        assert calls["floods"] == inner_cycles
+        assert len(flooded) == non_facial  # one flood per non-facial cycle
+        assert not facial & set(flooded)  # and none for a facial one
         assert calls["validated builds"] == calls["disk components"] == 0
         assert calls["iso"] == 0
         assert calls["planarity"] == 0
@@ -302,7 +319,7 @@ class TestAgainstVF2:
         graphs = [oracles.grid(6, 6), oracles.cylinder(6, 5)]
         found = 0
         for g in graphs:
-            for f in _short_faces(g)[::4]:
+            for f in _short_faces(g):
                 found += self._same(g.re_embed(f))
         for seed in range(3):
             (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=150, seed=seed, count=1))

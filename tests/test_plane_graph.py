@@ -300,12 +300,22 @@ class TestCyclesUpTo:
     def test_tree_has_none(self):
         assert oracles.path_graph(6).cycles_up_to(6) == []
 
-    def test_agrees_with_nx_oracle(self, corpus8):
-        for g in corpus8[::5]:
-            got = {frozenset(frozenset((c[i], c[(i + 1) % len(c)]))
-                             for i in range(len(c)))
-                   for c in g.cycles_up_to(6)}
-            assert got == oracles.naive_cycles(g, 6)
+    def test_agrees_with_nx_oracle(self, corpus8, dodecahedron):
+        # the same cycles in the same (sorted) order, for every length bound;
+        # K4 and the wheel are the graphs here with triangles
+        wheel = embed_edges(range(1, 8), [(i, i % 6 + 1) for i in range(1, 7)]
+                            + [(7, i) for i in range(1, 7)])
+        graphs = list(corpus8) + [
+            oracles.grid(12, 12), oracles.cylinder(6, 30), oracles.cylinder(8, 25),
+            parse(K4_TEXT), wheel, dodecahedron]
+        graphs += [corpus.gen_random(corpus.CorpusSpec("random", n_max=150, seed=seed,
+                                                       count=1))[0]
+                   for seed in range(3)]
+        for g in graphs:
+            want = oracles.naive_cycles(g, 6)
+            for max_len in range(3, 7):
+                assert g.cycles_up_to(max_len) == [c for c in want if len(c) <= max_len], (
+                    g, max_len)
 
     def test_canonical_form(self, corpus7):
         for g in corpus7[::7]:
