@@ -306,3 +306,32 @@ class TestSuite:
         assert code == 0
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["members"] == 3
+
+
+class TestGoldenTranscript:
+    """Every command on the golden corpus and every generator, run in-process,
+    pinned by one sha256 over (argv, exit code, stdout, stderr).  A golden
+    file enters argv by its name, so the digest holds wherever the corpus is
+    installed."""
+
+    GOLDEN_COMMANDS = (("validate",), ("solve",), ("solve", "--trace"), ("oracle",),
+                       ("member",), ("find-configs",), ("discharge",),
+                       ("discharge", "--ledger"), ("dangerous",), ("audit",))
+    GENERATORS = (("gen-extremal", "--steps", "20"), ("gen-random", "--n", "60", "--count", "2"),
+                  ("enumerate", "--n", "6"), ("suite", "--mode", "extremal"),
+                  ("suite", "--mode", "random"))
+
+    def test_digest(self, capsys, monkeypatch):
+        import hashlib
+        from trifree import corpus
+        monkeypatch.delenv("TRIFREE_SEED", raising=False)
+        runs = [(cmd + (name,), cmd + (golden_path(name),))
+                for name in corpus.golden_names() for cmd in self.GOLDEN_COMMANDS]
+        runs += [(argv, argv) for argv in self.GENERATORS]
+        assert len(runs) == 105
+        digest = hashlib.sha256()
+        for shown, argv in runs:
+            code, out, err = run(capsys, *argv)
+            digest.update(repr((shown, code, out, err)).encode())
+        assert digest.hexdigest() == (
+            "cc636c018960cb3e9006f3e6042ad477673d4df13941f5064b5b5faf801e10b8")
