@@ -6,14 +6,17 @@ the diamond by the path x1-v1-v2-x2 removes three vertices and drops the
 independence number by exactly one.  The replacement and its inverse are
 in-place edits of a ``Rotation`` whose fresh ids the caller names, as
 ``solve`` names its contractions: each chain numbers its ids on from its
-input's largest id and runs on one copy.  Membership testing replaces the
-first diamond found down to C5 or P2, never backtracking; the certificate
-replays that trace; the generator grows C5, keeping its degree-2 paths in
-order, and builds once; the face-avoiding set replaces the first diamond
-that spares the face, never backtracking either.  Both descents read their
-diamonds from one ``_DiamondIndex``: one ``find_diamonds`` scan, then a
-local search near each replacement, so a chain costs about O(n log n)
-instead of one scan per step.  ``diamond_reduce`` is copy, edit, one
+input's largest id and runs on one copy.  Membership testing, its
+certificate and the face-avoiding set are one descent, ``_descend``, that
+replaces the diamond its caller picks, never backtracking: membership the
+first one, down to C5 or P2 as ``_terminal`` tells; the certificate the
+trace's, ending where the trace says; the face-avoiding set the first that
+spares the face.  The generator grows C5, keeping its degree-2 paths in
+order, and builds once.  The descent reads its diamonds from one
+``_DiamondIndex``: one ``find_diamonds`` scan, then a local search near
+each replacement, so a chain costs about O(n log n) instead of one scan
+per step.  The certificate's terminal set is ``exact_alpha``'s witness, as
+at the base of every other chain.  ``diamond_reduce`` is copy, edit, one
 validated build.  ``DiamondStep.lift_into(s)``, for s independent in the
 reduced graph, checks what it adds against the host neighbourhoods the
 degree pattern pins, a full host independence check, and raises
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -165,20 +167,21 @@ class _DiamondIndex:
     cycle holds one of those four, and z1 lies within two cycle steps of it.
     Cycle vertices have degree 2 or 3, so that walk never passes a vertex of
     higher degree.  Diamonds are kept as tuples of their fields, which
-    compare fast; ``live`` maps each to the stamp of its one valid heap entry.
+    compare fast; ``live`` is the set of them.  A diamond dropped and found
+    again has two equal heap entries, which is harmless: either is the
+    smallest live tuple, and both leave the heap once it is dropped again.
     """
 
-    __slots__ = ("heap", "live", "at", "stamps")
+    __slots__ = ("heap", "live", "at")
 
     def __init__(self, diamonds):
-        self.heap, self.live, self.at = [], {}, {}
-        self.stamps = itertools.count()
+        self.heap, self.live, self.at = [], set(), {}
         for d in diamonds:   # sorted, so each push is O(1)
             self._add(_fields(d))
 
     def _add(self, t: tuple) -> None:
-        stamp = self.live[t] = next(self.stamps)
-        heapq.heappush(self.heap, (t, stamp))
+        self.live.add(t)
+        heapq.heappush(self.heap, t)
         for v in t[:5]:
             self.at.setdefault(v, []).append(t)
 
@@ -187,23 +190,22 @@ class _DiamondIndex:
         None; the live diamonds passed over stay."""
         heap, skipped, found = self.heap, [], None
         while heap and found is None:
-            t, stamp = heap[0]
-            if self.live.get(t) != stamp:
+            t = heap[0]
+            if t not in self.live:
                 heapq.heappop(heap)
             elif qualifies is None or qualifies(Diamond(*t)):
                 found = Diamond(*t)
             else:
                 skipped.append(heapq.heappop(heap))
-        for entry in skipped:
-            heapq.heappush(heap, entry)
+        for t in skipped:
+            heapq.heappush(heap, t)
         return found
 
     def replaced(self, h: Rotation, step: DiamondStep) -> None:
         """Update the index after ``step`` was made on ``h``."""
         d = step.diamond
         for v in d.cycle + (d.x1, d.x2):
-            for t in self.at.pop(v, ()):
-                self.live.pop(t, None)
+            self.live.difference_update(self.at.pop(v, ()))
         near = {v for v in (d.x1, d.x2, step.v1, step.v2) if len(h[v]) <= 3}
         ring = near
         for _ in range(2):
@@ -367,10 +369,50 @@ def _degree2_paths(g) -> list:
     return sorted(set(_paths_at(g, g.vertices)), key=_interior)
 
 
+def _descend(g, pick):
+    """The one diamond descent; returns (h, steps), the graph it reached and
+    its steps.  Each step replaces the diamond ``pick(h, steps, first)``
+    names, until it names None; ``first(qualifies)`` is
+    ``_DiamondIndex.first`` on h, for one index built by a ``find_diamonds``
+    scan at its first call and updated after every later step.  Nothing is
+    undone.  The steps edit one copy of g, made at the first replacement,
+    and step i names its path m + 1 + 2i, m + 2 + 2i, for m the largest id
+    of g."""
+    steps, h, index, m = [], g, None, g.max_vertex_id()
+
+    def first(qualifies=None):
+        nonlocal index
+        if index is None:
+            index = _DiamondIndex(find_diamonds(h))
+        return index.first(qualifies)
+
+    while (d := pick(h, steps, first)) is not None:
+        if h is g:
+            h = Rotation.of(g)
+        steps.append(replace_diamond_with_path(h, d, m + 1 + 2 * len(steps)))
+        if index is not None:
+            index.replaced(h, steps[-1])
+    return h, steps
+
+
+def _terminal(h) -> str:
+    """P2 or C5 if h is that graph, else NOT_MEMBER."""
+    if h.n == 2 and h.has_edge(*h.vertices):
+        return P2
+    # a simple 2-regular graph on five vertices is one 5-cycle
+    if h.n == 5 and all(h.degree(v) == 2 for v in h.vertices):
+        return C5
+    return NOT_MEMBER
+
+
 def is_member(g: PlaneGraph) -> MembershipTrace:
     """Decide family membership by replacing the first diamond until C5 or P2.
 
-    No choice is ever undone.  A member is triangle-free, so each of its
+    A member has 3m = 5n - 10 unless it is P2, since C5 has it and each
+    replacement removes 3 vertices and 5 edges; a graph of n >= 5 without it
+    is rejected before any diamond scan.  Otherwise ``_descend`` replaces the
+    first diamond while n > 5, and ``_terminal`` judges where it stops.  No
+    choice is ever undone.  A member is triangle-free, so each of its
     diamonds has x1 != x2, and replacing one leaves a connected, plane,
     triangle-free graph with three fewer vertices and independence number one
     less (the diamond lemma).  That graph is tight again, and by the theorem
@@ -379,34 +421,13 @@ def is_member(g: PlaneGraph) -> MembershipTrace:
     that reaches a dead end was never a member.  No connectivity scan is
     needed: a replacement edits one component and keeps x1, x2, v1 and v2 in
     it, so the number of components never changes, and both terminals are
-    connected, so a disconnected g ends ``NOT_MEMBER``.  The descent edits one
-    copy of g, made at the first replacement; step i names its path
-    m + 1 + 2i, m + 2 + 2i, for m the largest id of g.  Its diamonds come
-    from one ``_DiamondIndex`` of g.
+    connected, so a disconnected g ends ``NOT_MEMBER``.
     """
-    steps, h, index, m = [], g, None, g.max_vertex_id()
-    while True:
-        if h.n == 2 and h.m == 1:   # never a copy: a replacement leaves n >= 5
-            return MembershipTrace(tuple(steps), P2)
-        # a simple 2-regular graph on five vertices is one 5-cycle
-        if h.n == 5 and all(h.degree(v) == 2 for v in h.vertices):
-            return MembershipTrace(tuple(steps), C5)
-        if h.n < 5 or h.n % 3 != 2:
-            break
-        if index is None:
-            diamonds = find_diamonds(g)
-            if not diamonds:
-                break
-            index = _DiamondIndex(diamonds)
-        else:   # only a descent that goes on needs the index after its last step
-            index.replaced(h, steps[-1])
-        d = index.first()
-        if d is None:
-            break
-        if h is g:
-            h = Rotation.of(g)
-        steps.append(replace_diamond_with_path(h, d, m + 1 + 2 * len(steps)))
-    return MembershipTrace((), NOT_MEMBER)
+    if g.n >= 5 and 3 * g.m != 5 * g.n - 10:
+        return MembershipTrace((), NOT_MEMBER)
+    h, steps = _descend(g, lambda h, steps, first: first() if h.n > 5 else None)
+    terminal = _terminal(h)
+    return MembershipTrace(tuple(steps) if terminal != NOT_MEMBER else (), terminal)
 
 
 def generate_member(steps: int, seed) -> PlaneGraph:
@@ -437,32 +458,20 @@ def generate_member(steps: int, seed) -> PlaneGraph:
     return Rotation({new[v]: [new[u] for u in ns] for v, ns in rot.items()}).build()
 
 
-def _replay(g: PlaneGraph, trace: MembershipTrace) -> Rotation:
-    """The terminal graph of the trace, replayed on one copy of g with the
-    fresh ids ``is_member`` gives."""
-    h, m = Rotation.of(g), g.max_vertex_id()
-    for i, step in enumerate(trace.steps):
-        if replace_diamond_with_path(h, step.diamond, m + 1 + 2 * i) != step:
-            raise GraphError("trace does not replay on this graph")
-    return h
-
-
-def _terminal_set(g, terminal: str) -> frozenset:
-    vs = g.vertices
-    if terminal == P2:
-        return frozenset((vs[0],))
-    for a, b in itertools.combinations(vs, 2):
-        if not g.has_edge(a, b):
-            return frozenset((a, b))
-    raise GraphError("terminal graph is not a 5-cycle")
-
-
 def member_max_independent_set(g: PlaneGraph, trace: MembershipTrace) -> frozenset:
-    """An independent set of the exact extremal size (n+1)/3, built by
-    lifting the terminal's set back through the trace by ``_lift_back``."""
+    """An independent set of the exact extremal size (n+1)/3.  The trace is
+    replayed by ``_descend``; it must make the trace's steps and end in the
+    trace's terminal, else ``GraphError``.  The terminal's ``exact_alpha``
+    witness is then lifted back by ``_lift_back``."""
+    from .solver import exact_alpha
     if not trace.is_member:
         raise GraphError("trace does not certify membership")
-    s = _lift_back(g, trace.steps, set(_terminal_set(_replay(g, trace), trace.terminal)))
+    want = trace.steps
+    h, steps = _descend(g, lambda h, steps, first:
+                        want[len(steps)].diamond if len(steps) < len(want) else None)
+    if tuple(steps) != want or _terminal(h) != trace.terminal:
+        raise GraphError("trace does not replay to %s on this graph" % trace.terminal)
+    s = _lift_back(g, steps, set(exact_alpha(h)[1]))
     if 3 * len(s) != g.n + 1:
         raise InternalInvariantError("lifted set has size %d != (n+1)/3" % len(s))
     return s
@@ -472,15 +481,14 @@ def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
     """Maximum independent set of a family member avoiding all of V(f).
 
     Precondition: g is a family member and f is a face not incident with any
-    vertex of degree at most two.  One descent on one copy of g, as in
-    ``is_member``: while n > 11, replace the first diamond whose 5-cycle
-    misses V(f) and whose x1 is not a face vertex of degree 3, naming its
-    path as ``is_member`` does; solve the rest exactly; ``_lift_back``.
-    Nothing is undone: the replacement leaves a member (the diamond lemma),
-    touches f's vertices only by lowering x1's degree, and changes no
-    rotation step of f's walk, so f stays a face with degrees at least 3.
-    A dead end means g was not a qualifying member: ``GraphError`` if
-    ``is_member`` rejects g, else ``InternalInvariantError``.
+    vertex of degree at most two.  One ``_descend``: while n > 11, replace
+    the first diamond whose 5-cycle misses V(f) and whose x1 is not a face
+    vertex of degree 3; solve the rest exactly; ``_lift_back``.  Nothing is
+    undone: the replacement leaves a member (the diamond lemma), touches f's
+    vertices only by lowering x1's degree, and changes no rotation step of
+    f's walk, so f stays a face with degrees at least 3.  A dead end means g
+    was not a qualifying member: ``GraphError`` if ``is_member`` rejects g,
+    else ``InternalInvariantError``.
     """
     from .solver import exact_alpha
     face = g.find_face(f.vertex_walk())
@@ -489,30 +497,19 @@ def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
     fv = face.vertex_set
     if any(g.degree(v) <= 2 for v in fv):
         raise GraphError("face is incident with a vertex of degree at most two")
-    size, m = (g.n + 1) // 3, g.max_vertex_id()
-    steps, h, index = [], Rotation.of(g), _DiamondIndex(find_diamonds(g))
-
-    def qualifies(d):
-        return fv.isdisjoint(d.cycle) and not (d.x1 in fv and h.degree(d.x1) <= 3)
-
-    while h.n > 11:
-        if steps:
-            index.replaced(h, steps[-1])
-        d = index.first(qualifies)
-        if d is None:
-            break
-        steps.append(replace_diamond_with_path(h, d, m + 1 + 2 * len(steps)))
-    want, s = size - len(steps), None
+    h, steps = _descend(g, lambda h, steps, first: first(
+        lambda d: fv.isdisjoint(d.cycle) and not (d.x1 in fv and h.degree(d.x1) <= 3))
+        if h.n > 11 else None)
+    want, witness = (g.n + 1) // 3 - len(steps), ()
     if h.n <= 11:
-        alpha, witness = exact_alpha(Rotation((v, [u for u in ns if u not in fv])
-                                              for v, ns in h.items() if v not in fv))
-        if alpha >= want:   # any subset of an independent set is one
-            s = set(sorted(witness)[:want])
-    if s is None:
+        witness = exact_alpha(Rotation((v, [u for u in h.neighbors(v) if u not in fv])
+                                       for v in h.vertices if v not in fv))[1]
+    if len(witness) < want:
         if not is_member(g).is_member:
             raise GraphError("input is not a family member")
         raise InternalInvariantError("no avoiding set found for a family member")
-    s = _lift_back(g, steps, s)
-    if s & fv or len(s) != size:
+    # any subset of an independent set is one
+    s = _lift_back(g, steps, set(sorted(witness)[:want]))
+    if s & fv or len(s) != (g.n + 1) // 3:
         raise InternalInvariantError("avoiding set violates its contract")
     return s

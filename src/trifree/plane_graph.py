@@ -153,7 +153,7 @@ class PlaneGraph:
 
     @property
     def m(self) -> int:
-        return sum(len(ns) for ns in self._rot.values()) // 2
+        return len(self._dart_face_index) // 2   # two darts per edge
 
     @property
     def edges(self) -> frozenset:

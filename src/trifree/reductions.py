@@ -9,6 +9,10 @@ their own.  One in-place rotation edit, ``apply_reduction``, serves every
 kind: ``reduce`` applies it to a copy of the host, ``solver`` to its pieces.
 Its caller names a contraction's fresh vertex, so ``solve`` can give ids
 unique in the whole solve and lift one set back through every step.
+A host with a triangle is bad input, which ``reduce`` rejects.  A triangle
+a reduction would make is caught at the vertices that gain an edge, so
+``solve``'s steps scan no whole graph for one; each C2-C4 step still ends
+in a validated build.
 Reduced rotations are derived, never re-embedded: deletion keeps rotation
 order and the C2/C4 identification is a contraction.  A ``ReductionStep``
 keeps no host graph, only the host neighbourhoods of the vertices its lift
@@ -141,23 +145,16 @@ def apply_reduction(rot, kind: str, roles, z):
 
 
 def reduce(g: PlaneGraph, c: Configuration):
-    """Apply the configuration's reduction; returns (reduced graph, step).  The
-    derived rotation is built once, validated: Euler's formula proves it plane."""
+    """Apply the configuration's reduction; returns (reduced graph, step).  A
+    host with a triangle raises ``GraphError``.  The derived rotation is
+    built once, validated: Euler's formula proves it plane."""
+    if not g.is_triangle_free():
+        raise GraphError("host contains a triangle")
     if c not in configurations.kind_row(c.kind, c.roles)[1](g):
         raise GraphError("stale configuration: %r no longer holds" % (c,))
-    if c.kind == "C2" and g.has_edge(c.roles[2], c.roles[3]):
-        raise GraphError("host contains a triangle at %r" % (c,))
     rot = Rotation.of(g)
     step, _ = apply_reduction(rot, c.kind, c.roles, g.max_vertex_id() + 1)
-    return _checked_build(rot), step
-
-
-def _checked_build(rot) -> PlaneGraph:
-    """The validated build of a reduced rotation, checked triangle-free."""
-    reduced = rot.build()
-    if not reduced.is_triangle_free():
-        raise InternalInvariantError("reduction created a triangle (stale side-conditions?)")
-    return reduced
+    return rot.build(), step
 
 
 def lift(step, s_reduced) -> frozenset:

@@ -126,13 +126,13 @@ class _Piece(Rotation):
     def reduce(self, kind, roles, z):
         """Reduce ``(kind, roles)`` in place by ``reductions.apply_reduction``,
         naming a contraction's fresh vertex z; returns the step and the pieces
-        left, ascending by smallest vertex.  Every step but C1 is checked as
-        ``reductions.reduce`` checks it, by a validated triangle-free build."""
+        left, ascending by smallest vertex.  Every step but C1 ends, as
+        ``reductions.reduce`` does, in a validated build."""
         if kind == "C1" and self.degree(roles[0]) > 2:
             raise InternalInvariantError("stale C1 configuration at %d (degree %d)"
                                          % (roles[0], self.degree(roles[0])))
         step, touched = reductions.apply_reduction(self, kind, roles, z)
-        built = None if kind == "C1" else reductions._checked_build(self)
+        built = None if kind == "C1" else self.build()
         if step.identified:
             heapq.heappush(self.ids, z)
         for t in touched:

@@ -424,14 +424,32 @@ def cylinder(k, m):
 
 def edge_deleted_member(steps, seed, i):
     """``generate_member(steps, seed)`` minus the edge at index i (taken
-    modulo m) of its sorted edge list.  n stays 2 mod 3, so only the diamond
-    descent can reject it, and it is never a member: every member but P2 has
-    3m = 5n - 10 (C5 does, and each diamond adds 3 vertices and 5 edges)."""
+    modulo m) of its sorted edge list.  n stays 2 mod 3, and it is never a
+    member: every member but P2 has 3m = 5n - 10 (C5 does, and each diamond
+    adds 3 vertices and 5 edges), the screen ``is_member`` applies before
+    any diamond scan."""
     g = extremal.generate_member(steps, seed)
     edges = sorted(tuple(sorted(e)) for e in g.edges)
     a, b = edges[i % len(edges)]
     return PlaneGraph({v: tuple(u for u in g.rotation(v) if {u, v} != {a, b})
                        for v in g.vertices})
+
+
+def near_miss(steps, seed, i):
+    """``generate_member(steps, seed)`` with three vertices drawn inside its
+    face at index i (taken modulo the face count): the path a-p-q-r-b
+    between opposite vertices a, b of the face walk, and the chord q-c to
+    a's successor c.  n grows by 3 and m by 5, so it keeps n = 2 mod 3 and
+    3m = 5n - 10, the counts of every member but P2, and only the diamond
+    descent can reject it.  It is triangle-free because c is neither a nor
+    b."""
+    g = extremal.generate_member(steps, seed)
+    faces = g.faces()
+    walk = faces[i % len(faces)].vertex_walk()
+    a, c, b = walk[0], walk[1], walk[len(walk) // 2]
+    p, q, r = range(g.max_vertex_id() + 1, g.max_vertex_id() + 4)
+    return embed_edges(list(g.vertices) + [p, q, r],
+                       set(g.edges) | {(a, p), (p, q), (q, r), (r, b), (q, c)})
 
 
 def enumerate6_by_matrix():

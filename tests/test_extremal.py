@@ -31,17 +31,6 @@ def grow(g, path):
     return rot.build()
 
 
-def near_miss(seed):
-    """A member plus the path a-p-q-r-b drawn inside one face: n stays
-    2 mod 3, so only the diamond descent can reject it."""
-    g = generate_member(40, seed)
-    walk = g.faces()[0].vertex_walk()
-    a, b = walk[0], walk[len(walk) // 2]
-    p, q, r = range(g.max_vertex_id() + 1, g.max_vertex_id() + 4)
-    return embed_edges(list(g.vertices) + [p, q, r],
-                       set(g.edges) | {(a, p), (p, q), (q, r), (r, b)})
-
-
 @pytest.fixture
 def builds(monkeypatch):
     """One entry per ``PlaneGraph`` made while the test runs."""
@@ -247,31 +236,31 @@ class TestIsMember:
         assert len(trace.steps) == steps
         assert check_picks(g, trace.steps, lambda h, t: True).n == 5
 
-    @pytest.mark.parametrize("steps,seed,edge", [(8, 0, 3), (20, 1, 40), (35, 2, 77),
+    @pytest.mark.parametrize("steps,seed,face", [(8, 0, 3), (20, 1, 40), (35, 2, 77),
                                                  (45, 3, 150)])
-    def test_dead_end_picks_match_oracle_diamonds(self, monkeypatch, steps, seed, edge):
-        # an edge-deleted member is rejected, with no steps in its trace: the
-        # steps are recorded on the way, and the descent stops on a graph
-        # where the naive search finds no diamond
-        g = oracles.edge_deleted_member(steps, seed, edge)
+    def test_dead_end_picks_match_oracle_diamonds(self, monkeypatch, steps, seed, face):
+        # a near miss passes the edge-count screen and is rejected, with no
+        # steps in its trace: the steps are recorded on the way, and the
+        # descent stops on a graph where the naive search finds no diamond
+        g = oracles.near_miss(steps, seed, face)
         assert is_member(g).terminal == "NOT_MEMBER"
         made = recorded_steps(monkeypatch, lambda: is_member(g))
         last = check_picks(g, made, lambda h, t: True)
         assert last.n > 5 and oracles.naive_diamonds(last) == []
 
-    @pytest.mark.parametrize("steps,seed,edge", [(30, 0, None), (60, 1, None), (20, 1, 40),
+    @pytest.mark.parametrize("steps,seed,face", [(30, 0, None), (60, 1, None), (20, 1, 40),
                                                  (45, 3, 150)])
     def test_step_i_names_its_path_after_the_largest_input_id(self, monkeypatch, steps,
-                                                               seed, edge):
-        # the ids of members' traces, and of the steps an edge-deleted member
-        # makes before its dead end, follow g's ids two at a time
-        g = (generate_member(steps, seed) if edge is None
-             else oracles.edge_deleted_member(steps, seed, edge))
+                                                               seed, face):
+        # the ids of members' traces, and of the steps a near miss makes
+        # before its dead end, follow g's ids two at a time
+        g = (generate_member(steps, seed) if face is None
+             else oracles.near_miss(steps, seed, face))
         made = recorded_steps(monkeypatch, lambda: is_member(g))
         m = g.max_vertex_id()
         assert made and [(s.v1, s.v2) for s in made] == [
             (m + 1 + 2 * i, m + 2 + 2 * i) for i in range(len(made))]
-        assert is_member(g).steps == (tuple(made) if edge is None else ())
+        assert is_member(g).steps == (tuple(made) if face is None else ())
 
     def test_one_scan_per_descent(self, monkeypatch):
         # the index scans the input once; every later search is local
@@ -279,7 +268,7 @@ class TestIsMember:
         real = extremal.find_diamonds
         monkeypatch.setattr(extremal, "find_diamonds", lambda g: scans.append(g) or real(g))
         member = generate_member(300, 0)
-        for g, verdict in ((member, True), (oracles.edge_deleted_member(100, 0, 7), False)):
+        for g, verdict in ((member, True), (oracles.near_miss(100, 0, 7), False)):
             scans.clear()
             assert is_member(g).is_member == verdict
             assert len(scans) == 1
@@ -287,9 +276,27 @@ class TestIsMember:
         s = avoiding_independent_set(member, qualifying_faces(member)[0])
         assert 3 * len(s) == member.n + 1 and len(scans) == 1
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_edge_count_screen(self, monkeypatch, seed):
+        # every member but P2 has 3m = 5n - 10, so a member minus an edge is
+        # rejected before any diamond scan, as the rebuilding descent rejects it
+        sizes = ((0, 1), (2, 1), (9, 4), (30, 23), (70, 97))
+        assert all(3 * generate_member(steps, seed).m == 5 * (5 + 3 * steps) - 10
+                   for steps, _ in sizes)
+        graphs = [oracles.edge_deleted_member(steps, seed, edge) for steps, stride in sizes
+                  for edge in range(seed, 5 * steps + 5, stride)]
+        scans = []
+        real = extremal.find_diamonds
+        monkeypatch.setattr(extremal, "find_diamonds", lambda g: scans.append(g) or real(g))
+        traces = [is_member(g) for g in graphs]
+        monkeypatch.undo()
+        assert scans == []
+        assert traces == [oracles.rebuild_is_member(g) for g in graphs]
+        assert {t.terminal for t in traces} == {"NOT_MEMBER"}
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_near_miss_rejected_without_search(self, monkeypatch, seed):
-        h = near_miss(seed)
+        h = oracles.near_miss(40, seed, 0)
         assert h.n == 128 and h.is_triangle_free()
         cap = (h.n - 5) // 3
         reductions = []
@@ -396,7 +403,7 @@ class TestAgainstRebuild:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_near_misses(self, seed):
-        assert not self.same_as_rebuild(near_miss(seed)).is_member
+        assert not self.same_as_rebuild(oracles.near_miss(40, seed, 0)).is_member
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_edge_deleted_members(self, seed):
@@ -553,11 +560,18 @@ class TestMemberMaxIndependentSet:
         with pytest.raises(GraphError):
             member_max_independent_set(g, bad)
 
+    def test_mislabelled_terminal_rejected(self):
+        # the replayed trace must end in the terminal it names
+        for g, terminal in ((PlaneGraph({1: (), 2: ()}), "P2"), (oracles.path_graph(5), "C5"),
+                            (cycle_graph(5), "P2"), (oracles.path_graph(2), "C5")):
+            with pytest.raises(GraphError):
+                member_max_independent_set(g, extremal.MembershipTrace((), terminal))
+
     def test_final_check_against_the_input(self, monkeypatch):
         # the lifts check only the vertices they add; a dependent set that
         # reaches the end is caught by the check against the input
         g = cycle_graph(5)
-        monkeypatch.setattr(extremal, "_terminal_set", lambda h, terminal: frozenset((1, 2)))
+        monkeypatch.setattr(solver, "exact_alpha", lambda h: (2, frozenset((1, 2))))
         with pytest.raises(InternalInvariantError):
             member_max_independent_set(g, is_member(g))
 

@@ -67,6 +67,12 @@ class TestReduce:
         with pytest.raises(GraphError):
             rd.reduce(cube, cf.Configuration("C1", (1,)))
 
+    def test_host_with_a_triangle_rejected(self):
+        # a bad input, not a broken invariant, though C1 only deletes
+        g = PlaneGraph({1: (2, 3), 2: (3, 1), 3: (1, 2, 4), 4: (3, 5), 5: (4,)})
+        with pytest.raises(GraphError, match="triangle"):
+            rd.reduce(g, cf.Configuration("C1", (5,)))
+
     def test_vertex_budget(self, corpus8):
         for g in corpus8[::4]:
             for c in all_configs(g):
