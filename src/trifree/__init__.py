@@ -15,6 +15,6 @@ from .extremal import (Diamond, DiamondStep, MembershipTrace, avoiding_independe
 from .reductions import ReductionStep, lift, reduce
 from .solver import SolveResult, check_theorem_bounds, exact_alpha, solve
 from .discharging import (AuditReport, ChargeLedger, DangerousCycle, apply_rules,
-                          audit, dangerous_cycles, initial_charges)
+                          audit, dangerous_cycles)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

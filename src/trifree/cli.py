@@ -20,8 +20,12 @@ EXIT_INPUT = 2
 
 
 def _read_graph(path: str):
-    with open(path) as fh:
-        return parse(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise GraphError("%s is not UTF-8 text: %s" % (path, e.reason)) from None
+    return parse(text)
 
 
 def _fmt_set(s) -> str:

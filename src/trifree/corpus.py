@@ -163,7 +163,7 @@ def gen_random(spec: CorpusSpec):
         if [f.darts[0] for f in g.faces()] != keys:
             raise InternalInvariantError("random generator lost track of its faces")
         if not g.is_triangle_free():
-            raise GraphError("random generator produced a triangle")
+            raise InternalInvariantError("random generator produced a triangle")
         out.append(g)
     return out
 

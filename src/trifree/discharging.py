@@ -36,29 +36,12 @@ class ChargeLedger:
         return sum(self.final.values(), Fraction(0))
 
 
-def _vkey(v):
-    return ("v", v)
-
-
-def _fkey(f: Face):
-    return ("f", f)
-
-
 def _element_charges(g: PlaneGraph) -> dict:
-    initial = {_vkey(v): Fraction(g.degree(v) - 4) for v in g.vertices}
+    """Initial charges deg-4 / |f|-4; they sum to -8 on a connected graph."""
+    initial = {("v", v): Fraction(g.degree(v) - 4) for v in g.vertices}
     for f in g.faces():
-        initial[_fkey(f)] = Fraction(f.length - 4)
+        initial[("f", f)] = Fraction(f.length - 4)
     return initial
-
-
-def initial_charges(g: PlaneGraph) -> ChargeLedger:
-    """Initial charges deg-4 / |f|-4; they always sum to -8 when connected."""
-    if not g.is_connected():
-        raise GraphError("initial charges are defined for connected graphs")
-    if g.outer_face is None:
-        raise GraphError("designate an outer face first")
-    initial = _element_charges(g)
-    return ChargeLedger(initial, (), dict(initial))
 
 
 def _outer_cycle(g: PlaneGraph) -> Face:
@@ -94,12 +77,12 @@ def apply_rules(g: PlaneGraph) -> ChargeLedger:
     for f in faces:
         for v in sorted(f.vertex_set):
             if v in kv and g.degree(v) == 2:
-                send(0, _fkey(f), _vkey(v), THIRD)
+                send(0, ("f", f), ("v", v), THIRD)
     # Rule 1: each face pays 1/3 to each incident internal vertex of degree 3
     for f in faces:
         for v in sorted(f.vertex_set):
             if internal(v) and g.degree(v) == 3:
-                send(1, _fkey(f), _vkey(v), THIRD)
+                send(1, ("f", f), ("v", v), THIRD)
     # Rule 2: outer-cycle vertices refund 4-faces that feed an internal 3-vertex
     for f in faces:
         if f.length != 4:
@@ -111,7 +94,7 @@ def apply_rules(g: PlaneGraph) -> ChargeLedger:
             continue
         share = Fraction(1, 3 * len(on_k))
         for v in on_k:
-            send(2, _vkey(v), _fkey(f), share)
+            send(2, ("v", v), ("f", f), share)
     # Rule 3: a 6-face pays 1/3 to a 5-face across each shared edge whose
     # endpoints are internal vertices of degree 3
     for f in faces:
@@ -124,7 +107,7 @@ def apply_rules(g: PlaneGraph) -> ChargeLedger:
                 continue
             other = g.face_of_dart((v, u))
             if other.length == 6 and other != k:
-                send(3, _fkey(other), _fkey(f), THIRD)
+                send(3, ("f", other), ("f", f), THIRD)
     # Rule 4: an outer-cycle vertex pays 1/3 to a 5-face through each adjacent
     # internal 3-vertex on that face whose off-face neighbor it is
     for f in faces:
@@ -140,7 +123,7 @@ def apply_rules(g: PlaneGraph) -> ChargeLedger:
                 continue  # non-simple walk; u has no single off-face neighbor
             (v,) = off
             if v not in f.vertex_set and v in kv:
-                send(4, _vkey(v), _fkey(f), THIRD)
+                send(4, ("v", v), ("f", f), THIRD)
 
     initial = _element_charges(g)
     final = dict(initial)
@@ -222,7 +205,7 @@ def dangerous_cycles(g: PlaneGraph) -> list:
     if not g.is_connected():
         raise GraphError("dangerous-cycle search runs on connected graphs")
     out = []
-    for cyc in g.cycles_up_to(6):
+    for cyc in g.cycles_up_to():
         if g._is_face(cyc):
             continue
         _, faces = g._disk_faces(cyc)
@@ -303,12 +286,10 @@ def audit(g: PlaneGraph) -> AuditReport:
             bound = Fraction(0)
         verdicts.append(ElementVerdict(element, charge, bound, charge >= bound))
     violations = tuple(v for v in verdicts if not v.ok)
-    config = None
-    for c in configurations.find_all(g):
-        if not configurations.interferes(c, k):
-            config = c
-            break
-    if config is None:
-        raise InternalInvariantError(
-            "hypotheses hold but no non-interfering configuration exists")
-    return AuditReport(True, (), ledger, tuple(verdicts), violations, config)
+    # kind by kind in ``KINDS`` order, stopping at the first that avoids k
+    for row in configurations.KINDS:
+        for c in row[1](g):
+            if not configurations.interferes(c, k):
+                return AuditReport(True, (), ledger, tuple(verdicts), violations, c)
+    raise InternalInvariantError(
+        "hypotheses hold but no non-interfering configuration exists")

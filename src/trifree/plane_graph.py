@@ -70,17 +70,19 @@ class Face:
 class PlaneGraph:
     """Immutable combinatorial plane embedding."""
 
-    __slots__ = ("_rot", "_nbr", "_faces", "_outer", "_dart_face_index", "_outer_comp",
-                 "_dual")
+    __slots__ = ("_rot", "_nbr", "_faces", "_outer", "_dart_face_index", "_dual")
 
     def __init__(self, rotation, outer_face=None):
+        """``outer_face``, if given, is a ``Face`` of this graph or its dart
+        walk.  A vertex walk, as the file format and ``find_face`` take, is
+        rejected even when it is a face: look it up with ``find_face``."""
         self._rot = {int(v): tuple(int(u) for u in ns) for v, ns in rotation.items()}
         self._nbr = {v: frozenset(ns) for v, ns in self._rot.items()}
         self._check_simple_symmetric()
         self._trace_faces()
         self._check_euler()
         self._outer = None  # the outer face's index in the face table
-        self._outer_comp = self._dual = None
+        self._dual = None
         if outer_face is not None:
             key = outer_face.darts if isinstance(outer_face, Face) else _canonical_walk(tuple(outer_face))
             if self._face_with(key) is None:
@@ -223,7 +225,7 @@ class PlaneGraph:
         h = object.__new__(PlaneGraph)
         h._rot, h._nbr, h._faces, h._dart_face_index = (
             self._rot, self._nbr, self._faces, self._dart_face_index)
-        h._outer, h._outer_comp = self._dart_face_index[outer.darts[0]], None
+        h._outer = self._dart_face_index[outer.darts[0]]
         h._dual = self._dual  # the dual of the shared face table
         return h
 
@@ -269,8 +271,8 @@ class PlaneGraph:
         walk([a], {a})
         return out
 
-    def cycles_up_to(self, max_len) -> list:
-        """All simple cycles of length <= max_len, once up to rotation/reflection,
+    def cycles_up_to(self) -> list:
+        """All simple cycles of length <= 6, once up to rotation/reflection,
         in sorted order.
 
         Each cycle is reported as a vertex tuple starting at its smallest
@@ -279,11 +281,7 @@ class PlaneGraph:
         later vertex larger than the first, and closes a path before it
         extends it, so the tuples come out in lexicographic order.
         """
-        if max_len > 6:
-            raise GraphError("cycle search limited to length 6")
         cycles = []
-        if max_len < 3:
-            return cycles
         nbrs = {v: sorted(ns) for v, ns in self._nbr.items()}
         for a in sorted(nbrs):
             close = self._nbr[a]  # a path from a closes at a neighbour of a
@@ -295,22 +293,16 @@ class PlaneGraph:
                         continue
                     if b < c and c in close:
                         cycles.append((a, b, c))
-                    if max_len == 3:
-                        continue
                     for d in nbrs[c]:
                         if d <= a or d == b:
                             continue
                         if b < d and d in close:
                             cycles.append((a, b, c, d))
-                        if max_len == 4:
-                            continue
                         for e in nbrs[d]:
                             if e <= a or e == b or e == c:
                                 continue
                             if b < e and e in close:
                                 cycles.append((a, b, c, d, e))
-                            if max_len == 5:
-                                continue
                             for f in nbrs[e]:
                                 if b < f and f in close and f != c and f != d:
                                     cycles.append((a, b, c, d, e, f))
@@ -341,10 +333,7 @@ class PlaneGraph:
                 raise GraphError("not a cycle of this graph: missing edge %d-%d" % (u, v))
         if k == outer.length and {frozenset(d) for d in darts} == outer.edge_set:
             raise GraphError("cycle bounds the outer face")
-        if self._outer_comp is None:  # one component search per graph, not per cycle
-            start = outer.darts[0][0]
-            self._outer_comp = next(c for c in self.components() if start in c)
-        if cycle[0] not in self._outer_comp:
+        if outer.darts[0][0] not in next(c for c in self.components() if cycle[0] in c):
             raise GraphError("outer face lies in a different component than the cycle")
 
         boundary, disk_faces = self._disk_faces(cycle)

@@ -191,7 +191,7 @@ class _Piece(Rotation):
         return sorted(pieces, key=_Piece.smallest)
 
 
-def _solve_set(comps: list):
+def _solve_set(comps: list, z: int):
     """(base-case set, trace) of the graph with components ``comps``, by one
     loop over a stack of pieces.
 
@@ -201,10 +201,11 @@ def _solve_set(comps: list):
     Smaller components go to ``exact_alpha`` as they are, into one set, and
     ``solve`` lifts that set back through the pre-order trace in reverse, so
     every step's reduced graph is lifted before the step.  Pieces share no
-    vertex, and the i-th contraction's fresh vertex is ``max(input id) + i``,
-    found at the first frozen step, so one set serves every piece.
+    vertex, and the i-th contraction's fresh vertex is ``z + i``, z above
+    every input id, so one set serves every piece.  ``find_any`` tries C2
+    before C5, and every C5 comes with a C2, so it never returns a C5 here.
     """
-    trace, found, z = [], set(), None
+    trace, found = [], set()
     pending = comps[::-1]
     while pending:
         piece = pending.pop()
@@ -217,13 +218,8 @@ def _solve_set(comps: list):
         if v is not None:
             kind, roles = "C1", (v,)
         else:
-            g = piece.freeze()
-            c = configurations.find_any(g)
-            if c.kind == "C5":
-                c = configurations.c5_to_c2(g, c)
+            c = configurations.find_any(piece.freeze())
             kind, roles = c.kind, c.roles
-            if z is None:
-                z = max(map(PlaneGraph.max_vertex_id, comps)) + 1
         step, parts = piece.reduce(kind, roles, z)
         if step.identified:
             z += 1
@@ -243,7 +239,7 @@ def solve(g: PlaneGraph) -> SolveResult:
     if not g.is_triangle_free():
         raise GraphError("solver requires a triangle-free input")
     comps = _component_graphs(g)
-    found, trace = _solve_set(comps)
+    found, trace = _solve_set(comps, g.max_vertex_id() + 1)
     s = extremal._lift_back(g, trace, found)
     guarantee = sum(_component_guarantee(comp) for comp in comps)
     return SolveResult(s, trace, guarantee, len(s) >= guarantee)

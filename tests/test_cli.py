@@ -41,6 +41,15 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(p))
         assert code == 2 and "error:" in err
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        # undecodable bytes are bad input that names the file, not a bug
+        p = tmp_path / "binary.graph"
+        p.write_bytes(b"\xff\xfe\x00garbage")
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert str(p) in err and "UTF-8" in err
+
     @pytest.mark.parametrize("text", ["3 2\n1: 2\n2: 1 3\n3: 2\nouter:\n", "-3 0\n", "0 -1\n",
                                       C5_TWO_OUTER_LINES])
     @pytest.mark.parametrize("command", ["validate", "solve"])
@@ -109,6 +118,14 @@ class TestGenerators:
         _, b, _ = run(capsys, "gen-random", "--n", "12", "--seed", "7")
         _, c, _ = run(capsys, "gen-random", "--n", "12", "--seed", "8")
         assert a == b != c
+
+    def test_gen_random_triangle_is_an_invariant_failure(self, capsys, monkeypatch):
+        # the generator's own edits cannot make a triangle, so one is a bug
+        from trifree.plane_graph import PlaneGraph
+        monkeypatch.setattr(PlaneGraph, "is_triangle_free", lambda self: False)
+        code, out, err = run(capsys, "gen-random", "--n", "12")
+        assert code == 1 and out == ""
+        assert err == "invariant failure: random generator produced a triangle\n"
 
     def test_seed_env(self, capsys, monkeypatch):
         _, a, _ = run(capsys, "gen-random", "--n", "12", "--seed", "9")

@@ -7,7 +7,8 @@ import pytest
 
 import trifree
 from trifree import corpus
-from trifree.plane_graph import GraphError, PlaneGraph, parse, serialize
+from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, parse,
+                                 serialize)
 
 import oracles
 
@@ -132,6 +133,13 @@ class TestGenRandom:
         monkeypatch.setattr(PlaneGraph, "__init__", counted)
         graphs = corpus.gen_random(corpus.CorpusSpec("random", n_max=60, seed=0, count=3))
         assert len(graphs) <= len(validated) <= len(graphs) + 1
+
+    def test_triangle_is_an_invariant_failure(self, monkeypatch):
+        # the edits cannot make a triangle, so the final check guards a bug,
+        # not the caller's input
+        monkeypatch.setattr(PlaneGraph, "is_triangle_free", lambda self: False)
+        with pytest.raises(InternalInvariantError, match="produced a triangle"):
+            corpus.gen_random(corpus.CorpusSpec("random", n_max=12, seed=0, count=1))
 
     @pytest.mark.parametrize("n", [3, 2, 0, -1])
     def test_below_c4_rejected(self, n):

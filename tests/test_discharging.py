@@ -36,14 +36,13 @@ class TestExceptionalGraphs:
 
 class TestInitialCharges:
     def test_c5_values(self):
-        ledger = dc.initial_charges(c5_with_outer())
+        ledger = dc.apply_rules(c5_with_outer())
         vals = sorted(ledger.initial.values())
         assert vals == [-2] * 5 + [1, 1]
         assert ledger.total_initial() == -8
 
     def test_c6v_values(self):
-        g = oracles.c6_hub()
-        ledger = dc.initial_charges(g)
+        ledger = dc.apply_rules(oracles.c6_hub())
         by_kind = {}
         for (kind, obj), q in ledger.initial.items():
             by_kind.setdefault(kind, []).append(q)
@@ -52,26 +51,9 @@ class TestInitialCharges:
         assert ledger.total_initial() == -8
 
     def test_cube_values(self, cube):
-        g = cube.re_embed(cube.faces()[0])
-        ledger = dc.initial_charges(g)
+        ledger = dc.apply_rules(cube.re_embed(cube.faces()[0]))
         assert sorted(ledger.initial.values()) == [-1] * 8 + [0] * 6
         assert ledger.total_initial() == -8
-
-    def test_disconnected_rejected(self):
-        g = PlaneGraph({1: (2,), 2: (1,), 3: (4,), 4: (3,)})
-        with pytest.raises(GraphError):
-            dc.initial_charges(g)
-
-    def test_outer_face_required(self):
-        with pytest.raises(GraphError):
-            dc.initial_charges(cycle_graph(5))
-
-    def test_minus_eight_on_corpus(self, corpus7):
-        for g in corpus7:
-            if not g.faces():
-                continue  # the single-vertex graph has no face to designate
-            ledger = dc.initial_charges(g.re_embed(g.faces()[0]))
-            assert ledger.total_initial() == -8
 
 
 class TestApplyRules:
@@ -116,6 +98,16 @@ class TestApplyRules:
     def test_rerun_identical(self, golden):
         g = golden["dangerous_witness"]
         assert dc.apply_rules(g) == dc.apply_rules(g)
+
+    def test_disconnected_rejected(self):
+        # a 4-cycle (outer) and a disjoint edge
+        g = parse("6 5\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n5: 6\n6: 5\nouter: 1 2 3 4\n")
+        with pytest.raises(GraphError, match="connected graphs"):
+            dc.apply_rules(g)
+
+    def test_outer_face_required(self):
+        with pytest.raises(GraphError, match="no outer face"):
+            dc.apply_rules(cycle_graph(5))
 
     def test_long_outer_face_rejected(self):
         g = cycle_graph(7)
@@ -196,10 +188,10 @@ class TestDangerousCyclesCost:
         g = _grid_with_square_outer()
         # a cycle is facial when it or its reverse is a face walk; the outer
         # face's cycle is one of them
-        facial = {c for c in g.cycles_up_to(6)
+        facial = {c for c in g.cycles_up_to()
                   if g.find_face(c) is not None or g.find_face(c[::-1]) is not None}
         assert g.outer_face.vertex_set in {frozenset(c) for c in facial}
-        non_facial = len(g.cycles_up_to(6)) - len(facial)
+        non_facial = len(g.cycles_up_to()) - len(facial)
         flooded = []
         calls = Counter()
         planarity, iso, components, flood, build = (
@@ -399,3 +391,21 @@ class TestAudit:
                 continue
             for v in rep.verdicts:
                 assert v.ok == (v.final_charge >= v.bound)
+
+    def test_configuration_is_the_first_non_interfering_one(self, corpus9, golden):
+        # audit searches kind by kind and stops at the first configuration
+        # that avoids the outer cycle: the one find_all lists first
+        from trifree.configurations import find_all, interferes
+        audited = 0
+        for g0 in list(corpus9) + list(golden.values()):
+            faces = [f for f in g0.faces() if f.is_cycle() and f.length <= 6]
+            if not faces:
+                continue
+            g = g0.re_embed(max(faces, key=lambda f: f.length))
+            rep = dc.audit(g)
+            if not rep.hypothesis_ok:
+                continue
+            audited += 1
+            want = next(c for c in find_all(g) if not interferes(c, g.outer_face))
+            assert rep.configuration == want, g
+        assert audited == 125
