@@ -27,6 +27,10 @@ class CorpusSpec:
     count: int = 10
     steps: int = 3
 
+    def __post_init__(self):
+        if self.count < 0:
+            raise GraphError("count must be non-negative")
+
 
 def wl_hash(h) -> str:
     """Weisfeiler-Lehman hash of an unlabelled networkx graph."""

@@ -12,19 +12,21 @@ replaces the diamond its caller picks, never backtracking: membership the
 first one, down to C5 or P2 as ``_terminal`` tells; the certificate the
 trace's, ending where the trace says; the face-avoiding set the first that
 spares the face.  The generator grows C5, keeping its degree-2 paths in
-order, and builds once.  The descent reads its diamonds from one
-``_DiamondIndex``: one ``find_diamonds`` scan, then a local search near
-each replacement, so a chain costs about O(n log n) instead of one scan
-per step.  The certificate's terminal set is ``exact_alpha``'s witness, as
-at the base of every other chain.  ``diamond_reduce`` is copy, edit, one
-validated build.  ``DiamondStep.lift_into(s)``, for s independent in the
-reduced graph, checks what it adds against the host neighbourhoods the
-degree pattern pins, a full host independence check, and raises
-``InternalInvariantError`` when it fails; ``reductions.lift`` is its copying
-form.  Every chain ends in ``_lift_back``: one set lifted back through the
-steps, then checked against the chain's input.  ``diamond_project`` goes the
-other way, from a host set to the reduced graph, checked against the path's
-neighbourhoods without building that graph.
+order, and builds once.  The descent reads its diamonds from one min-heap,
+an entry checked when it reaches the top, so it gives no stale diamond: one
+``find_diamonds`` scan, then a local search near each replacement that
+holds every diamond the replacement makes, so none is missed and a chain
+costs about O(n log n) instead of one scan per step.  The certificate's
+terminal set is ``exact_alpha``'s witness, as at the base of every other
+chain.  ``diamond_reduce`` is copy, edit, one validated build.
+``DiamondStep.lift_into(s)``, for s independent in the reduced graph,
+checks what it adds against the host neighbourhoods the degree pattern
+pins, a full host independence check, and raises ``InternalInvariantError``
+when it fails; ``reductions.lift`` is its copying form.  Every chain ends
+in ``_lift_back``: one set lifted back through the steps, then checked
+against the chain's input.  ``diamond_project`` goes the other way, from a
+host set to the reduced graph, checked against the path's neighbourhoods
+without building that graph.
 """
 from __future__ import annotations
 
@@ -101,16 +103,16 @@ class MembershipTrace:
         return "\n".join(lines) + "\n"
 
 
-def _check_diamond(g, d: Diamond) -> bool:
-    """Whether d is a diamond of g: the degree pattern pins the
-    neighbourhood of each cycle vertex."""
-    u1, z1, z2, u2, w = c = d.cycle
-    return (len(set(c)) == 5 and d.x1 not in c and d.x2 not in c
-            and g.has_edge(d.x1, u1) and g.has_edge(d.x1, u2) and g.has_edge(d.x2, w)
+def _check_diamond(g, u1, z1, z2, u2, w, x1, x2) -> bool:
+    """Whether the seven fields are a diamond of g: the degree pattern pins
+    the neighbourhood of each cycle vertex."""
+    c = (u1, z1, z2, u2, w)
+    return (len(set(c)) == 5 and x1 not in c and x2 not in c
+            and g.has_edge(x1, u1) and g.has_edge(x1, u2) and g.has_edge(x2, w)
             and all(map(g.has_vertex, c))
-            and g.neighbors(u1) == {z1, w, d.x1} and g.neighbors(z1) == {u1, z2}
-            and g.neighbors(z2) == {z1, u2} and g.neighbors(u2) == {z2, w, d.x1}
-            and g.neighbors(w) == {u1, u2, d.x2})
+            and g.neighbors(u1) == {z1, w, x1} and g.neighbors(z1) == {u1, z2}
+            and g.neighbors(z2) == {z1, u2} and g.neighbors(u2) == {z2, w, x1}
+            and g.neighbors(w) == {u1, u2, x2})
 
 
 def _diamonds_at(g, seeds):
@@ -147,73 +149,12 @@ def find_diamonds(g) -> list:
     and each one from the single orientation with u1 < u2.  The five vertices
     are distinct by construction: z1, z2 have no further neighbors, u1 != u2,
     and a common neighbor of u1 and u2 is neither z1 nor z2.  This is the
-    all-vertices case of the local search ``_DiamondIndex`` makes.
+    all-vertices case of the local search ``_descend`` makes.
     """
     return [Diamond(*t) for t in sorted(_diamonds_at(g, g.vertices))]
 
 
 _fields = operator.attrgetter(*Diamond.__dataclass_fields__)
-
-
-class _DiamondIndex:
-    """The diamonds of a graph under replacement, smallest first: a heap
-    made from the graph's ``find_diamonds`` list, with lazy deletion.
-
-    A diamond is one by the neighbourhoods of its 5-cycle alone, and a
-    replacement changes neighbourhoods only at x1 and x2 and at the vertices
-    it deletes or adds.  So ``replaced`` drops the diamonds whose cycle meets
-    the deleted vertices, x1 or x2, and searches again only from the
-    degree-2 vertices within distance 2 of x1, x2, v1 and v2: a new diamond's
-    cycle holds one of those four, and z1 lies within two cycle steps of it.
-    Cycle vertices have degree 2 or 3, so that walk never passes a vertex of
-    higher degree.  Diamonds are kept as tuples of their fields, which
-    compare fast; ``live`` is the set of them.  A diamond dropped and found
-    again has two equal heap entries, which is harmless: either is the
-    smallest live tuple, and both leave the heap once it is dropped again.
-    """
-
-    __slots__ = ("heap", "live", "at")
-
-    def __init__(self, diamonds):
-        self.heap, self.live, self.at = [], set(), {}
-        for d in diamonds:   # sorted, so each push is O(1)
-            self._add(_fields(d))
-
-    def _add(self, t: tuple) -> None:
-        self.live.add(t)
-        heapq.heappush(self.heap, t)
-        for v in t[:5]:
-            self.at.setdefault(v, []).append(t)
-
-    def first(self, qualifies=None):
-        """The smallest live diamond that ``qualifies`` (any, if None), or
-        None; the live diamonds passed over stay."""
-        heap, skipped, found = self.heap, [], None
-        while heap and found is None:
-            t = heap[0]
-            if t not in self.live:
-                heapq.heappop(heap)
-            elif qualifies is None or qualifies(Diamond(*t)):
-                found = Diamond(*t)
-            else:
-                skipped.append(heapq.heappop(heap))
-        for t in skipped:
-            heapq.heappush(heap, t)
-        return found
-
-    def replaced(self, h: Rotation, step: DiamondStep) -> None:
-        """Update the index after ``step`` was made on ``h``."""
-        d = step.diamond
-        for v in d.cycle + (d.x1, d.x2):
-            self.live.difference_update(self.at.pop(v, ()))
-        near = {v for v in (d.x1, d.x2, step.v1, step.v2) if len(h[v]) <= 3}
-        ring = near
-        for _ in range(2):
-            ring = {u for v in ring for u in h[v] if len(h[u]) <= 3} - near
-            near |= ring
-        for t in _diamonds_at(h, [v for v in near if len(h[v]) == 2]):
-            if t not in self.live:
-                self._add(t)
 
 
 def _fresh(rot: Rotation, first: int, k: int) -> range:
@@ -232,7 +173,7 @@ def replace_diamond_with_path(rot: Rotation, d: Diamond, v1: int) -> DiamondStep
     path x1-u1-w-x2 renamed, so still plane.  The degree pattern pins every
     cycle-vertex neighbor, so only the rotations at x1 and x2 mention removed
     vertices."""
-    if not _check_diamond(rot, d):
+    if not _check_diamond(rot, *_fields(d)):
         raise GraphError("not a diamond of this graph: %r" % (d,))
     v1, v2 = _fresh(rot, v1, 2)
     for v in d.cycle:
@@ -300,7 +241,7 @@ def diamond_project(g: PlaneGraph, d: Diamond, s) -> frozenset:
     independent in g raises ``GraphError``.  No graph is built: every reduced
     edge between kept vertices is a host edge, so checking v1 and v2 against
     their reduced neighbourhoods {x1, v2} and {v1, x2} checks the result."""
-    if not _check_diamond(g, d):
+    if not _check_diamond(g, *_fields(d)):
         raise GraphError("not a diamond of this graph: %r" % (d,))
     bad = verify.violating_edge(g, s)
     if bad is not None:
@@ -372,26 +313,53 @@ def _degree2_paths(g) -> list:
 def _descend(g, pick):
     """The one diamond descent; returns (h, steps), the graph it reached and
     its steps.  Each step replaces the diamond ``pick(h, steps, first)``
-    names, until it names None; ``first(qualifies)`` is
-    ``_DiamondIndex.first`` on h, for one index built by a ``find_diamonds``
-    scan at its first call and updated after every later step.  Nothing is
-    undone.  The steps edit one copy of g, made at the first replacement,
-    and step i names its path m + 1 + 2i, m + 2 + 2i, for m the largest id
-    of g."""
-    steps, h, index, m = [], g, None, g.max_vertex_id()
+    names, until it names None; ``first(qualifies)`` is the smallest diamond
+    of h that ``qualifies`` (any, if None), or None.  Nothing is undone.  The
+    steps edit one copy of g, made at the first replacement, and step i
+    names its path m + 1 + 2i, m + 2 + 2i, for m the largest id of g.
+
+    ``first`` reads one min-heap of diamond field tuples, which compare fast:
+    the ``find_diamonds`` scan at its first call, then after each step what
+    ``_diamonds_at`` finds from the degree-2 vertices within distance 2 of
+    x1, x2, v1 and v2.  An entry at the top is popped unless
+    ``_check_diamond`` accepts it on h now, so ``first`` gives only diamonds.
+    A diamond is one by its cycle's neighbourhoods alone, and a replacement
+    changes them only at x1, x2 and the vertices it deletes or adds; so a
+    diamond it makes or restores has one of x1, x2, v1, v2 on its cycle and
+    z1 within two steps of it along vertices of degree 2 or 3, and none is
+    missed.  An entry pushed twice is harmless.
+    """
+    steps, h, heap, m = [], g, None, g.max_vertex_id()
 
     def first(qualifies=None):
-        nonlocal index
-        if index is None:
-            index = _DiamondIndex(find_diamonds(h))
-        return index.first(qualifies)
+        nonlocal heap
+        if heap is None:
+            heap = list(map(_fields, find_diamonds(h)))   # sorted, so a heap
+        skipped, found = [], None
+        while heap and found is None:
+            t = heap[0]
+            if not _check_diamond(h, *t):
+                heapq.heappop(heap)
+            elif qualifies is None or qualifies(Diamond(*t)):
+                found = Diamond(*t)
+            else:
+                skipped.append(heapq.heappop(heap))
+        for t in skipped:
+            heapq.heappush(heap, t)
+        return found
 
     while (d := pick(h, steps, first)) is not None:
         if h is g:
             h = Rotation.of(g)
-        steps.append(replace_diamond_with_path(h, d, m + 1 + 2 * len(steps)))
-        if index is not None:
-            index.replaced(h, steps[-1])
+        steps.append(step := replace_diamond_with_path(h, d, m + 1 + 2 * len(steps)))
+        if heap is not None:
+            near = {v for v in (d.x1, d.x2, step.v1, step.v2) if len(h[v]) <= 3}
+            ring = near
+            for _ in range(2):
+                ring = {u for v in ring for u in h[v] if len(h[u]) <= 3} - near
+                near |= ring
+            for t in _diamonds_at(h, [v for v in near if len(h[v]) == 2]):
+                heapq.heappush(heap, t)
     return h, steps
 
 

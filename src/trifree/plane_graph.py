@@ -72,10 +72,8 @@ class PlaneGraph:
 
     __slots__ = ("_rot", "_nbr", "_faces", "_outer", "_dart_face_index", "_dual")
 
-    def __init__(self, rotation, outer_face=None):
-        """``outer_face``, if given, is a ``Face`` of this graph or its dart
-        walk.  A vertex walk, as the file format and ``find_face`` take, is
-        rejected even when it is a face: look it up with ``find_face``."""
+    def __init__(self, rotation):
+        """No outer face is designated; ``re_embed`` designates one."""
         self._rot = {int(v): tuple(int(u) for u in ns) for v, ns in rotation.items()}
         self._nbr = {v: frozenset(ns) for v, ns in self._rot.items()}
         self._check_simple_symmetric()
@@ -83,11 +81,6 @@ class PlaneGraph:
         self._check_euler()
         self._outer = None  # the outer face's index in the face table
         self._dual = None
-        if outer_face is not None:
-            key = outer_face.darts if isinstance(outer_face, Face) else _canonical_walk(tuple(outer_face))
-            if self._face_with(key) is None:
-                raise GraphError("designated outer face is not a face of this graph")
-            self._outer = self._dart_face_index[key[0]]
 
     # -- construction helpers -------------------------------------------------
 
@@ -318,7 +311,8 @@ class PlaneGraph:
         boundary, in the outer face's component.  The disk's faces come from
         the dual flood of ``_disk_faces``; the subgraph keeps the darts of
         those faces and of the cycle, and is one validated build whose faces
-        must be exactly the flooded ones plus the cycle itself as outer face.
+        must be exactly the flooded ones plus the cycle itself, which
+        ``re_embed`` makes its outer face.
         """
         cycle = tuple(cycle)
         outer = self.outer_face
@@ -343,11 +337,12 @@ class PlaneGraph:
             kept.update(f.darts)
         verts = sorted({v for v, _ in kept})
         rot = {v: tuple(u for u in self._rot[v] if (v, u) in kept) for v in verts}
-        sub = PlaneGraph(rot, outer_face=boundary)
-        if len(sub._faces) != len(disk_faces) + 1:
-            raise InternalInvariantError("disk extraction produced %d boundary faces"
-                                         % (len(sub._faces) - len(disk_faces)))
-        return sub
+        sub = PlaneGraph(rot)
+        outer = sub._face_with(_canonical_walk(boundary))
+        if outer is None or len(sub._faces) != len(disk_faces) + 1:
+            raise InternalInvariantError("disk extraction produced %d faces, not the disk's %d "
+                                         "and its boundary" % (len(sub._faces), len(disk_faces)))
+        return sub.re_embed(outer)
 
     def _is_face(self, cycle) -> bool:
         """True iff the simple cycle ``cycle`` is a face walk in one

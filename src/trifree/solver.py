@@ -94,9 +94,9 @@ class _Piece(Rotation):
     """One connected component of the reduction chain, edited in place.
 
     ``low`` is a min-heap of the vertices whose degree was at most 2 when
-    pushed, and ``ids`` a min-heap of all vertices; both drop deleted
-    entries lazily; no step raises a degree.  ``frozen`` is the piece as a
-    ``PlaneGraph`` while the piece is unchanged.
+    pushed, and ``ids`` a min-heap of all vertices; ``_top`` pops deleted
+    entries when they reach the top, and no step raises a degree.
+    ``frozen`` is the piece as a ``PlaneGraph`` while the piece is unchanged.
     """
 
     __slots__ = ("low", "ids", "frozen")
@@ -107,16 +107,18 @@ class _Piece(Rotation):
         self.ids = sorted(self)
         self.frozen = frozen
 
+    def _top(self, heap):
+        """The smallest entry of ``heap`` that is still a vertex, or None."""
+        while heap and heap[0] not in self:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
     def smallest(self) -> int:
-        while self.ids[0] not in self:
-            heapq.heappop(self.ids)
-        return self.ids[0]
+        return self._top(self.ids)
 
     def c1_vertex(self):
         """The vertex of ``find_c1(self.freeze())[0]``, or None."""
-        while self.low and self.low[0] not in self:
-            heapq.heappop(self.low)
-        return self.low[0] if self.low else None
+        return self._top(self.low)
 
     def freeze(self) -> PlaneGraph:
         if self.frozen is None:

@@ -172,7 +172,10 @@ class TestGenerators:
         assert run(capsys, "enumerate", "--n", "0") == (0, "", "")
 
     @pytest.mark.parametrize("argv", [("enumerate", "--n", "-1"), ("gen-random", "--n", "2"),
-                                      ("gen-random", "--n", "3", "--count", "2")])
+                                      ("gen-random", "--n", "3", "--count", "2"),
+                                      ("gen-random", "--count", "-1"),
+                                      ("suite", "--mode", "random", "--n", "10", "--count", "-2"),
+                                      ("suite", "--mode", "extremal", "--count", "-1")])
     def test_size_below_range(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""

@@ -126,9 +126,9 @@ class TestGenRandom:
         validated = []
         init = PlaneGraph.__init__
 
-        def counted(self, rotation, outer_face=None):
+        def counted(self, rotation):
             validated.append(1)
-            init(self, rotation, outer_face)
+            init(self, rotation)
 
         monkeypatch.setattr(PlaneGraph, "__init__", counted)
         graphs = corpus.gen_random(corpus.CorpusSpec("random", n_max=60, seed=0, count=3))
@@ -185,6 +185,15 @@ class TestGolden:
         monkeypatch.setattr(corpus, "GOLDEN_DIR", tmp_path / "absent")
         with pytest.raises(GraphError, match="absent"):
             corpus.golden_names()
+
+
+class TestCorpusSpec:
+    @pytest.mark.parametrize("mode", ["exhaustive", "random", "extremal"])
+    def test_negative_count_rejected(self, mode):
+        # one check covers every path that takes a count
+        with pytest.raises(GraphError, match="count must be non-negative"):
+            corpus.CorpusSpec(mode, count=-1)
+        assert corpus.CorpusSpec(mode, count=0).count == 0
 
 
 class TestRunSuite:

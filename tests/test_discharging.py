@@ -214,9 +214,9 @@ class TestDangerousCyclesCost:
             flooded.append(tuple(cycle))
             return flood(self, cycle)
 
-        def counted_build(self, rotation, outer_face=None):
+        def counted_build(self, rotation):
             calls["validated builds"] += 1
-            build(self, rotation, outer_face)
+            build(self, rotation)
 
         monkeypatch.setattr(nx, "check_planarity", counted_planarity)
         monkeypatch.setattr(nx, "is_isomorphic", counted_iso)

@@ -674,9 +674,9 @@ class TestAvoidingIndependentSet:
         validated = []
         init = PlaneGraph.__init__
 
-        def counted(self, rotation, outer_face=None):
+        def counted(self, rotation):
             validated.append(True)
-            init(self, rotation, outer_face)
+            init(self, rotation)
 
         graphs = [generate_member(steps, 2) for steps in (2, 10, 40)]
         monkeypatch.setattr(PlaneGraph, "__init__", counted)
@@ -688,26 +688,37 @@ class TestAvoidingIndependentSet:
                 assert 3 * len(s) == g.n + 1
 
 
+def offered(first):
+    """Every diamond the descent's ``first`` offers a qualifier, as a set:
+    the qualifier records each one and rejects it, so the whole heap is
+    read; what is no longer a diamond leaves it, the rest stays."""
+    seen = set()
+    assert first(lambda d: seen.add(d)) is None
+    return seen
+
+
 class TestDiamondIndex:
+    """The heap ``_descend`` reads its diamonds from, driven by its picks."""
+
     @settings(max_examples=40, deadline=None)
     @given(steps=st.integers(0, 40), seed=st.integers(0, 40),
            edge=st.one_of(st.none(), st.integers(0, 200)), pick=st.randoms(use_true_random=False))
     def test_live_diamonds_are_find_diamonds_after_every_step(self, steps, seed, edge, pick):
-        # replacing diamonds in any order, down to a dead end, keeps the
-        # index equal to a full scan; a diamond passed over stays
+        # replacing diamonds in any order, down to a dead end, keeps what the
+        # heap offers equal to a full scan; a diamond passed over stays
         g = (generate_member(steps, seed) if edge is None
              else oracles.edge_deleted_member(steps, seed, edge))
-        index, h = extremal._DiamondIndex(find_diamonds(g)), Rotation.of(g)
-        while True:
-            live = sorted(Diamond(*t) for t in index.live)
+
+        def check(h, steps, first):
+            live = sorted(offered(first))
             assert live == find_diamonds(h)
-            assert index.first() == (live[0] if live else None)
-            if not live:
-                break
+            assert first() == (live[0] if live else None)
             if len(live) > 1:
-                assert index.first(lambda d: d != live[0]) == live[1]
-                assert index.first() == live[0]
-            index.replaced(h, replace_diamond_with_path(h, pick.choice(live), max(h) + 1))
+                assert first(lambda d: d != live[0]) == live[1]
+                assert first() == live[0]
+            return pick.choice(live) if live else None
+
+        extremal._descend(g, check)
 
     def test_back_to_back_diamonds(self):
         # two diamonds whose w vertices 5 and 10 are joined, each the other's
@@ -719,9 +730,12 @@ class TestDiamondIndex:
         diamonds = find_diamonds(g)
         assert {(d.w, d.x2) for d in diamonds} >= {(5, 10), (10, 5)}
         for d in diamonds:
-            index, h = extremal._DiamondIndex(find_diamonds(g)), Rotation.of(g)
-            step = replace_diamond_with_path(h, d, max(h) + 1)
-            index.replaced(h, step)
-            live = sorted(Diamond(*t) for t in index.live)
-            assert live == find_diamonds(h)
-            assert any(e.x2 == step.v2 for e in live)
+            def replace_d_then_check(h, steps, first, d=d):
+                live = offered(first)
+                assert live == set(find_diamonds(h))
+                if steps:
+                    assert any(e.x2 == steps[0].v2 for e in live)
+                    return None
+                return d
+
+            assert len(extremal._descend(g, replace_d_then_check)[1]) == 1
