@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import extremal, solver
 from .plane_graph import (GraphError, InternalInvariantError, PlaneGraph, Rotation,
-                          cycle_graph, embed_edges, parse)
+                          cycle_graph, parse)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -56,20 +56,22 @@ def _iso_dedup_add(buckets, g) -> bool:
 @functools.cache
 def _abstract_level(n: int) -> tuple:
     """Connected triangle-free planar graphs on n >= 1 vertices up to
-    isomorphism, as nx graphs.
+    isomorphism, as (nx graph on 0..n-1, rotation on 1..n) pairs.
 
     Every connected graph arises by attaching a new vertex (nonempty
     neighborhood) to a connected graph one size down, so each level is grown
-    from the cached level below and every ``n_max`` shares them.
+    from the cached level below and every ``n_max`` shares them.  Planarity
+    is an isomorphism invariant, so only a candidate that opens a new class
+    is tested, once, and a planar class keeps the embedding that test found.
     """
     import networkx as nx
     if n == 1:
         g1 = nx.Graph()
         g1.add_node(0)
-        return (g1,)
+        return ((g1, {1: ()}),)
     buckets = {}
     grown = []
-    for g in _abstract_level(n - 1):
+    for g, _ in _abstract_level(n - 1):
         nodes = list(g.nodes)
         for r in range(1, n):
             for subset in itertools.combinations(nodes, r):
@@ -79,10 +81,12 @@ def _abstract_level(n: int) -> tuple:
                 h = g.copy()
                 h.add_node(n - 1)
                 h.add_edges_from((n - 1, v) for v in subset)
-                if not nx.check_planarity(h, counterexample=False)[0]:
+                if not _iso_dedup_add(buckets, h):
                     continue
-                if _iso_dedup_add(buckets, h):
-                    grown.append(h)
+                planar, emb = nx.check_planarity(h, counterexample=False)
+                if planar:
+                    grown.append((h, {v + 1: tuple(u + 1 for u in ns)
+                                      for v, ns in emb.get_data().items()}))
     return tuple(grown)
 
 
@@ -90,13 +94,7 @@ def enumerate_small(n_max: int):
     """All connected plane triangle-free graphs with <= n_max vertices, embedded."""
     if not 0 <= n_max <= ENUM_LIMIT:
         raise GraphError("exhaustive enumeration takes 0 to %d vertices" % ENUM_LIMIT)
-    out = []
-    for n in range(1, n_max + 1):
-        for g in _abstract_level(n):
-            relabeled = {v: i + 1 for i, v in enumerate(sorted(g.nodes))}
-            out.append(embed_edges(sorted(relabeled.values()),
-                                   [(relabeled[a], relabeled[b]) for a, b in g.edges]))
-    return out
+    return [PlaneGraph(rot) for n in range(1, n_max + 1) for _, rot in _abstract_level(n)]
 
 
 def _move_keys(keys, old, new):
@@ -254,11 +252,11 @@ def run_suite(spec: CorpusSpec) -> SuiteReport:
     report = SuiteReport()
     for name, g in _spec_graphs(spec):
         res = solver.solve(g)
-        member = extremal.is_member(g).is_member
         if g.n <= solver.ORACLE_LIMIT:
-            bounds = solver.check_theorem_bounds(g)
-            alpha, lower_ok, main_ok = bounds.alpha, bounds.lower_bound_ok, bounds.main_ok
+            b = solver.check_theorem_bounds(g)
+            alpha, member, lower_ok, main_ok = b.alpha, b.member, b.lower_bound_ok, b.main_ok
         else:
+            member = extremal.is_member(g).is_member
             alpha = lower_ok = main_ok = None
         report.rows.append(SuiteRow(name, g.n, alpha, member, res.size,
                                     res.guarantee, res.met, lower_ok, main_ok))

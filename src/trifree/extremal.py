@@ -35,6 +35,7 @@ import heapq
 import operator
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import verify
 from .plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph, Rotation,
@@ -45,8 +46,7 @@ C5 = "C5"
 NOT_MEMBER = "NOT_MEMBER"
 
 
-@dataclass(frozen=True, order=True)
-class Diamond:
+class Diamond(NamedTuple):
     u1: int
     z1: int
     z2: int
@@ -57,7 +57,7 @@ class Diamond:
 
     @property
     def cycle(self) -> tuple:
-        return (self.u1, self.z1, self.z2, self.u2, self.w)
+        return self[:5]
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def _check_diamond(g, u1, z1, z2, u2, w, x1, x2) -> bool:
 
 def _diamonds_at(g, seeds):
     """The diamonds whose z1 is one of ``seeds``, each once (see
-    ``find_diamonds``), as tuples of ``Diamond``'s fields."""
+    ``find_diamonds``)."""
     for z1 in seeds:
         if g.degree(z1) != 2:
             continue
@@ -135,7 +135,7 @@ def _diamonds_at(g, seeds):
                 x1s = g.neighbors(u1) - cset
                 x2s = g.neighbors(w) - cset
                 if len(x1s) == 1 and x1s == g.neighbors(u2) - cset and len(x2s) == 1:
-                    yield (u1, z1, z2, u2, w, min(x1s), min(x2s))
+                    yield Diamond(u1, z1, z2, u2, w, min(x1s), min(x2s))
 
 
 def find_diamonds(g) -> list:
@@ -151,10 +151,7 @@ def find_diamonds(g) -> list:
     and a common neighbor of u1 and u2 is neither z1 nor z2.  This is the
     all-vertices case of the local search ``_descend`` makes.
     """
-    return [Diamond(*t) for t in sorted(_diamonds_at(g, g.vertices))]
-
-
-_fields = operator.attrgetter(*Diamond.__dataclass_fields__)
+    return sorted(_diamonds_at(g, g.vertices))
 
 
 def _fresh(rot: Rotation, first: int, k: int) -> range:
@@ -173,7 +170,7 @@ def replace_diamond_with_path(rot: Rotation, d: Diamond, v1: int) -> DiamondStep
     path x1-u1-w-x2 renamed, so still plane.  The degree pattern pins every
     cycle-vertex neighbor, so only the rotations at x1 and x2 mention removed
     vertices."""
-    if not _check_diamond(rot, *_fields(d)):
+    if not _check_diamond(rot, *d):
         raise GraphError("not a diamond of this graph: %r" % (d,))
     v1, v2 = _fresh(rot, v1, 2)
     for v in d.cycle:
@@ -241,7 +238,7 @@ def diamond_project(g: PlaneGraph, d: Diamond, s) -> frozenset:
     independent in g raises ``GraphError``.  No graph is built: every reduced
     edge between kept vertices is a host edge, so checking v1 and v2 against
     their reduced neighbourhoods {x1, v2} and {v1, x2} checks the result."""
-    if not _check_diamond(g, *_fields(d)):
+    if not _check_diamond(g, *d):
         raise GraphError("not a diamond of this graph: %r" % (d,))
     bad = verify.violating_edge(g, s)
     if bad is not None:
@@ -318,10 +315,10 @@ def _descend(g, pick):
     steps edit one copy of g, made at the first replacement, and step i
     names its path m + 1 + 2i, m + 2 + 2i, for m the largest id of g.
 
-    ``first`` reads one min-heap of diamond field tuples, which compare fast:
-    the ``find_diamonds`` scan at its first call, then after each step what
-    ``_diamonds_at`` finds from the degree-2 vertices within distance 2 of
-    x1, x2, v1 and v2.  An entry at the top is popped unless
+    ``first`` reads one min-heap of ``Diamond``s, which compare as plain
+    tuples: the ``find_diamonds`` scan at its first call, then after each
+    step what ``_diamonds_at`` finds from the degree-2 vertices within
+    distance 2 of x1, x2, v1 and v2.  An entry at the top is popped unless
     ``_check_diamond`` accepts it on h now, so ``first`` gives only diamonds.
     A diamond is one by its cycle's neighbourhoods alone, and a replacement
     changes them only at x1, x2 and the vertices it deletes or adds; so a
@@ -334,18 +331,18 @@ def _descend(g, pick):
     def first(qualifies=None):
         nonlocal heap
         if heap is None:
-            heap = list(map(_fields, find_diamonds(h)))   # sorted, so a heap
+            heap = find_diamonds(h)   # sorted, so a heap
         skipped, found = [], None
         while heap and found is None:
-            t = heap[0]
-            if not _check_diamond(h, *t):
+            d = heap[0]
+            if not _check_diamond(h, *d):
                 heapq.heappop(heap)
-            elif qualifies is None or qualifies(Diamond(*t)):
-                found = Diamond(*t)
+            elif qualifies is None or qualifies(d):
+                found = d
             else:
                 skipped.append(heapq.heappop(heap))
-        for t in skipped:
-            heapq.heappush(heap, t)
+        for d in skipped:
+            heapq.heappush(heap, d)
         return found
 
     while (d := pick(h, steps, first)) is not None:
@@ -358,8 +355,8 @@ def _descend(g, pick):
             for _ in range(2):
                 ring = {u for v in ring for u in h[v] if len(h[u]) <= 3} - near
                 near |= ring
-            for t in _diamonds_at(h, [v for v in near if len(h[v]) == 2]):
-                heapq.heappush(heap, t)
+            for new in _diamonds_at(h, [v for v in near if len(h[v]) == 2]):
+                heapq.heappush(heap, new)
     return h, steps
 
 

@@ -232,37 +232,28 @@ class PlaneGraph:
         return True
 
     def paths_between(self, a, b, length, forbidden=()) -> list:
-        """All simple a-b paths with exactly ``length`` edges.
+        """All simple a-b paths with exactly ``length`` edges, 1 to 3, sorted.
 
         Internal vertices must avoid ``forbidden``; the endpoints are exempt.
+        A 2-edge path's middle vertex is a common neighbour of a and b, and a
+        3-edge path a-x-y-b has y a common neighbour of x and b, so each
+        length is read off neighbour-set intersections.
         """
         if a == b:
             raise GraphError("path endpoints must differ")
-        if length > 6:
-            raise GraphError("path search limited to length 6")
-        if a not in self._rot or b not in self._rot:
+        if not 1 <= length <= 3:
+            raise GraphError("path search takes 1 to 3 edges, not %d" % length)
+        nbr = self._nbr
+        if a not in nbr or b not in nbr:
             return []
-        forbidden = frozenset(forbidden)
-        out = []
-
-        def walk(path, used):
-            v = path[-1]
-            rem = length - (len(path) - 1)
-            for w in sorted(self._nbr[v]):
-                if w == b:
-                    if rem == 1:
-                        out.append(tuple(path) + (w,))
-                    continue
-                if rem <= 1 or w in used or w in forbidden:
-                    continue
-                path.append(w)
-                used.add(w)
-                walk(path, used)
-                used.discard(w)
-                path.pop()
-
-        walk([a], {a})
-        return out
+        if length == 1:
+            return [(a, b)] if b in nbr[a] else []
+        # no internal vertex is an endpoint or forbidden
+        skip = {a, b}.union(forbidden)
+        if length == 2:
+            return [(a, x, b) for x in sorted(nbr[a] & nbr[b] - skip)]
+        return [(a, x, y, b) for x in sorted(nbr[a] - skip)
+                for y in sorted(nbr[x] & nbr[b] - skip)]
 
     def cycles_up_to(self) -> list:
         """All simple cycles of length <= 6, once up to rotation/reflection,

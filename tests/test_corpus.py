@@ -50,6 +50,36 @@ class TestEnumerateSmall:
             got[g.n] = got.get(g.n, 0) + 1
         assert got == want
 
+    def test_pinned_output(self, corpus9):
+        # every graph up to n = 9, its order and its embedding must not change
+        text = "".join(serialize(g) for g in corpus9)
+        assert len(corpus9) == 1378
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9f542c4eee3c33402206f99b318229061ef8eb6148bd4242a2f5c69512cc38ef")
+
+    def test_one_planarity_test_per_class(self, monkeypatch):
+        # planarity is an isomorphism invariant, so only a candidate that
+        # opens a new class is tested; the uncached call leaves the cache alone
+        import networkx as nx
+        tested, opened = [], []
+        check, dedup = nx.check_planarity, corpus._iso_dedup_add
+
+        def counted_check(*args, **kwargs):
+            tested.append(1)
+            return check(*args, **kwargs)
+
+        def counted_dedup(buckets, g):
+            new = dedup(buckets, g)
+            opened.append(new)
+            return new
+
+        corpus._abstract_level(6)
+        monkeypatch.setattr(nx, "check_planarity", counted_check)
+        monkeypatch.setattr(corpus, "_iso_dedup_add", counted_dedup)
+        level = corpus._abstract_level.__wrapped__(7)
+        assert len(level) == 55
+        assert len(tested) == sum(opened) < len(opened)
+
     def test_smaller_enumerations_reuse_the_levels(self, corpus9, monkeypatch):
         # after enumerate_small(9) every smaller one is read from the shared
         # levels: no graph is hashed or compared again
@@ -214,6 +244,22 @@ class TestRunSuite:
         report = corpus.run_suite(
             corpus.CorpusSpec("random", n_max=14, seed=2, count=3))
         assert not report.violations
+
+    def test_one_membership_test_per_oracle_row(self, monkeypatch):
+        # solve's guarantee asks once and check_theorem_bounds once; the row
+        # reads its member flag from the bounds
+        from trifree import extremal
+        calls = []
+        real = extremal.is_member
+
+        def counted(g):
+            calls.append(1)
+            return real(g)
+
+        monkeypatch.setattr(extremal, "is_member", counted)
+        report = corpus.run_suite(corpus.CorpusSpec("exhaustive", n_max=6))
+        assert len(report.rows) == 30
+        assert len(calls) == 2 * len(report.rows)
 
     def test_unknown_mode(self):
         with pytest.raises(GraphError):

@@ -280,13 +280,22 @@ class TestPathsBetween:
         with pytest.raises(GraphError):
             c5().paths_between(1, 1, 2)
 
+    @pytest.mark.parametrize("length", [0, 4, -1])
+    def test_length_outside_one_to_three_rejected(self, length):
+        # the callers ask about 1 to 3 edges, and no other length is answered
+        with pytest.raises(GraphError):
+            c5().paths_between(1, 3, length)
+
     def test_agrees_with_dfs_oracle(self, corpus7):
         for g in corpus7[::3]:
             for a, b in itertools.combinations(g.vertices, 2):
+                # one forbidden set per pair, sometimes holding an endpoint,
+                # as the C4 side-conditions pass the face's vertices
+                forbidden = {v for v in g.vertices if (v + a + b) % 3 == 0}
                 for length in (1, 2, 3):
-                    got = sorted(g.paths_between(a, b, length))
-                    want = sorted(oracles.naive_paths(g, a, b, length))
-                    assert got == want
+                    for avoid in ((), forbidden):
+                        got = g.paths_between(a, b, length, forbidden=avoid)
+                        assert got == oracles.naive_paths(g, a, b, length, avoid)
 
 
 class TestCyclesUpTo:
