@@ -97,9 +97,8 @@ def _c4_conditions(g: PlaneGraph, vs, us) -> bool:
         return False
     if u2 == u3 or g.has_edge(u2, u3) or g.paths_between(u2, u3, 3, forbidden=vs):
         return False
-    if u1 == u3 and u2 == u4:
-        # identifying u2 with u3 would turn the new edge u1u4 into a loop
-        return False
+    # u1 = u3 and u2 = u4 cannot both hold: v1-u1-v3 and v2-u2-v4 would be
+    # interleaved chords outside the facial 5-cycle, which must cross
     return True
 
 

@@ -117,12 +117,10 @@ def apply_rules(g: PlaneGraph) -> ChargeLedger:
         for i, u in enumerate(walk):
             if not (internal(u) and g.degree(u) == 3):
                 continue
-            on_walk = {walk[(i - 1) % f.length], walk[(i + 1) % f.length]}
-            off = g.neighbors(u) - on_walk
-            if len(off) != 1:
-                continue  # non-simple walk; u has no single off-face neighbor
-            (v,) = off
-            if v not in f.vertex_set and v in kv:
+            # a triangle-free 5-face is a 5-cycle, so u has one off-face
+            # neighbour, and it is not on f: a chord would close a triangle
+            (v,) = g.neighbors(u) - {walk[i - 1], walk[(i + 1) % f.length]}
+            if v in kv:
                 send(4, ("v", v), ("f", f), THIRD)
 
     initial = _element_charges(g)

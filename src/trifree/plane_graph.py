@@ -5,8 +5,10 @@ clockwise order of its neighbors (the order ``networkx`` planar embeddings
 use).  Faces are traced with the next-edge rule: a walk that arrives at v
 from u leaves v toward the neighbor that follows u in v's rotation.  Each
 face walk therefore keeps its face on the left, and the ``outer:`` line of
-the file format lists one such walk.  Validity (genus zero) is checked per
-connected component via Euler's formula.  A ``PlaneGraph`` is immutable and
+the file format lists one such walk.  Validity (genus zero) is one Euler
+identity: each component has V - E + F = 2 - 2g with genus g >= 0 (an
+isolated vertex counting one face), so n - m + F = 2C over the C components
+exactly when every genus is 0.  A ``PlaneGraph`` is immutable and
 every operation on it returns a new value; its faces are traced once, and a
 ``re_embed`` shares them.  ``Rotation`` is the one mutable form: the diamond
 chains, the reductions, the solver's pieces and the random generator edit it
@@ -14,6 +16,7 @@ in place and end with one validated ``build``.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 
@@ -88,7 +91,7 @@ class PlaneGraph:
         for v, ns in self._rot.items():
             if v in ns:
                 raise GraphError("loop at vertex %d" % v)
-            if len(set(ns)) != len(ns):
+            if len(self._nbr[v]) != len(ns):
                 raise GraphError("parallel edges at vertex %d" % v)
             for u in ns:
                 if u not in self._rot:
@@ -98,38 +101,27 @@ class PlaneGraph:
 
     def _trace_faces(self):
         # a walk from the smallest untraced dart is canonical and the walks come
-        # out in face order; the dart index is the record of what is traced
-        succ = {}
-        for v, ns in self._rot.items():
-            deg = len(ns)
-            for i, u in enumerate(ns):
-                # the next-edge rule of the module docstring
-                succ[(u, v)] = (v, ns[(i + 1) % deg])
+        # out in face order; the dart index is the record of what is traced.
+        # Each step scans v's rotation for the arrival, so the scans at a
+        # vertex of degree d add up to about d^2 / 2 entries.
         faces, index = [], {}
-        for start in sorted(succ):
+        for start in sorted((v, u) for v, ns in self._rot.items() for u in ns):
             if start in index:
                 continue
-            walk, cur = [start], succ[start]
-            while cur != start:
-                walk.append(cur)
-                cur = succ[cur]
+            walk = Rotation.face_darts(self._rot, start)
             index.update(dict.fromkeys(walk, len(faces)))
             faces.append(Face(tuple(walk)))
         self._faces, self._dart_face_index = faces, index
 
     def _check_euler(self):
-        comps = self.components()
-        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-        fcs = [0] * len(comps)
-        for f in self._faces:
-            fcs[comp_of[f.darts[0][0]]] += 1
-        for comp, fc in zip(comps, fcs):
-            # an isolated vertex has one face and no walk
-            vc, ec, fc = len(comp), sum(len(self._rot[v]) for v in comp) // 2, max(fc, 1)
-            if vc - ec + fc != 2:
-                raise GraphError(
-                    "Euler violation (V-E+F = %d-%d+%d != 2): rotation is not planar"
-                    % (vc, ec, fc))
+        # the identity of the module docstring; an isolated vertex has one
+        # face and no walk
+        fc = len(self._faces) + sum(not ns for ns in self._rot.values())
+        cc = len(self.components())
+        if self.n - self.m + fc != 2 * cc:
+            raise GraphError(
+                "Euler violation (V-E+F = %d-%d+%d != 2C, C = %d): rotation is not planar"
+                % (self.n, self.m, fc, cc))
 
     def _face_with(self, key):
         """The face whose canonical walk is ``key``, or None."""
@@ -215,11 +207,8 @@ class PlaneGraph:
         outer = self._face_with(f.darts) if isinstance(f, Face) else None
         if outer is None:
             raise GraphError("not a face of this graph: %r" % (f,))
-        h = object.__new__(PlaneGraph)
-        h._rot, h._nbr, h._faces, h._dart_face_index = (
-            self._rot, self._nbr, self._faces, self._dart_face_index)
+        h = copy.copy(self)
         h._outer = self._dart_face_index[outer.darts[0]]
-        h._dual = self._dual  # the dual of the shared face table
         return h
 
     # -- structure queries -----------------------------------------------------

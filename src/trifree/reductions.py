@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import configurations
 from .configurations import Configuration
-from .extremal import _add_checked
+from .extremal import _add_checked, _fresh
 from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, Rotation
 
 
@@ -83,7 +83,8 @@ def apply_reduction(rot, kind: str, roles, z):
     """Apply the reduction of configuration ``(kind, roles)``, C1-C4, in place
     to ``rot``, each vertex's clockwise neighbour list; returns the step and
     the vertices left whose rotation changed.  The caller checks that the
-    configuration holds, and gives z, an id no vertex has.
+    configuration holds, and gives z, an id no vertex has; for C2 and C4 an
+    id in use raises ``GraphError`` before any edit.
 
     Deletion keeps the rotation order.  C2 and C4 contract a path a-...-b
     through deleted vertices into z, which reads a's rotation clockwise from
@@ -96,6 +97,8 @@ def apply_reduction(rot, kind: str, roles, z):
     if reduction is None:
         raise GraphError("%s has no direct reduction; convert with c5_to_c2 first" % kind)
     k, deleted, closed, path, adds, z_adds = reduction
+    if path:
+        _fresh(rot, z, 1)
     host_before = len(rot)
     removed = set(map(roles.__getitem__, deleted))
     for i in closed:

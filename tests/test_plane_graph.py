@@ -101,6 +101,35 @@ class TestParse:
             PlaneGraph(rot)
 
 
+def _k4_rotation(genus):
+    rot = {v: parse(K4_TEXT).rotation(v) for v in range(1, 5)}
+    if genus:
+        rot[4] = (1, 2, 3)
+    return rot
+
+
+class TestEulerIdentity:
+    """n - m + F = 2C holds over all components together exactly when each
+    has genus 0, so one non-planar component fails the whole graph."""
+
+    @pytest.mark.parametrize("others", [
+        {5: (6, 9), 6: (5, 7), 7: (6, 8), 8: (7, 9), 9: (8, 5)},
+        {5: (), 6: (), 7: ()},
+    ])
+    def test_genus_one_component_beside_planar_ones_rejected(self, others):
+        with pytest.raises(GraphError, match="^Euler violation .*rotation is not planar$"):
+            PlaneGraph({**_k4_rotation(1), **others})
+
+    @pytest.mark.parametrize("rot, n, m, faces", [
+        ({}, 0, 0, 0),
+        ({1: ()}, 1, 0, 0),
+        ({**_k4_rotation(0), 5: ()}, 5, 6, 4),
+    ])
+    def test_planar_rotations_with_isolated_vertices_build(self, rot, n, m, faces):
+        g = PlaneGraph(rot)
+        assert (g.n, g.m, len(g.faces())) == (n, m, faces)
+
+
 class TestRotation:
     def test_build_round_trip(self, golden):
         for g in golden.values():

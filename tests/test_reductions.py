@@ -63,6 +63,20 @@ class TestReduce:
             with pytest.raises(GraphError):
                 rd.apply_reduction(Rotation.of(cube), kind, roles, cube.max_vertex_id() + 1)
 
+    def test_contraction_onto_an_id_in_use_rejected_before_any_edit(self, golden):
+        kinds = set()
+        for g in golden.values():
+            c = next((c for c in cf.find_all(g) if c.kind in ("C2", "C4")), None)
+            if c is None:
+                continue
+            kinds.add(c.kind)
+            for z in g.vertices:
+                rot = Rotation.of(g)
+                with pytest.raises(GraphError, match="in use"):
+                    rd.apply_reduction(rot, c.kind, c.roles, z)
+                assert rot == Rotation.of(g)
+        assert kinds == {"C2", "C4"}
+
     def test_stale_configuration_rejected(self, cube):
         with pytest.raises(GraphError):
             rd.reduce(cube, cf.Configuration("C1", (1,)))
