@@ -123,15 +123,13 @@ def apply_rules(g: PlaneGraph) -> ChargeLedger:
             if v in kv:
                 send(4, ("v", v), ("f", f), THIRD)
 
+    # each exact amount moves from source to target: the totals agree
     initial = _element_charges(g)
     final = dict(initial)
     for t in transfers:
         final[t.source] -= t.amount
         final[t.target] += t.amount
-    ledger = ChargeLedger(initial, tuple(transfers), final)
-    if ledger.total_final() != ledger.total_initial():
-        raise InternalInvariantError("charge was created or lost")
-    return ledger
+    return ChargeLedger(initial, tuple(transfers), final)
 
 
 @dataclass(frozen=True)
@@ -215,10 +213,11 @@ def dangerous_cycles(g: PlaneGraph) -> list:
 
 @dataclass(frozen=True)
 class ElementVerdict:
+    """A vertex or face whose final charge is below its bound."""
+
     element: tuple
     final_charge: Fraction
     bound: Fraction
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -226,24 +225,18 @@ class AuditReport:
     hypothesis_ok: bool
     hypothesis_failures: tuple
     ledger: ChargeLedger | None
-    verdicts: tuple
     violations: tuple
     configuration: configurations.Configuration | None
 
-    @property
-    def ok(self) -> bool:
-        return self.hypothesis_ok and self.configuration is not None
-
 
 def _hypothesis_failures(g: PlaneGraph) -> list:
-    fails = []
     try:
         k = _outer_cycle(g)
     except GraphError as e:
         return [str(e)]
     if not g.is_connected():
-        fails.append("graph is disconnected")
-        return fails
+        return ["graph is disconnected"]
+    fails = []
     if not g.is_triangle_free():
         fails.append("graph contains a triangle")
     if g.n == k.length and g.m == k.length:
@@ -262,32 +255,29 @@ def audit(g: PlaneGraph) -> AuditReport:
     """Check the final-charge case analysis and extract a non-interfering pattern.
 
     Hypothesis violations (exceptional graph, dangerous cycle, bad outer face)
-    are reported, not silently ignored.
+    are reported, not silently ignored.  ``violations`` lists, by ``repr``, the
+    elements below their bound: -5/3 at an outer-cycle vertex, else 0.  No
+    rule pays or charges the outer face, so it stays at its bound |K| - 4.
     """
     fails = _hypothesis_failures(g)
     if fails:
-        return AuditReport(False, tuple(fails), None, (), (), None)
+        return AuditReport(False, tuple(fails), None, (), None)
     k = g.outer_face
     kv = k.vertex_set
     ledger = apply_rules(g)
-    verdicts = []
-    for element, charge in sorted(ledger.final.items(), key=lambda kv_: repr(kv_[0])):
+    violations = []
+    for element, charge in ledger.final.items():
+        if element == ("f", k):
+            continue
         kind, obj = element
-        if kind == "f":
-            if obj == k:
-                bound = Fraction(k.length - 4)
-            else:
-                bound = Fraction(0)
-        elif obj in kv:
-            bound = Fraction(-5, 3)
-        else:
-            bound = Fraction(0)
-        verdicts.append(ElementVerdict(element, charge, bound, charge >= bound))
-    violations = tuple(v for v in verdicts if not v.ok)
+        bound = Fraction(-5, 3) if kind == "v" and obj in kv else Fraction(0)
+        if charge < bound:
+            violations.append(ElementVerdict(element, charge, bound))
+    violations.sort(key=lambda v: repr(v.element))
     # kind by kind in ``KINDS`` order, stopping at the first that avoids k
     for row in configurations.KINDS:
         for c in row[1](g):
             if not configurations.interferes(c, k):
-                return AuditReport(True, (), ledger, tuple(verdicts), violations, c)
+                return AuditReport(True, (), ledger, tuple(violations), c)
     raise InternalInvariantError(
         "hypotheses hold but no non-interfering configuration exists")

@@ -37,6 +37,12 @@ def two_cycles_text():
 
 
 @pytest.fixture(scope="session")
+def k4_outer_text():
+    """K4 with the face 1-2-4 as outer: the smallest input with a triangle."""
+    return "4 6\n1: 2 3 4\n2: 1 4 3\n3: 1 2 4\n4: 1 3 2\nouter: 1 2 4\n"
+
+
+@pytest.fixture(scope="session")
 def cube():
     return embed_edges(range(1, 9), [(1, 2), (2, 3), (3, 4), (4, 1),
                                      (5, 6), (6, 7), (7, 8), (8, 5),

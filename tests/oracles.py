@@ -422,6 +422,23 @@ def cylinder(k, m):
     return PlaneGraph(rot)
 
 
+def k2(size):
+    """K(2,L), L = ``size``: hubs 1 and 2, each joined to 3..L+2."""
+    mids = range(3, size + 3)
+    rot = {1: tuple(mids), 2: tuple(reversed(mids))}
+    rot.update((v, (1, 2)) for v in mids)
+    return PlaneGraph(rot)
+
+
+def subdivided_star(rays):
+    """Hub 1 with ``rays`` paths of two edges, 1-a-(a+1) for even a."""
+    mids = range(2, 2 * rays + 2, 2)
+    rot = {1: tuple(mids)}
+    for a in mids:
+        rot[a], rot[a + 1] = (1, a + 1), (a,)
+    return PlaneGraph(rot)
+
+
 def edge_deleted_member(steps, seed, i):
     """``generate_member(steps, seed)`` minus the edge at index i (taken
     modulo m) of its sorted edge list.  n stays 2 mod 3, and it is never a

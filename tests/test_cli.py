@@ -8,11 +8,17 @@ import pytest
 
 from trifree import cli
 from trifree.corpus import GOLDEN_DIR
-from trifree.plane_graph import parse
+from trifree.plane_graph import parse, serialize
+
+import oracles
 
 
 C5_TWO_OUTER_LINES = ("5 5\n1: 2 5\n2: 1 3\n3: 2 4\n4: 3 5\n5: 1 4\n"
                       "outer: 1 2 3 4 5\nouter: 5 4 3 2 1\n")
+
+# K(2,3) with the 4-cycle 1-2-5-3 outer: it meets every audit hypothesis and
+# still has elements below their bounds
+K23_OUTER_TEXT = "5 6\n1: 2 4 3\n2: 1 5\n3: 1 5\n4: 1 5\n5: 2 3 4\nouter: 1 2 5 3\n"
 
 
 def golden_path(name):
@@ -50,17 +56,35 @@ class TestValidate:
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert str(p) in err and "UTF-8" in err
 
-    @pytest.mark.parametrize("text", ["3 2\n1: 2\n2: 1 3\n3: 2\nouter:\n", "-3 0\n", "0 -1\n",
-                                      C5_TWO_OUTER_LINES])
+    @pytest.mark.parametrize("text", [
+        "3 2\n1: 2\n2: 1 3\n3: 2\nouter:\n", "-3 0\n", "0 -1\n", C5_TWO_OUTER_LINES,
+        pytest.param("", id="empty"),
+        pytest.param("# a comment\n\n", id="comment-only"),
+        pytest.param("5\n", id="one-token-header"),
+        pytest.param("two 1\n1: 2\n2: 1\n", id="non-integer-header"),
+        pytest.param("2 1\n1 2\n2: 1\n", id="no-colon"),
+        pytest.param("2 1\n1: x\n2: 1\n", id="non-integer-entry"),
+        pytest.param("2 1\nv: 2\n2: 1\n", id="non-integer-label"),
+        pytest.param("2 1\n1: 2\n1: 2\n2: 1\n", id="duplicate-vertex"),
+        pytest.param("2 1\n1: 3\n2: 1\n", id="unknown-vertex"),
+    ])
     @pytest.mark.parametrize("command", ["validate", "solve"])
     def test_bad_header_or_outer_line(self, capsys, tmp_path, command, text):
-        # an empty outer walk, a negative count and a second outer line are
-        # input errors
+        # an empty outer walk, a bad or negative count, a second outer line
+        # and every malformed rotation line are input errors
         p = tmp_path / "bad.graph"
         p.write_text(text)
         code, out, err = run(capsys, command, str(p))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+    def test_hub_of_degree_4000(self, capsys, tmp_path):
+        p = tmp_path / "k2_4000.graph"
+        p.write_text(serialize(oracles.k2(4000)))
+        for command in ("validate", "solve"):
+            code, out, err = run(capsys, command, str(p))
+            assert code == 0 and out and err == ""
 
 
 class TestSolve:
@@ -244,7 +268,6 @@ class TestDangerous:
     def test_random_600_lines_with_one_build(self, capsys, monkeypatch, tmp_path):
         import hashlib
         from trifree import corpus
-        from trifree.plane_graph import serialize
         (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=600, seed=1, count=1))
         g = g.re_embed(max((f for f in g.faces() if f.is_cycle() and f.length <= 6),
                            key=lambda f: f.length))
@@ -295,9 +318,28 @@ class TestAudit:
         assert code == 1 and err == ""
         assert out == "hypothesis violated: graph is disconnected\n"
 
+    def test_below_bound_lines(self, capsys, tmp_path):
+        p = tmp_path / "k23.graph"
+        p.write_text(K23_OUTER_TEXT)
+        code, out, err = run(capsys, "audit", str(p))
+        assert code == 0 and err == ""
+        assert out == ("below-bound f(1-3-5-4) charge=-1/3 bound=0\n"
+                       "below-bound f(1-4-5-2) charge=-1/3 bound=0\n"
+                       "below-bound v4 charge=-2 bound=0\n"
+                       "non-interfering C1 roles=4\n")
+
+    def test_triangle_input(self, capsys, tmp_path, k4_outer_text):
+        p = tmp_path / "k4.graph"
+        p.write_text(k4_outer_text)
+        code, out, err = run(capsys, "audit", str(p))
+        assert code == 1 and err == ""
+        assert out == "hypothesis violated: graph contains a triangle\n"
+        code, out, err = run(capsys, "discharge", str(p))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_passing_graph(self, capsys, tmp_path, corpus8):
         from trifree import discharging
-        from trifree.plane_graph import serialize
         for g0 in corpus8:
             k = next((f for f in g0.faces() if f.is_cycle() and f.length <= 6), None)
             if k is None:
@@ -326,6 +368,13 @@ class TestSuite:
         assert code == 0
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["members"] == 3
+
+    def test_extremal_above_the_oracle_limit(self, capsys):
+        code, out, _ = run(capsys, "suite", "--mode", "extremal",
+                           "--steps", "12", "--count", "2")
+        assert code == 0
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary == {"graphs": 2, "members": 2, "tight": 0, "met": 2, "violations": 0}
 
 
 class TestGoldenTranscript:

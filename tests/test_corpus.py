@@ -240,6 +240,15 @@ class TestRunSuite:
         assert all(3 * r.alpha == r.n + 1 for r in report.rows)
         assert not report.violations
 
+    def test_above_the_oracle_limit(self):
+        # n = 41: no exact alpha, the member flag comes from is_member alone
+        report = corpus.run_suite(corpus.CorpusSpec("extremal", count=2, steps=12))
+        assert [r.n for r in report.rows] == [41, 41]
+        for r in report.rows:
+            assert r.alpha is None and r.lower_ok is None and r.main_ok is None
+            assert r.member and r.met
+        assert not report.violations
+
     def test_random_mode(self):
         report = corpus.run_suite(
             corpus.CorpusSpec("random", n_max=14, seed=2, count=3))

@@ -348,6 +348,18 @@ class TestAuditMetamorphic:
         assert _audit_invariants(mirrored) == want
 
 
+class TestTriangleInput:
+    def test_apply_rules_rejects(self, k4_outer_text):
+        with pytest.raises(GraphError, match="requires a triangle-free graph"):
+            dc.apply_rules(parse(k4_outer_text))
+
+    def test_audit_reports(self, k4_outer_text):
+        rep = dc.audit(parse(k4_outer_text))
+        assert not rep.hypothesis_ok
+        assert rep.hypothesis_failures == ("graph contains a triangle",)
+        assert rep.ledger is None and rep.violations == () and rep.configuration is None
+
+
 class TestAudit:
     def test_exceptional_graphs_rejected(self):
         for g in (oracles.c6_chord(), oracles.c6_hub()):
@@ -375,22 +387,35 @@ class TestAudit:
                 continue
             audited += 1
             assert rep.configuration is not None
-            assert rep.ok
             from trifree.configurations import interferes
             assert not interferes(rep.configuration, g0.re_embed(k).outer_face)
         assert audited > 20
 
     def test_final_charge_bounds_reported(self, corpus8):
-        from trifree.configurations import interferes
+        # recompute every element's bound from the outer cycle: -5/3 on it,
+        # 0 off it and on every inner face; the outer face stays at |K| - 4
+        audited = found = 0
         for g0 in corpus8[::3]:
             k = next((f for f in g0.faces() if f.is_cycle() and f.length <= 6), None)
             if k is None:
                 continue
-            rep = dc.audit(g0.re_embed(k))
+            g = g0.re_embed(k)
+            rep = dc.audit(g)
             if not rep.hypothesis_ok:
                 continue
-            for v in rep.verdicts:
-                assert v.ok == (v.final_charge >= v.bound)
+            audited += 1
+            want = []
+            for (kind, obj), charge in rep.ledger.final.items():
+                if kind == "f" and obj == g.outer_face:
+                    assert charge == k.length - 4
+                    continue
+                bound = -Fraction(5, 3) if kind == "v" and obj in k.vertex_set else 0
+                if charge < bound:
+                    want.append(((kind, obj), charge, bound))
+            want.sort(key=lambda row: repr(row[0]))
+            assert [(v.element, v.final_charge, v.bound) for v in rep.violations] == want
+            found += len(want)
+        assert audited == 18 and found == 56
 
     def test_configuration_is_the_first_non_interfering_one(self, corpus9, golden):
         # audit searches kind by kind and stops at the first configuration

@@ -264,17 +264,26 @@ class TestFaceTable:
     def test_euler_check_is_linear_in_components(self):
         # 10000 disjoint edges: a per-component scan of every face is quadratic
         g = PlaneGraph({v: (v + 1 if v % 2 else v - 1,) for v in range(1, 20001)})
+        assert _best(g._check_simple_symmetric, g._check_euler) <= 4 * _best(g._trace_faces)
 
-        def best(*runs):
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                for run in runs:
-                    run()
-                times.append(time.perf_counter() - start)
-            return min(times)
 
-        assert best(g._check_simple_symmetric, g._check_euler) <= 4 * best(g._trace_faces)
+def _best(*runs):
+    """The best of three wall times of ``runs`` called in turn."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        for run in runs:
+            run()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+class TestHubTracing:
+    @pytest.mark.parametrize("make", [oracles.k2, oracles.subdivided_star])
+    def test_tracing_is_linear_at_a_hub(self, make):
+        # arrivals found by scanning the hub's rotation cost about d^2 / 2
+        g = make(8000)
+        assert _best(g._trace_faces) <= 25 * _best(g._check_simple_symmetric)
 
 
 class TestTriangleFree:

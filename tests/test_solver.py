@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from trifree import configurations, corpus, discharging, solver
 from trifree.extremal import (avoiding_independent_set, generate_member, is_member,
                               member_max_independent_set)
-from trifree.plane_graph import GraphError, InternalInvariantError, PlaneGraph, cycle_graph
+from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, cycle_graph,
+                                 parse)
 from trifree.verify import is_independent_set
 
 import oracles
@@ -386,3 +387,7 @@ class TestCheckTheoremBounds:
     def test_path_graphs(self):
         for k in (1, 2, 3, 4, 7):
             assert solver.check_theorem_bounds(oracles.path_graph(k)).ok
+
+    def test_triangle_rejected(self, k4_outer_text):
+        with pytest.raises(GraphError, match="triangle-free graphs only"):
+            solver.check_theorem_bounds(parse(k4_outer_text))
