@@ -6,7 +6,6 @@ import functools
 import itertools
 import json
 import random
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,24 +31,23 @@ class CorpusSpec:
             raise GraphError("count must be non-negative")
 
 
-def wl_hash(h) -> str:
-    """Weisfeiler-Lehman hash of an unlabelled networkx graph."""
-    import networkx as nx
-    with warnings.catch_warnings():
-        # networkx >= 3.5 warns here that its hash values changed; they are only
-        # ever compared within one process, so the change cannot affect any result
-        warnings.simplefilter("ignore", UserWarning)
-        return nx.weisfeiler_lehman_graph_hash(h)
+def _colour_key(g) -> tuple:
+    """The sorted vertex colours of networkx graph ``g`` after two rounds of
+    colour refinement from the degrees: isomorphic graphs share the key."""
+    col = {v: len(g[v]) for v in g}
+    for _ in range(2):
+        col = {v: (col[v], tuple(sorted(col[u] for u in g[v]))) for v in g}
+    return tuple(sorted(col.values()))
 
 
 def _iso_dedup_add(buckets, g) -> bool:
-    """Add to hash-bucketed store unless an isomorphic copy is present."""
+    """Add to the colour-keyed store unless an isomorphic copy is present."""
     import networkx as nx
-    key = (g.number_of_nodes(), g.number_of_edges(), wl_hash(g))
-    for h in buckets.setdefault(key, []):
+    bucket = buckets.setdefault(_colour_key(g), [])
+    for h in bucket:
         if nx.is_isomorphic(g, h):
             return False
-    buckets[key].append(g)
+    bucket.append(g)
     return True
 
 
@@ -170,11 +168,6 @@ def gen_random(spec: CorpusSpec):
     return out
 
 
-def generate_extremal(spec: CorpusSpec):
-    return [extremal.generate_member(spec.steps, spec.seed + i)
-            for i in range(spec.count)]
-
-
 # -- golden corpus ---------------------------------------------------------------
 
 
@@ -244,7 +237,8 @@ def _spec_graphs(spec: CorpusSpec):
     if spec.mode == "random":
         return [("rnd%d" % i, g) for i, g in enumerate(gen_random(spec))]
     if spec.mode == "extremal":
-        return [("ext%d" % i, g) for i, g in enumerate(generate_extremal(spec))]
+        return [("ext%d" % i, extremal.generate_member(spec.steps, spec.seed + i))
+                for i in range(spec.count)]
     raise GraphError("unknown corpus mode %r" % spec.mode)
 
 

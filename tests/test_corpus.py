@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 import time
 from pathlib import Path
@@ -93,6 +94,34 @@ class TestEnumerateSmall:
         for n_max in range(8):
             got = [serialize(g) for g in corpus.enumerate_small(n_max)]
             assert got == [serialize(g) for g in corpus9 if g.n <= n_max]
+
+    def test_colour_key_is_a_relabelling_invariant(self):
+        import networkx as nx
+        rng = random.Random(7)
+        for n in range(1, 9):
+            for g, _ in corpus._abstract_level(n):
+                key = corpus._colour_key(g)
+                for _ in range(3):
+                    perm = list(g)
+                    rng.shuffle(perm)
+                    assert corpus._colour_key(nx.relabel_nodes(g, dict(zip(g, perm)))) == key
+
+    def test_colour_key_is_as_fine_as_the_wl_hash(self, monkeypatch):
+        # a coarser key leaves the output alone but compares more candidates;
+        # 1517 is the count the networkx Weisfeiler-Lehman hash key gave
+        import networkx as nx
+        calls = []
+        iso = nx.is_isomorphic
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return iso(*args, **kwargs)
+
+        corpus._abstract_level(7)
+        monkeypatch.setattr(nx, "is_isomorphic", counted)
+        level = corpus._abstract_level.__wrapped__(8)
+        assert len(level) == 230
+        assert len(calls) == 1517
 
     def test_limit_enforced(self):
         with pytest.raises(GraphError):

@@ -12,6 +12,7 @@ from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph,
 from trifree.verify import is_independent_set
 
 import oracles
+from test_plane_graph import _best
 
 
 class TestExactAlpha:
@@ -365,6 +366,15 @@ class TestScale:
         res = solver.solve(g)
         assert res.size == 20000 and res.guarantee == 13334 and res.met
         assert is_independent_set(g, res.independent_set)
+
+
+class TestHub:
+    @pytest.mark.parametrize("make", [oracles.k2, oracles.subdivided_star])
+    def test_solve_is_linear_at_a_hub(self, make):
+        # against a linear scan of the same graph; the first C1 step deletes
+        # the hub, so a split into the 8000 pieces left must stay linear
+        g = make(8000)
+        assert _best(lambda: solver.solve(g)) <= 60 * _best(g._check_simple_symmetric)
 
 
 class TestCheckTheoremBounds:
