@@ -163,51 +163,75 @@ def hexagon_exception(nbrs):
     return shape
 
 
-def _interior(cyc, faces):
-    """``(V, excused)`` for the disk made of ``faces``, read from the faces'
-    darts with no graph built: V is the distinct dart tails, and ``excused``
-    says the disk is C6c or C6v.  Every disk is first checked against Euler's
-    formula on the faces' counts, which is what a validated build of it would
-    check for a sub-rotation of a valid host; a failure is a bug."""
-    n = len({u for f in faces for u, _ in f.darts})
-    m2 = sum(f.length for f in faces) + len(cyc)  # twice the edge count
-    if 2 * (n + len(faces) + 1) - m2 != 4:
-        raise InternalInvariantError("disk of %r breaks Euler (V-E+F = %d-%d/2+%d)"
-                                     % (cyc, n, m2, len(faces) + 1))
-    if (n, m2) not in ((6, 14), (7, 18)):  # (V, 2E) of C6c and of C6v
-        return n, False
-    nbrs = {}
-    for f in faces:
-        for u, v in f.darts:
-            nbrs.setdefault(u, set()).add(v)
-            nbrs.setdefault(v, set()).add(u)
-    return n, hexagon_exception(nbrs) is not None
-
-
 def dangerous_cycles(g: PlaneGraph) -> list:
     """All cycles of length <= 6 whose closed disk is not C, C6c or C6v, in
-    the sorted order of ``cycles_up_to``.
+    the sorted order of ``cycles_up_to``, each with its disk's vertex count.
 
     The graph must be connected; a disconnected one raises ``GraphError``.
-    A facial cycle is decided from the dart index, with nothing built: it
-    bounds the outer face or a bare disk, so it is never dangerous.  Only
-    the other cycles are flooded, once each, and their disks classified
-    from the flood's faces with no graph built: every such disk passes an
-    Euler count on its faces, and only one with the counts of C6c or C6v is
-    read as neighbour sets and tested with ``hexagon_exception``.  A found
-    cycle carries its disk's vertex count.
+    No disk is flooded or built: one ``PlaneGraph._subtree_sums`` pass gives
+    every cycle its disk's faces, face lengths and vertices, each vertex
+    counted at the face of its first dart.  A cycle with one side a single
+    face of its length bounds the outer face or a bare disk, so it is never
+    dangerous.  Every other disk must satisfy Euler's formula on its counts,
+    and only one with the counts of C6c or C6v reads its faces, as the
+    neighbour sets that ``hexagon_exception`` tests.
     """
     _outer_cycle(g)
     if not g.is_connected():
         raise GraphError("dangerous-cycle search runs on connected graphs")
+    index, faces = g._dart_face_index, g.faces()
+    weights = [[1, f.length, 0] for f in faces]
+    pos = {}  # dart (v, u) -> u's position in v's rotation
+    for v in g.vertices:
+        ns = g.rotation(v)
+        weights[index[v, ns[0]]][2] += 1
+        pos.update(((v, u), i) for i, u in enumerate(ns))
+    sums = g._subtree_sums(weights)
+    total_f, total_l = len(faces), 2 * g.m
     out = []
     for cyc in g.cycles_up_to():
-        if g._is_face(cyc):
-            continue
-        _, faces = g._disk_faces(cyc)
-        n, excused = _interior(cyc, faces)
-        if not excused:
-            out.append(DangerousCycle(cyc, n))
+        k = len(cyc)
+        darts = list(zip(cyc[-1:] + cyc[:-1], cyc))
+        nf = nl = nv = 0
+        for d in darts:
+            t = sums.get(d)  # None off the tree
+            if t:
+                nf += t[0]
+                nl += t[1]
+                nv += t[2]
+        forward = nf > 0  # the disk is on the side of the forward darts' faces
+        if not forward:
+            nf, nl, nv = -nf, -nl, -nv
+        if (nf == 1 and nl == k) or (total_f - nf == 1 and total_l - nl == k):
+            continue  # facial
+        # the disk holds its inner vertices and the cycle's; a cycle vertex c
+        # between p and q is already in nv when its first dart's face is on the
+        # disk's side, and on the forward side that is when p comes after q in
+        # c's rotation
+        nv += k
+        p, c = cyc[-2:]
+        for q in cyc:
+            if (pos[c, p] > pos[c, q]) == forward:
+                nv -= 1
+            p, c = c, q
+        m2 = nl + k  # twice the edge count
+        if 2 * (nv + nf + 1) - m2 != 4:
+            raise InternalInvariantError("disk of %r breaks Euler (V-E+F = %d-%d/2+%d)"
+                                         % (cyc, nv, m2, nf + 1))
+        if (nv, m2) in ((6, 14), (7, 18)):  # (V, 2E) of C6c and of C6v
+            # C6c and C6v each have one embedding, in which every inner face
+            # has an edge on the outer cycle: a disk with a face away from
+            # its cycle is neither
+            inside = {index[d if forward else d[::-1]] for d in darts}
+            if len(inside) == nf:
+                nbrs = {}
+                for i in inside:
+                    for u, v in faces[i].darts:
+                        nbrs.setdefault(u, set()).add(v)
+                        nbrs.setdefault(v, set()).add(u)
+                if hexagon_exception(nbrs) is not None:
+                    continue
+        out.append(DangerousCycle(cyc, nv))
     return out
 
 

@@ -73,7 +73,7 @@ class Face:
 class PlaneGraph:
     """Immutable combinatorial plane embedding."""
 
-    __slots__ = ("_rot", "_nbr", "_faces", "_outer", "_dart_face_index", "_dual")
+    __slots__ = ("_rot", "_nbr", "_faces", "_outer", "_dart_face_index")
 
     def __init__(self, rotation):
         """No outer face is designated; ``re_embed`` designates one."""
@@ -83,7 +83,6 @@ class PlaneGraph:
         self._trace_faces()
         self._check_euler()
         self._outer = None  # the outer face's index in the face table
-        self._dual = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -324,26 +323,13 @@ class PlaneGraph:
                                          "and its boundary" % (len(sub._faces), len(disk_faces)))
         return sub.re_embed(outer)
 
-    def _is_face(self, cycle) -> bool:
-        """True iff the simple cycle ``cycle`` is a face walk in one
-        orientation or the other, that is, all its darts lie on one face of
-        its length.  It reads the dart index and builds nothing."""
-        index, k = self._dart_face_index, len(cycle)
-        for walk in (cycle, cycle[::-1]):
-            f = index[walk[-1], walk[0]]
-            if self._faces[f].length == k and all(
-                    index[walk[i - 1], walk[i]] == f for i in range(1, k)):
-                return True
-        return False
-
     def _disk_faces(self, cycle):
-        """The faces inside the closed disk bounded by ``cycle``: the one
-        dual flood, shared by ``disk_subgraph`` and ``dangerous_cycles``.
+        """The faces inside the closed disk bounded by ``cycle``: the dual
+        flood that ``disk_subgraph`` builds the disk from.
 
         ``cycle`` must be a simple cycle of this graph, in the outer face's
         component, that does not bound the outer face; ``disk_subgraph``
-        checks that for a caller's cycle, and every cycle of a connected
-        graph's ``cycles_up_to`` that is not a face meets it.  Returns
+        checks that for a caller's cycle.  Returns
         ``(boundary, faces)``: ``boundary`` is the cycle's dart walk that
         keeps the disk on its right, so it is the disk's outer face walk.
         The faces left of the cycle's darts (c_i, c_i+1) lie on one side of
@@ -361,9 +347,6 @@ class PlaneGraph:
         cut = set(darts) | set(reverse)
         # flood over face indices: an int hashes faster than a dart tuple
         index, faces, outer = self._dart_face_index, self._faces, self._outer
-        dual = self._dual  # per face, (face across the dart, dart) for each dart
-        if dual is None:  # built once per face table, on the first flood
-            dual = self._dual = [tuple((index[d[1], d[0]], d) for d in f.darts) for f in faces]
         seen = ({index[d] for d in darts}, {index[d] for d in reverse})
         if seen[0] & seen[1]:
             raise InternalInvariantError("cycle does not enclose any face")
@@ -377,7 +360,8 @@ class PlaneGraph:
                 if not todo[i]:
                     return (reverse if i == 0 else darts), [faces[j] for j in sorted(seen[i])]
                 mine, other = seen[i], seen[1 - i]
-                for f, d in dual[todo[i].pop()]:
+                for d in faces[todo[i].pop()].darts:
+                    f = index[d[1], d[0]]  # the face across d
                     if f in mine:
                         continue
                     if f in other:  # allowed only across a cycle edge
@@ -387,6 +371,42 @@ class PlaneGraph:
                     mine.add(f)
                     todo[i].append(f)
                     reached[i] = reached[i] or f == outer
+
+    def _subtree_sums(self, weights) -> dict:
+        """Per-dart subtree totals of the dual's breadth-first tree from the
+        designated outer face, on a connected graph.
+
+        ``weights`` holds one tuple of numbers per face, in face order.  The
+        dart through which the search enters a face maps to the sum of
+        ``weights`` over that face's subtree, its reverse to the negated sum,
+        and every other dart to nothing.  Summed over the darts of a simple
+        cycle, this is discrete Stokes: it gives the total weight of the side
+        of the darts' own faces if that side does not hold the outer face,
+        and minus the total of the other side if it does: the tree path from
+        the outer face to a face enters the side without the outer face once
+        more than it leaves it when the face lies there, else as often.
+        """
+        index, faces = self._dart_face_index, self._faces
+        root = self._outer
+        entry = {root: None}  # face -> the dart through which the search entered it
+        order = [root]
+        for f in order:  # the list grows while it is read: a breadth-first queue
+            for u, v in faces[f].darts:
+                c = index[v, u]
+                if c not in entry:
+                    entry[c] = (v, u)
+                    order.append(c)
+        totals = [list(w) for w in weights]
+        sums = {}
+        for c in reversed(order[1:]):  # children before parents
+            u, v = entry[c]
+            t = totals[c]
+            parent = totals[index[v, u]]
+            for i, x in enumerate(t):
+                parent[i] += x
+            sums[u, v] = tuple(t)
+            sums[v, u] = tuple(-x for x in t)
+        return sums
 
     def __repr__(self):
         return "PlaneGraph(n=%d, m=%d)" % (self.n, self.m)

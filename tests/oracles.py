@@ -399,6 +399,52 @@ def vf2_dangerous_cycles(g):
     return out
 
 
+def flood_dangerous_cycles(g):
+    """``dangerous_cycles`` with one dual flood per cycle, the way the package
+    found disks before its subtree sums.  A cycle all of whose darts, in one
+    orientation, lie on one face of its length is facial and skipped.  For
+    any other cycle the faces of its darts are flooded without crossing a
+    cycle edge; if that side holds the outer face, the faces of the reversed
+    darts are flooded instead.  The disk's vertices are its faces' dart tails,
+    it must satisfy Euler's formula on its face counts, and one with the
+    counts of C6c or C6v is excused by ``hexagon_exception``."""
+    outer = g.outer_face
+    out = []
+    for cyc in g.cycles_up_to():
+        k = len(cyc)
+        darts = [(cyc[i], cyc[(i + 1) % k]) for i in range(k)]
+        sides = [{g.face_of_dart(d) for d in darts},
+                 {g.face_of_dart((v, u)) for u, v in darts}]
+        if any(len(s) == 1 and next(iter(s)).length == k for s in sides):
+            continue
+        cut = {frozenset(d) for d in darts}
+        disk = None
+        for seen in sides:
+            todo = list(seen)
+            while todo:
+                for u, v in todo.pop().darts:
+                    f = g.face_of_dart((v, u))
+                    if frozenset((u, v)) not in cut and f not in seen:
+                        seen.add(f)
+                        todo.append(f)
+            if outer not in seen:
+                disk = seen
+                break
+        n = len({u for f in disk for u, _ in f.darts})
+        m2 = sum(f.length for f in disk) + k
+        if 2 * (n + len(disk) + 1) - m2 != 4:
+            raise InternalInvariantError("disk of %r breaks Euler" % (cyc,))
+        nbrs = {}
+        for f in disk:
+            for u, v in f.darts:
+                nbrs.setdefault(u, set()).add(v)
+                nbrs.setdefault(v, set()).add(u)
+        if (n, m2) in ((6, 14), (7, 18)) and discharging.hexagon_exception(nbrs):
+            continue
+        out.append(discharging.DangerousCycle(cyc, n))
+    return out
+
+
 def grid(rows, cols):
     """The rows x cols square grid, vertex (i, j) numbered i * cols + j + 1."""
     def vid(i, j):

@@ -281,6 +281,29 @@ class TestDangerous:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "eca8c2ce516475b5c121562a2fa968796c6360097f90d665e54d9b0a7f7a0221")
 
+    @pytest.mark.parametrize("make, want", [
+        (lambda: oracles.grid(6, 6),
+         "dangerous 1-2-3-9-8-7 interior_n=36\n"
+         "dangerous 1-2-8-14-13-7 interior_n=36\n"
+         "count 2\n"),
+        (lambda: oracles.cylinder(6, 5),
+         "dangerous 1-2-8-7-12-6 interior_n=30\n"
+         "dangerous 1-6-5-11-12-7 interior_n=30\n"
+         "dangerous 1-6-12-18-13-7 interior_n=30\n"
+         "dangerous 7-8-9-10-11-12 interior_n=24\n"
+         "dangerous 13-14-15-16-17-18 interior_n=18\n"
+         "dangerous 19-20-21-22-23-24 interior_n=12\n"
+         "count 6\n"),
+    ], ids=["grid6x6", "cyl6x5"])
+    def test_disks_of_nearly_the_whole_graph(self, capsys, tmp_path, make, want):
+        # with a 4-face outer, a 6-cycle around that face and a neighbour
+        # encloses every vertex
+        g = make()
+        p = tmp_path / "square_outer.graph"
+        p.write_text(serialize(g.re_embed(next(f for f in g.faces() if f.length == 4))))
+        code, out, err = run(capsys, "dangerous", str(p))
+        assert (code, out, err) == (0, want, "")
+
     def test_disconnected_input_is_one_error(self, capsys, tmp_path, two_cycles_text):
         p = tmp_path / "two_cycles.graph"
         p.write_text(two_cycles_text)

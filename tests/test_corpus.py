@@ -83,13 +83,13 @@ class TestEnumerateSmall:
 
     def test_smaller_enumerations_reuse_the_levels(self, corpus9, monkeypatch):
         # after enumerate_small(9) every smaller one is read from the shared
-        # levels: no graph is hashed or compared again
+        # levels: no graph is keyed or compared again
         import networkx as nx
 
         def refuse(*args, **kwargs):
             raise AssertionError("an enumeration level was grown again")
 
-        monkeypatch.setattr(nx, "weisfeiler_lehman_graph_hash", refuse)
+        monkeypatch.setattr(corpus, "_colour_key", refuse)
         monkeypatch.setattr(nx, "is_isomorphic", refuse)
         for n_max in range(8):
             got = [serialize(g) for g in corpus.enumerate_small(n_max)]

@@ -181,75 +181,80 @@ class TestDangerousCycles:
         assert dc.dangerous_cycles(h) == []
 
 
+def _non_facial(g):
+    """The cycles of ``cycles_up_to`` that are no face walk either way round."""
+    facial = {frozenset(f.darts) for f in g.faces()}
+    facial |= {frozenset((v, u) for u, v in f) for f in facial}
+    return [c for c in g.cycles_up_to()
+            if frozenset((c[i - 1], c[i]) for i in range(len(c))) not in facial]
+
+
 class TestDangerousCyclesCost:
     def test_no_whole_graph_work_per_cycle(self, monkeypatch):
         import networkx as nx
-        oracles.c6_chord(), oracles.c6_hub()
         g = _grid_with_square_outer()
-        # a cycle is facial when it or its reverse is a face walk; the outer
-        # face's cycle is one of them
-        facial = {c for c in g.cycles_up_to()
-                  if g.find_face(c) is not None or g.find_face(c[::-1]) is not None}
-        assert g.outer_face.vertex_set in {frozenset(c) for c in facial}
-        non_facial = len(g.cycles_up_to()) - len(facial)
-        flooded = []
         calls = Counter()
-        planarity, iso, components, flood, build = (
-            nx.check_planarity, nx.is_isomorphic, PlaneGraph.components,
-            PlaneGraph._disk_faces, PlaneGraph.__init__)
 
-        def counted_planarity(*args, **kwargs):
-            calls["planarity"] += 1
-            return planarity(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        def counted_iso(*args, **kwargs):
-            calls["iso"] += 1
-            return iso(*args, **kwargs)
-
-        def counted_components(self):
-            calls["host components" if self is g else "disk components"] += 1
-            return components(self)
-
-        def counted_flood(self, cycle):
-            flooded.append(tuple(cycle))
-            return flood(self, cycle)
-
-        def counted_build(self, rotation):
-            calls["validated builds"] += 1
-            build(self, rotation)
-
-        monkeypatch.setattr(nx, "check_planarity", counted_planarity)
-        monkeypatch.setattr(nx, "is_isomorphic", counted_iso)
-        monkeypatch.setattr(PlaneGraph, "components", counted_components)
-        monkeypatch.setattr(PlaneGraph, "_disk_faces", counted_flood)
-        monkeypatch.setattr(PlaneGraph, "__init__", counted_build)
+        monkeypatch.setattr(nx, "check_planarity", counted("planarity", nx.check_planarity))
+        monkeypatch.setattr(nx, "is_isomorphic", counted("iso", nx.is_isomorphic))
+        monkeypatch.setattr(PlaneGraph, "components",
+                            counted("components", PlaneGraph.components))
+        monkeypatch.setattr(PlaneGraph, "_disk_faces", counted("floods", PlaneGraph._disk_faces))
+        monkeypatch.setattr(PlaneGraph, "__init__", counted("validated builds",
+                                                            PlaneGraph.__init__))
+        monkeypatch.setattr(PlaneGraph, "_subtree_sums",
+                            counted("subtree sums", PlaneGraph._subtree_sums))
         found = dc.dangerous_cycles(g)
-        assert found
-        assert len(flooded) == non_facial  # one flood per non-facial cycle
-        assert not facial & set(flooded)  # and none for a facial one
-        assert calls["validated builds"] == calls["disk components"] == 0
-        assert calls["iso"] == 0
-        assert calls["planarity"] == 0
-        assert calls["host components"] <= 1
-        assert oracles.c6_chord() is oracles.c6_chord()
-        assert oracles.c6_hub() is oracles.c6_hub()
+        assert found and _non_facial(g)
+        assert calls["floods"] == calls["validated builds"] == 0
+        assert calls["iso"] == calls["planarity"] == 0
+        assert calls["components"] <= 1  # the host's connectivity test
+        assert calls["subtree sums"] == 1  # one pass over the dual per call
         # each found cycle carries the vertex count of its built disk
         assert [d.interior_n for d in found] == [g.disk_subgraph(d.cycle).n for d in found]
         assert calls["validated builds"] == len(found)
 
-    @pytest.mark.parametrize("make, min_faces", [(_grid_with_square_outer, 4),
-                                                 (_enclosed_chord_graph, 2)])
-    def test_flood_losing_a_face_breaks_euler(self, monkeypatch, make, min_faces):
-        # the grid drops a face only from dangerous disks (C6c and C6v have
-        # 2 and 3 faces), the enclosed-chord graph from its one C6c disk
+    @pytest.mark.parametrize("make", [_grid_with_square_outer, _enclosed_chord_graph])
+    def test_dropping_a_vertex_breaks_euler(self, monkeypatch, make):
+        # one face of a disk loses the vertex counted at it, so that disk
+        # counts one vertex short
         g = make()
-        flood = PlaneGraph._disk_faces
+        first = {g.face_of_dart((v, g.rotation(v)[0])) for v in g.vertices}
+        faces = g.faces()
+        target = next(faces.index(f) for c in _non_facial(g)
+                      for f in g.disk_subgraph(c).faces() if f in first)
+        sums = PlaneGraph._subtree_sums
 
-        def lossy_flood(self, cycle):
-            boundary, faces = flood(self, cycle)
-            return boundary, faces[1:] if len(faces) >= min_faces else faces
+        def lossy_sums(self, weights):
+            weights[target][2] -= 1
+            return sums(self, weights)
 
-        monkeypatch.setattr(PlaneGraph, "_disk_faces", lossy_flood)
+        monkeypatch.setattr(PlaneGraph, "_subtree_sums", lossy_sums)
+        with pytest.raises(InternalInvariantError, match="breaks Euler"):
+            dc.dangerous_cycles(g)
+
+    @pytest.mark.parametrize("make", [_grid_with_square_outer, _enclosed_chord_graph])
+    def test_a_wrong_subtree_total_breaks_euler(self, monkeypatch, make):
+        # the first tree dart on a cycle that is not facial claims one face
+        # too many
+        g = make()
+        c = _non_facial(g)[0]
+        darts = [(c[i - 1], c[i]) for i in range(len(c))]
+        sums = PlaneGraph._subtree_sums
+
+        def wrong_sums(self, weights):
+            out = sums(self, weights)
+            d = next(d for d in darts if d in out)
+            out[d] = (out[d][0] + (1 if out[d][0] > 0 else -1),) + out[d][1:]
+            return out
+
+        monkeypatch.setattr(PlaneGraph, "_subtree_sums", wrong_sums)
         with pytest.raises(InternalInvariantError, match="breaks Euler"):
             dc.dangerous_cycles(g)
 
@@ -316,6 +321,38 @@ class TestAgainstVF2:
         for seed in range(3):
             (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=150, seed=seed, count=1))
             found += self._same(g.re_embed(max(_short_faces(g), key=lambda f: f.length)))
+        assert found > 0
+
+
+class TestAgainstFlood:
+    """``dangerous_cycles`` against one dual flood per cycle (``oracles``)."""
+
+    @staticmethod
+    def _same(g):
+        def key(found):
+            return [(d.cycle, d.interior_n) for d in found]
+        got = key(dc.dangerous_cycles(g))
+        assert got == key(oracles.flood_dangerous_cycles(g))
+        return len(got)
+
+    def test_corpus8_every_short_face(self, corpus8):
+        found = sum(self._same(g.re_embed(f)) for g in corpus8 for f in _short_faces(g))
+        assert found > 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: oracles.grid(12, 12),
+        lambda: oracles.cylinder(6, 30),
+    ] + [lambda seed=seed: corpus.gen_random(
+        corpus.CorpusSpec("random", n_max=150, seed=seed, count=1))[0] for seed in range(3)],
+        ids=["grid12x12", "cyl6x30", "random150-0", "random150-1", "random150-2"])
+    def test_benchmark_shapes(self, make):
+        # the benchmark's outer face (the longest short face) and a 4-face,
+        # whose neighbouring 6-cycles enclose nearly the whole graph
+        g = make()
+        faces = _short_faces(g)
+        found = 0
+        for f in {max(faces, key=lambda f: f.length), next(f for f in faces if f.length == 4)}:
+            found += self._same(g.re_embed(f))
         assert found > 0
 
 
