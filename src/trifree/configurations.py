@@ -195,6 +195,8 @@ def kind_row(kind, roles) -> tuple:
 
 
 def find_all(g: PlaneGraph) -> list:
+    if not g.is_triangle_free():
+        raise GraphError("configuration search requires a triangle-free graph")
     out = []
     for row in KINDS:
         out.extend(row[1](g))

@@ -150,24 +150,23 @@ def hexagon_exception(nbrs):
     neighbours all have degree 3 is that hub over a 6-cycle, which is C6v.
     """
     degs = sorted(len(ns) for ns in nbrs.values())
-    if degs == [2, 2, 2, 2, 3, 3]:
-        u, v = (x for x, ns in nbrs.items() if len(ns) == 3)
-        shape = "C6c" if v in nbrs[u] else None
-    elif degs == [2, 2, 2, 3, 3, 3, 3]:
-        shape = "C6v" if any(len(ns) == 3 and all(len(nbrs[u]) == 3 for u in ns)
-                             for ns in nbrs.values()) else None
+    threes = [x for x, ns in nbrs.items() if len(ns) == 3]
+    if degs == [2, 2, 2, 2, 3, 3] and threes[1] in nbrs[threes[0]]:
+        shape = "C6c"
+    elif degs == [2, 2, 2, 3, 3, 3, 3] and any(all(len(nbrs[u]) == 3 for u in nbrs[x])
+                                               for x in threes):
+        shape = "C6v"
     else:
         return None
-    if any(nbrs[u] & nbrs[v] for u in nbrs for v in nbrs[u]):
-        return None  # a triangle
-    return shape
+    triangle = any(nbrs[u] & nbrs[v] for u in nbrs for v in nbrs[u])
+    return None if triangle else shape
 
 
 def dangerous_cycles(g: PlaneGraph) -> list:
     """All cycles of length <= 6 whose closed disk is not C, C6c or C6v, in
     the sorted order of ``cycles_up_to``, each with its disk's vertex count.
 
-    The graph must be connected; a disconnected one raises ``GraphError``.
+    The graph must be connected and triangle-free, else ``GraphError``.
     No disk is flooded or built: one ``PlaneGraph._subtree_sums`` pass gives
     every cycle its disk's faces, face lengths and vertices, each vertex
     counted at the face of its first dart.  A cycle with one side a single
@@ -179,6 +178,8 @@ def dangerous_cycles(g: PlaneGraph) -> list:
     _outer_cycle(g)
     if not g.is_connected():
         raise GraphError("dangerous-cycle search runs on connected graphs")
+    if not g.is_triangle_free():
+        raise GraphError("dangerous-cycle search requires a triangle-free graph")
     index, faces = g._dart_face_index, g.faces()
     weights = [[1, f.length, 0] for f in faces]
     pos = {}  # dart (v, u) -> u's position in v's rotation

@@ -287,11 +287,11 @@ class PlaneGraph:
         cycle as its outer face.
 
         ``cycle`` must be a simple cycle of this graph, not the outer face's
-        boundary, in the outer face's component.  The disk's faces come from
-        the dual flood of ``_disk_faces``; the subgraph keeps the darts of
-        those faces and of the cycle, and is one validated build whose faces
-        must be exactly the flooded ones plus the cycle itself, which
-        ``re_embed`` makes its outer face.
+        boundary, in the outer face's component.  The disk's faces are those
+        ``_disk_faces`` reads off the dual tree, at O(faces) per call; the
+        subgraph keeps the darts of those faces and of the cycle, and is one
+        validated build whose faces must be exactly the disk's plus the cycle
+        itself, which ``re_embed`` makes its outer face.
         """
         cycle = tuple(cycle)
         outer = self.outer_face
@@ -306,12 +306,9 @@ class PlaneGraph:
                 raise GraphError("not a cycle of this graph: missing edge %d-%d" % (u, v))
         if k == outer.length and {frozenset(d) for d in darts} == outer.edge_set:
             raise GraphError("cycle bounds the outer face")
-        if outer.darts[0][0] not in next(c for c in self.components() if cycle[0] in c):
-            raise GraphError("outer face lies in a different component than the cycle")
 
         boundary, disk_faces = self._disk_faces(cycle)
-        kept = set(boundary)
-        kept.update((v, u) for u, v in boundary)
+        kept = set(boundary)  # the disk's faces hold the reverse darts
         for f in disk_faces:
             kept.update(f.darts)
         verts = sorted({v for v, _ in kept})
@@ -324,57 +321,51 @@ class PlaneGraph:
         return sub.re_embed(outer)
 
     def _disk_faces(self, cycle):
-        """The faces inside the closed disk bounded by ``cycle``: the dual
-        flood that ``disk_subgraph`` builds the disk from.
+        """The faces inside the closed disk bounded by ``cycle``, and the
+        cycle's dart walk that keeps them on its right, which is the disk's
+        outer face walk.
 
-        ``cycle`` must be a simple cycle of this graph, in the outer face's
-        component, that does not bound the outer face; ``disk_subgraph``
-        checks that for a caller's cycle.  Returns
-        ``(boundary, faces)``: ``boundary`` is the cycle's dart walk that
-        keeps the disk on its right, so it is the disk's outer face walk.
-        The faces left of the cycle's darts (c_i, c_i+1) lie on one side of
-        it and the faces right of them on the other.  Both sides are flooded
-        alternately through the dual, never crossing a cycle edge, and the
-        disk is the first side that closes off without reaching the
-        designated outer face.  The cost therefore follows the disk (and the
-        other side while it is smaller), not the whole graph.  A side that
-        meets the other one other than across the cycle is a broken
-        embedding, reported as a cycle that encloses no face.
+        ``cycle`` must be a simple cycle of this graph that does not bound
+        the outer face; ``disk_subgraph`` checks that for a caller's cycle.
+        A face lies inside when its path in ``_dual_tree`` crosses the cycle
+        an odd number of times, so each cycle edge must have one face on
+        each side: one that does not is a broken embedding, reported as a
+        cycle that encloses no face.
         """
-        k = len(cycle)
-        darts = tuple((cycle[i], cycle[(i + 1) % k]) for i in range(k))
-        reverse = tuple((v, u) for u, v in reversed(darts))
-        cut = set(darts) | set(reverse)
-        # flood over face indices: an int hashes faster than a dart tuple
-        index, faces, outer = self._dart_face_index, self._faces, self._outer
-        seen = ({index[d] for d in darts}, {index[d] for d in reverse})
-        if seen[0] & seen[1]:
+        darts = tuple(zip(cycle, cycle[1:] + cycle[:1]))
+        cut = set(darts).union((v, u) for u, v in darts)
+        index = self._dart_face_index
+        entry, order = self._dual_tree()
+        odd = {order[0]: False}  # face -> whether its tree path crosses the cycle oddly
+        for c in order[1:]:
+            u, v = entry[c]
+            odd[c] = odd[index[v, u]] != ((u, v) in cut)
+        if index[darts[0]] not in odd:
+            raise GraphError("outer face lies in a different component than the cycle")
+        if any(odd[index[u, v]] == odd[index[v, u]] for u, v in darts):
             raise InternalInvariantError("cycle does not enclose any face")
-        todo = (list(seen[0]), list(seen[1]))
-        reached = [outer in seen[0], outer in seen[1]]
-        # the sides stay disjoint, so at most one of them reaches the outer face
-        while True:
-            for i in (0, 1):
-                if reached[i]:
-                    continue
-                if not todo[i]:
-                    return (reverse if i == 0 else darts), [faces[j] for j in sorted(seen[i])]
-                mine, other = seen[i], seen[1 - i]
-                for d in faces[todo[i].pop()].darts:
-                    f = index[d[1], d[0]]  # the face across d
-                    if f in mine:
-                        continue
-                    if f in other:  # allowed only across a cycle edge
-                        if d in cut:
-                            continue
-                        raise InternalInvariantError("cycle does not enclose any face")
-                    mine.add(f)
-                    todo[i].append(f)
-                    reached[i] = reached[i] or f == outer
+        if odd[index[darts[0]]]:  # the darts' own faces are inside
+            darts = tuple((v, u) for u, v in reversed(darts))
+        return darts, [self._faces[j] for j in sorted(odd) if odd[j]]
+
+    def _dual_tree(self):
+        """The dual's breadth-first tree from the designated outer face, over
+        its component: ``(entry, order)``, where ``entry`` maps each face to
+        the dart of it through which the search entered it (the outer face to
+        None), and ``order`` lists the faces in search order, parents first."""
+        index, faces = self._dart_face_index, self._faces
+        entry = {self._outer: None}
+        order = [self._outer]
+        for f in order:  # the list grows while it is read: a breadth-first queue
+            for u, v in faces[f].darts:
+                c = index[v, u]
+                if c not in entry:
+                    entry[c] = (v, u)
+                    order.append(c)
+        return entry, order
 
     def _subtree_sums(self, weights) -> dict:
-        """Per-dart subtree totals of the dual's breadth-first tree from the
-        designated outer face, on a connected graph.
+        """Per-dart subtree totals of ``_dual_tree``, on a connected graph.
 
         ``weights`` holds one tuple of numbers per face, in face order.  The
         dart through which the search enters a face maps to the sum of
@@ -386,16 +377,8 @@ class PlaneGraph:
         the outer face to a face enters the side without the outer face once
         more than it leaves it when the face lies there, else as often.
         """
-        index, faces = self._dart_face_index, self._faces
-        root = self._outer
-        entry = {root: None}  # face -> the dart through which the search entered it
-        order = [root]
-        for f in order:  # the list grows while it is read: a breadth-first queue
-            for u, v in faces[f].darts:
-                c = index[v, u]
-                if c not in entry:
-                    entry[c] = (v, u)
-                    order.append(c)
+        index = self._dart_face_index
+        entry, order = self._dual_tree()
         totals = [list(w) for w in weights]
         sums = {}
         for c in reversed(order[1:]):  # children before parents

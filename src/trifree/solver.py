@@ -150,8 +150,7 @@ class _Piece(Rotation):
 
         Floods from every start in lockstep, merging floods that meet, until
         at most one is still open.  A closed flood is a whole component and
-        moves out to a piece of its own, so the cost follows the smaller
-        sides, as in ``PlaneGraph.disk_subgraph``.
+        moves out to a piece of its own, so the cost follows the smaller sides.
         """
         owner = {t: i for i, t in enumerate(starts)}
         root = list(range(len(starts)))

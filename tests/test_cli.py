@@ -360,6 +360,10 @@ class TestAudit:
         code, out, err = run(capsys, "discharge", str(p))
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+        for cmd in ("dangerous", "find-configs"):  # both assume no triangle
+            code, out, err = run(capsys, cmd, str(p))
+            assert code == 2 and out == "", cmd
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), cmd
 
     def test_passing_graph(self, capsys, tmp_path, corpus8):
         from trifree import discharging

@@ -210,12 +210,14 @@ class TestDangerousCyclesCost:
                                                             PlaneGraph.__init__))
         monkeypatch.setattr(PlaneGraph, "_subtree_sums",
                             counted("subtree sums", PlaneGraph._subtree_sums))
+        monkeypatch.setattr(PlaneGraph, "_dual_tree", counted("dual trees", PlaneGraph._dual_tree))
         found = dc.dangerous_cycles(g)
         assert found and _non_facial(g)
         assert calls["floods"] == calls["validated builds"] == 0
         assert calls["iso"] == calls["planarity"] == 0
         assert calls["components"] <= 1  # the host's connectivity test
         assert calls["subtree sums"] == 1  # one pass over the dual per call
+        assert calls["dual trees"] == 1
         # each found cycle carries the vertex count of its built disk
         assert [d.interior_n for d in found] == [g.disk_subgraph(d.cycle).n for d in found]
         assert calls["validated builds"] == len(found)
@@ -389,6 +391,16 @@ class TestTriangleInput:
     def test_apply_rules_rejects(self, k4_outer_text):
         with pytest.raises(GraphError, match="requires a triangle-free graph"):
             dc.apply_rules(parse(k4_outer_text))
+
+    def test_dangerous_cycles_rejects(self, k4_outer_text):
+        # the definitions assume no triangle: K4's 4-cycles are not dangerous
+        with pytest.raises(GraphError, match="requires a triangle-free graph"):
+            dc.dangerous_cycles(parse(k4_outer_text))
+
+    def test_find_all_rejects(self, k4_outer_text):
+        from trifree.configurations import find_all
+        with pytest.raises(GraphError, match="requires a triangle-free graph"):
+            find_all(parse(k4_outer_text))
 
     def test_audit_reports(self, k4_outer_text):
         rep = dc.audit(parse(k4_outer_text))

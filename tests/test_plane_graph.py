@@ -421,11 +421,15 @@ def _disk_outcome(extract, g, cyc):
 
 
 def _assert_disks_match_naive(g):
-    """Every cycle of length <= 6 gives the oracle's disk, or its exception type."""
+    """Every cycle of length <= 6 gives the oracle's disk, or its exception
+    type, walked either way round: its side does not depend on its orientation."""
     sizes = []
     for cyc in g.cycles_up_to():
         got = _disk_outcome(PlaneGraph.disk_subgraph, g, cyc)
         assert got == _disk_outcome(oracles.naive_disk, g, cyc), (g.outer_face, cyc)
+        back = cyc[::-1]
+        assert (_disk_outcome(PlaneGraph.disk_subgraph, g, back)
+                == _disk_outcome(oracles.naive_disk, g, back)), (g.outer_face, back)
         if isinstance(got, str):
             sizes.append(g.disk_subgraph(cyc).n)
     return sizes
@@ -463,6 +467,19 @@ class TestDisconnectedDisk:
         g = parse(two_cycles_text)
         with pytest.raises(GraphError, match="outer face lies in a different component"):
             g.disk_subgraph((5, 6, 7, 8, 9))
+
+
+class TestDiskInvariant:
+    def test_one_face_on_both_sides_of_a_cycle_edge(self):
+        # a dart index that names one face on both sides of a cycle edge is a
+        # broken embedding: no crossing parity separates the two sides
+        g = oracles.grid(4, 4)
+        g = g.re_embed(next(f for f in g.faces() if f.length == 4))
+        cyc = (1, 2, 3, 7, 6, 5)  # around two squares of the top row
+        g._dart_face_index = dict(g._dart_face_index)  # re_embed shares the table
+        g._dart_face_index[3, 2] = g._dart_face_index[2, 3]
+        with pytest.raises(InternalInvariantError, match="cycle does not enclose any face"):
+            g._disk_faces(cyc)
 
 
 class TestIsomorphicSmall:
