@@ -8,8 +8,7 @@ discharging engine.
 from .plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph, Rotation,
                           embed_edges, parse, serialize)
 from .configurations import Configuration, NoConfigurationError, find_any, interferes
-from .extremal import (Diamond, DiamondStep, MembershipTrace, avoiding_independent_set,
-                       diamond_project, diamond_reduce, find_diamonds, generate_member,
+from .extremal import (Diamond, DiamondStep, MembershipTrace, find_diamonds, generate_member,
                        is_member, member_max_independent_set, path_diamond_replacement,
                        replace_diamond_with_path)
 from .reductions import ReductionStep, lift, reduce

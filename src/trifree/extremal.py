@@ -6,27 +6,23 @@ the diamond by the path x1-v1-v2-x2 removes three vertices and drops the
 independence number by exactly one.  The replacement and its inverse are
 in-place edits of a ``Rotation`` whose fresh ids the caller names, as
 ``solve`` names its contractions: each chain numbers its ids on from its
-input's largest id and runs on one copy.  Membership testing, its
-certificate and the face-avoiding set are one descent, ``_descend``, that
-replaces the diamond its caller picks, never backtracking: membership the
-first one, down to C5 or P2 as ``_terminal`` tells; the certificate the
-trace's, ending where the trace says; the face-avoiding set the first that
-spares the face.  The generator grows C5, keeping its degree-2 paths in
-order, and builds once.  The descent reads its diamonds from one min-heap,
-an entry checked when it reaches the top, so it gives no stale diamond: one
+input's largest id and runs on one copy.  Membership testing and its
+certificate are one descent, ``_descend``, that replaces the diamond its
+caller picks, never backtracking: membership the first one, down to C5 or
+P2 as ``_terminal`` tells; the certificate the trace's, ending where the
+trace says.  The generator grows C5, keeping its degree-2 paths in order,
+and builds once.  The descent reads its diamonds from one min-heap, an
+entry checked when it reaches the top, so it gives no stale diamond: one
 ``find_diamonds`` scan, then a local search near each replacement that
 holds every diamond the replacement makes, so none is missed and a chain
 costs about O(n log n) instead of one scan per step.  The certificate's
 terminal set is ``exact_alpha``'s witness, as at the base of every other
-chain.  ``diamond_reduce`` is copy, edit, one validated build.
-``DiamondStep.lift_into(s)``, for s independent in the reduced graph,
-checks what it adds against the host neighbourhoods the degree pattern
-pins, a full host independence check, and raises ``InternalInvariantError``
-when it fails; ``reductions.lift`` is its copying form.  Every chain ends
-in ``_lift_back``: one set lifted back through the steps, then checked
-against the chain's input.  ``diamond_project`` goes the other way, from a
-host set to the reduced graph, checked against the path's neighbourhoods
-without building that graph.
+chain.  ``DiamondStep.lift_into(s)``, for s independent in the reduced
+graph, checks what it adds against the host neighbourhoods the degree
+pattern pins, a full host independence check, and raises
+``InternalInvariantError`` when it fails; ``reductions.lift`` is its
+copying form.  Every chain ends in ``_lift_back``: one set lifted back
+through the steps, then checked against the chain's input.
 """
 from __future__ import annotations
 
@@ -38,8 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import verify
-from .plane_graph import (Face, GraphError, InternalInvariantError, PlaneGraph, Rotation,
-                          cycle_graph)
+from .plane_graph import GraphError, InternalInvariantError, PlaneGraph, Rotation, cycle_graph
 
 P2 = "P2"
 C5 = "C5"
@@ -183,19 +178,11 @@ def replace_diamond_with_path(rot: Rotation, d: Diamond, v1: int) -> DiamondStep
     return DiamondStep(d, v1, v2)
 
 
-def diamond_reduce(g: PlaneGraph, d: Diamond):
-    """Replace a diamond by a path on a copy of g; returns (reduced graph, step)."""
-    rot = Rotation.of(g)
-    step = replace_diamond_with_path(rot, d, g.max_vertex_id() + 1)
-    return rot.build(), step
-
-
 def _add_checked(neighborhoods, s: set, candidates, size: int) -> None:
     """Add to ``s``, in place, the first candidate of new vertices that brings
     it to exactly ``size`` vertices with no added vertex having a stored
     neighbour in the result, else raise ``InternalInvariantError``.  Every
-    lift is checked here: both step kinds' ``lift_into`` and
-    ``diamond_project``."""
+    lift is checked here, by both step kinds' ``lift_into``."""
     reasons = []
     for added in candidates:
         if not s.isdisjoint(added) or len(s) + len(set(added)) != size:
@@ -215,51 +202,13 @@ def _lift_back(g, steps, s: set) -> frozenset:
     """Lift ``s`` back through ``steps``, a chain that started at g, in
     reverse and in place, each step by its own ``lift_into``; then check the
     result against g itself, since each lift checks only what it adds.  This
-    ends every chain: ``solve``, the certificate and the face-avoiding set."""
+    ends every chain: ``solve`` and the certificate."""
     for step in reversed(steps):
         step.lift_into(s)
     bad = verify.violating_edge(g, s)
     if bad is not None:
         raise InternalInvariantError("lifted set is not independent in the input: %r" % (bad,))
     return frozenset(s)
-
-
-def _augment_maximal(g: PlaneGraph, s) -> set:
-    s = set(s)
-    for v in g.vertices:
-        if v not in s and not (g.neighbors(v) & s):
-            s.add(v)
-    return s
-
-
-def diamond_project(g: PlaneGraph, d: Diamond, s) -> frozenset:
-    """Project an independent set onto the path-reduced graph, in the ids
-    ``diamond_reduce(g, d)`` gives, losing one vertex; a set that is not
-    independent in g raises ``GraphError``.  No graph is built: every reduced
-    edge between kept vertices is a host edge, so checking v1 and v2 against
-    their reduced neighbourhoods {x1, v2} and {v1, x2} checks the result."""
-    if not _check_diamond(g, *d):
-        raise GraphError("not a diamond of this graph: %r" % (d,))
-    bad = verify.violating_edge(g, s)
-    if bad is not None:
-        raise GraphError("not an independent set of this graph: %r" % (bad,))
-    s = _augment_maximal(g, s)
-    u1, z1, z2, u2, w = d.u1, d.z1, d.z2, d.u2, d.w
-    if u1 in s and u2 in s:
-        s.discard(u2)
-        s.add(z2)
-    if z2 not in s:
-        if z1 not in s:
-            raise InternalInvariantError("maximal set misses both degree-2 vertices")
-        # mirror the diamond so the proof's normalization z2 in S applies
-        u1, u2 = u2, u1
-        z1, z2 = z2, z1
-    v1 = g.max_vertex_id() + 1
-    v2 = v1 + 1
-    out = s - {u1, z1, z2, u2, w}
-    _add_checked({v1: (d.x1, v2), v2: (v1, d.x2)}, out,
-                 ([v for v, x in ((v1, u1), (v2, w)) if x in s],), len(s) - 1)
-    return frozenset(out)
 
 
 def path_diamond_replacement(rot: Rotation, path, u1: int) -> Diamond:
@@ -310,10 +259,10 @@ def _degree2_paths(g) -> list:
 def _descend(g, pick):
     """The one diamond descent; returns (h, steps), the graph it reached and
     its steps.  Each step replaces the diamond ``pick(h, steps, first)``
-    names, until it names None; ``first(qualifies)`` is the smallest diamond
-    of h that ``qualifies`` (any, if None), or None.  Nothing is undone.  The
-    steps edit one copy of g, made at the first replacement, and step i
-    names its path m + 1 + 2i, m + 2 + 2i, for m the largest id of g.
+    names, until it names None; ``first()`` is the smallest diamond of h, or
+    None.  Nothing is undone.  The steps edit one copy of g, made at the
+    first replacement, and step i names its path m + 1 + 2i, m + 2 + 2i, for
+    m the largest id of g.
 
     ``first`` reads one min-heap of ``Diamond``s, which compare as plain
     tuples: the ``find_diamonds`` scan at its first call, then after each
@@ -328,22 +277,13 @@ def _descend(g, pick):
     """
     steps, h, heap, m = [], g, None, g.max_vertex_id()
 
-    def first(qualifies=None):
+    def first():
         nonlocal heap
         if heap is None:
             heap = find_diamonds(h)   # sorted, so a heap
-        skipped, found = [], None
-        while heap and found is None:
-            d = heap[0]
-            if not _check_diamond(h, *d):
-                heapq.heappop(heap)
-            elif qualifies is None or qualifies(d):
-                found = d
-            else:
-                skipped.append(heapq.heappop(heap))
-        for d in skipped:
-            heapq.heappush(heap, d)
-        return found
+        while heap and not _check_diamond(h, *heap[0]):
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
     while (d := pick(h, steps, first)) is not None:
         if h is g:
@@ -439,42 +379,4 @@ def member_max_independent_set(g: PlaneGraph, trace: MembershipTrace) -> frozens
     s = _lift_back(g, steps, set(exact_alpha(h)[1]))
     if 3 * len(s) != g.n + 1:
         raise InternalInvariantError("lifted set has size %d != (n+1)/3" % len(s))
-    return s
-
-
-def avoiding_independent_set(g: PlaneGraph, f: Face) -> frozenset:
-    """Maximum independent set of a family member avoiding all of V(f).
-
-    Precondition: g is a family member and f is a face not incident with any
-    vertex of degree at most two.  One ``_descend``: while n > 11, replace
-    the first diamond whose 5-cycle misses V(f) and whose x1 is not a face
-    vertex of degree 3; solve the rest exactly; ``_lift_back``.  Nothing is
-    undone: the replacement leaves a member (the diamond lemma), touches f's
-    vertices only by lowering x1's degree, and changes no rotation step of
-    f's walk, so f stays a face with degrees at least 3.  A dead end means g
-    was not a qualifying member: ``GraphError`` if ``is_member`` rejects g,
-    else ``InternalInvariantError``.
-    """
-    from .solver import exact_alpha
-    face = g.find_face(f.vertex_walk())
-    if face is None:
-        raise GraphError("not a face of this graph: %r" % (f,))
-    fv = face.vertex_set
-    if any(g.degree(v) <= 2 for v in fv):
-        raise GraphError("face is incident with a vertex of degree at most two")
-    h, steps = _descend(g, lambda h, steps, first: first(
-        lambda d: fv.isdisjoint(d.cycle) and not (d.x1 in fv and h.degree(d.x1) <= 3))
-        if h.n > 11 else None)
-    want, witness = (g.n + 1) // 3 - len(steps), ()
-    if h.n <= 11:
-        witness = exact_alpha(Rotation((v, [u for u in h.neighbors(v) if u not in fv])
-                                       for v in h.vertices if v not in fv))[1]
-    if len(witness) < want:
-        if not is_member(g).is_member:
-            raise GraphError("input is not a family member")
-        raise InternalInvariantError("no avoiding set found for a family member")
-    # any subset of an independent set is one
-    s = _lift_back(g, steps, set(sorted(witness)[:want]))
-    if s & fv or len(s) != (g.n + 1) // 3:
-        raise InternalInvariantError("avoiding set violates its contract")
     return s

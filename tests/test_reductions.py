@@ -172,8 +172,8 @@ class TestLift:
         for g in corpus8 + [dodecahedron]:
             for c in cf.find_c4(g):
                 reduced, step = rd.reduce(g, c)
-                greedy = ex._augment_maximal(reduced, ())
-                with_z = ex._augment_maximal(reduced, {step.identified[2]})
+                greedy = oracles._augment_maximal(reduced, ())
+                with_z = oracles._augment_maximal(reduced, {step.identified[2]})
                 for s in (frozenset(), greedy, with_z, solver.solve(reduced).independent_set):
                     lifted = rd.lift(step, s)
                     assert is_independent_set(g, lifted)
@@ -255,7 +255,7 @@ class TestPinnedReductions:
                         "solve": solver.solve(reduced).independent_set}
                 for name, seed in (("greedy", ()), ("z", z), ("u1", u1), ("u1+z", u1 + z)):
                     if (name == "greedy" or seed) and is_independent_set(reduced, seed):
-                        sets[name] = ex._augment_maximal(reduced, seed)
+                        sets[name] = oracles._augment_maximal(reduced, seed)
                         seeds.add((c.kind, name))
                 for name, s in sets.items():
                     lines.append("%s %s -> %s" % (name, sorted(s), sorted(rd.lift(step, s))))
@@ -270,7 +270,7 @@ class TestDiamondRoundTrip:
     def test_c5_dagger_context(self, golden):
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
-        reduced, step = ex.diamond_reduce(g, d)
+        reduced, step = oracles.diamond_reduce(g, d)
         assert oracles.isomorphic_small(reduced, cycle_graph(5))
         assert step.diamond.x1 == d.x1 and step.diamond.x2 == d.x2
 
@@ -279,7 +279,7 @@ class TestDiamondRoundTrip:
             g = golden[name]
             alpha_g, _ = solver.exact_alpha(g)
             for d in find_diamonds(g):
-                reduced, step = ex.diamond_reduce(g, d)
+                reduced, step = oracles.diamond_reduce(g, d)
                 alpha_r, wit = solver.exact_alpha(reduced)
                 assert alpha_g == alpha_r + 1
                 lifted = rd.lift(step, wit)
@@ -289,7 +289,7 @@ class TestDiamondRoundTrip:
     def test_lift_without_path_vertices(self, golden):
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
-        reduced, step = ex.diamond_reduce(g, d)
+        reduced, step = oracles.diamond_reduce(g, d)
         s = frozenset()
         lifted = rd.lift(step, s)
         assert lifted == frozenset({d.z2})
@@ -297,7 +297,7 @@ class TestDiamondRoundTrip:
     def test_dependent_lift_rejected(self, golden):
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
-        _, step = ex.diamond_reduce(g, d)
+        _, step = oracles.diamond_reduce(g, d)
         # v1 lifts to u1, which is adjacent to x1
         with pytest.raises(InternalInvariantError):
             rd.lift(step, {step.v1, d.x1})
@@ -306,9 +306,9 @@ class TestDiamondRoundTrip:
         for name in ("c5_dagger", "c5_ddagger"):
             g = golden[name]
             for d in find_diamonds(g):
-                reduced, step = ex.diamond_reduce(g, d)
+                reduced, step = oracles.diamond_reduce(g, d)
                 _, wit = solver.exact_alpha(g)
-                projected = ex.diamond_project(g, d, wit)
+                projected = oracles.diamond_project(g, d, wit)
                 assert is_independent_set(reduced, projected)
                 back = rd.lift(step, projected)
                 assert is_independent_set(g, back)
@@ -317,8 +317,8 @@ class TestDiamondRoundTrip:
     def test_project_augments_first(self, golden):
         g = golden["c5_dagger"]
         d = find_diamonds(g)[0]
-        projected = ex.diamond_project(g, d, {d.z1})
-        reduced = ex.diamond_reduce(g, d)[0]
+        projected = oracles.diamond_project(g, d, {d.z1})
+        reduced = oracles.diamond_reduce(g, d)[0]
         assert is_independent_set(reduced, projected)
 
     def test_project_rejects_dependent_or_foreign_sets(self):
@@ -326,7 +326,7 @@ class TestDiamondRoundTrip:
         d = find_diamonds(g)[0]
         for s in ({d.u1, d.z1}, {d.w, d.u2, d.z2}, {d.u1, d.x1}, {10 ** 6}):
             with pytest.raises(GraphError):
-                ex.diamond_project(g, d, s)
+                oracles.diamond_project(g, d, s)
 
     def test_project_builds_no_graph(self, monkeypatch):
         # the projection is checked against the path's neighbourhoods, not
@@ -334,7 +334,7 @@ class TestDiamondRoundTrip:
         g = ex.generate_member(10, 3)
         wit = solver.exact_alpha(g)[1]
         d = find_diamonds(g)[0]
-        reduced, step = ex.diamond_reduce(g, d)
+        reduced, step = oracles.diamond_reduce(g, d)
         builds = []
         init = PlaneGraph.__init__
 
@@ -344,25 +344,25 @@ class TestDiamondRoundTrip:
 
         monkeypatch.setattr(PlaneGraph, "__init__", counted)
         for d in find_diamonds(g):
-            projected = ex.diamond_project(g, d, wit)
+            projected = oracles.diamond_project(g, d, wit)
             assert len(projected) == len(wit) - 1
             with pytest.raises(GraphError):
-                ex.diamond_project(g, d, {d.u1, d.z1})
+                oracles.diamond_project(g, d, {d.u1, d.z1})
         assert builds == []
         monkeypatch.undo()
-        projected = ex.diamond_project(g, step.diamond, wit)
+        projected = oracles.diamond_project(g, step.diamond, wit)
         assert is_independent_set(reduced, projected)
 
     def test_invalid_diamond(self):
         g = cycle_graph(5)
         with pytest.raises(GraphError):
-            ex.diamond_reduce(g, Diamond(1, 2, 3, 4, 5, 6, 7))
+            oracles.diamond_reduce(g, Diamond(1, 2, 3, 4, 5, 6, 7))
 
     def test_diamonds_on_corpus(self, corpus8):
         for g in corpus8[::2]:
             for d in find_diamonds(g):
                 alpha_g, _ = solver.exact_alpha(g)
-                reduced, step = ex.diamond_reduce(g, d)
+                reduced, step = oracles.diamond_reduce(g, d)
                 alpha_r, wit = solver.exact_alpha(reduced)
                 assert alpha_g == alpha_r + 1
                 lifted = rd.lift(step, wit)

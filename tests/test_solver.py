@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trifree import configurations, corpus, discharging, solver
-from trifree.extremal import (avoiding_independent_set, generate_member, is_member,
-                              member_max_independent_set)
+from trifree.extremal import generate_member, is_member, member_max_independent_set
 from trifree.plane_graph import (GraphError, InternalInvariantError, PlaneGraph, cycle_graph,
                                  parse)
 from trifree.verify import is_independent_set
@@ -311,9 +310,6 @@ class TestWorkspace:
         trace = is_member(member)
         assert g.n == 200 and trace.is_member
         assert 3 * len(member_max_independent_set(member, trace)) == member.n + 1
-        face = next(f for f in member.faces()
-                    if all(member.degree(v) >= 3 for v in f.vertex_set))
-        assert 3 * len(avoiding_independent_set(member, face)) == member.n + 1
         assert solver.solve(grid).met
         discharging.audit(grid.re_embed(next(f for f in grid.faces() if f.length == 4)))
         discharging.audit(g.re_embed(next(f for f in g.faces()
@@ -322,20 +318,14 @@ class TestWorkspace:
 
     def test_large_inputs_at_default_recursion_limit(self):
         graphs = (oracles.grid(60, 60), oracles.cylinder(8, 400))
-        member = generate_member(1000, 0)
-        face = next(f for f in member.faces()
-                    if all(member.degree(v) >= 3 for v in f.vertex_set))
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)   # CPython's default
         try:
             solved = [solver.solve(g) for g in graphs]
-            avoiding = avoiding_independent_set(member, face)
         finally:
             sys.setrecursionlimit(old)
         assert all(res.met for res in solved)
         assert [g.n for g in graphs] == [3600, 3200]
-        assert member.n == 3005 and 3 * len(avoiding) == member.n + 1
-        assert not avoiding & face.vertex_set and is_independent_set(member, avoiding)
 
 
 class TestScale:
@@ -350,15 +340,12 @@ class TestScale:
             g = generate_member(4000, 0)
             trace = is_member(g)
             cert = member_max_independent_set(g, trace)
-            face = next(f for f in g.faces() if all(g.degree(v) >= 3 for v in f.vertex_set))
-            avoiding = avoiding_independent_set(g, face)
             res = solver.solve(g)
         finally:
             sys.setrecursionlimit(old)
         assert g.n == 12005 and trace.terminal == "C5" and len(trace.steps) == 4000
-        for s in (cert, avoiding, res.independent_set):
+        for s in (cert, res.independent_set):
             assert 3 * len(s) == g.n + 1 and is_independent_set(g, s)
-        assert not avoiding & face.vertex_set
         assert res.met and res.guarantee == (g.n + 3) // 3
 
     def test_grid_200(self):
