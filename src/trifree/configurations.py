@@ -207,6 +207,8 @@ def find_any(g: PlaneGraph) -> Configuration:
     """Some configuration, searched in order C1..C5; never empty on valid input."""
     if g.n == 0:
         raise GraphError("empty graph")
+    if not g.is_triangle_free():
+        raise GraphError("configuration search requires a triangle-free graph")
     for row in KINDS:
         found = row[1](g)
         if found:

@@ -45,6 +45,9 @@ def _element_charges(g: PlaneGraph) -> dict:
 
 
 def _outer_cycle(g: PlaneGraph) -> Face:
+    """The layer's one input gate: g's outer cycle, once g is a connected
+    triangle-free graph whose outer face is a cycle of length <= 6, else
+    ``GraphError``, whose message ``audit`` reports as its one failure."""
     k = g.outer_face
     if k is None:
         raise GraphError("no outer face designated")
@@ -52,15 +55,15 @@ def _outer_cycle(g: PlaneGraph) -> Face:
         raise GraphError("outer face is not bounded by a cycle")
     if k.length > 6:
         raise GraphError("outer cycle longer than 6")
+    if not g.is_connected():
+        raise GraphError("graph is disconnected")
+    if not g.is_triangle_free():
+        raise GraphError("graph contains a triangle")
     return k
 
 
 def apply_rules(g: PlaneGraph) -> ChargeLedger:
-    """Run Rules 0-4 once each over all qualifying incidences."""
-    if not g.is_connected():
-        raise GraphError("discharging runs on connected graphs")
-    if not g.is_triangle_free():
-        raise GraphError("discharging requires a triangle-free graph")
+    """Run Rules 0-4 once each over all qualifying incidences; g must pass ``_outer_cycle``."""
     k = _outer_cycle(g)
     kv = k.vertex_set
     faces = [f for f in g.faces() if f != k]
@@ -166,7 +169,7 @@ def dangerous_cycles(g: PlaneGraph) -> list:
     """All cycles of length <= 6 whose closed disk is not C, C6c or C6v, in
     the sorted order of ``cycles_up_to``, each with its disk's vertex count.
 
-    The graph must be connected and triangle-free, else ``GraphError``.
+    The graph must pass ``_outer_cycle``, else ``GraphError``.
     No disk is flooded or built: one ``PlaneGraph._subtree_sums`` pass gives
     every cycle its disk's faces, face lengths and vertices, each vertex
     counted at the face of its first dart.  A cycle with one side a single
@@ -176,10 +179,6 @@ def dangerous_cycles(g: PlaneGraph) -> list:
     neighbour sets that ``hexagon_exception`` tests.
     """
     _outer_cycle(g)
-    if not g.is_connected():
-        raise GraphError("dangerous-cycle search runs on connected graphs")
-    if not g.is_triangle_free():
-        raise GraphError("dangerous-cycle search requires a triangle-free graph")
     index, faces = g._dart_face_index, g.faces()
     weights = [[1, f.length, 0] for f in faces]
     pos = {}  # dart (v, u) -> u's position in v's rotation
@@ -256,24 +255,16 @@ class AuditReport:
 
 def _hypothesis_failures(g: PlaneGraph) -> list:
     try:
-        k = _outer_cycle(g)
+        found = dangerous_cycles(g)
     except GraphError as e:
         return [str(e)]
-    if not g.is_connected():
-        return ["graph is disconnected"]
-    fails = []
-    if not g.is_triangle_free():
-        fails.append("graph contains a triangle")
-    if g.n == k.length and g.m == k.length:
-        fails.append("graph equals its outer cycle")
+    if g.n == g.m == g.outer_face.length:
+        return ["graph equals its outer cycle"]
     shape = hexagon_exception({v: g.neighbors(v) for v in g.vertices}) if g.n <= 7 else None
     if shape is not None:
-        fails.append("graph is the %s exception"
-                     % ("chorded-hexagon" if shape == "C6c" else "hub-hexagon"))
-    if not fails:
-        for dc in dangerous_cycles(g):
-            fails.append("dangerous cycle %s" % (dc.cycle,))
-    return fails
+        return ["graph is the %s exception"
+                % ("chorded-hexagon" if shape == "C6c" else "hub-hexagon")]
+    return ["dangerous cycle %s" % (dc.cycle,) for dc in found]
 
 
 def audit(g: PlaneGraph) -> AuditReport:

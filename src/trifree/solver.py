@@ -255,10 +255,6 @@ class BoundReport:
     lower_bound_ok: bool       # alpha >= (n+1)/3
     main_ok: bool              # alpha >= (n+2)/3 unless member
 
-    @property
-    def ok(self) -> bool:
-        return self.lower_bound_ok and self.main_ok
-
 
 def check_theorem_bounds(g: PlaneGraph) -> BoundReport:
     if not g.is_triangle_free():

@@ -309,7 +309,7 @@ class TestDangerous:
         p.write_text(two_cycles_text)
         code, out, err = run(capsys, "dangerous", str(p))
         assert code == 2 and out == ""
-        assert err.splitlines() == ["error: dangerous-cycle search runs on connected graphs"]
+        assert err.splitlines() == ["error: graph is disconnected"]
 
     @pytest.mark.parametrize("text", [
         "7 6\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n5: 6\n6: 5 7\n7: 6\nouter: 1 2 3 4\n",
@@ -322,7 +322,7 @@ class TestDangerous:
         p.write_text(text)
         code, out, err = run(capsys, "dangerous", str(p))
         assert code == 2 and out == ""
-        assert err.splitlines() == ["error: dangerous-cycle search runs on connected graphs"]
+        assert err.splitlines() == ["error: graph is disconnected"]
 
 
 class TestAudit:

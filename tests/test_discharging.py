@@ -102,7 +102,7 @@ class TestApplyRules:
     def test_disconnected_rejected(self):
         # a 4-cycle (outer) and a disjoint edge
         g = parse("6 5\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n5: 6\n6: 5\nouter: 1 2 3 4\n")
-        with pytest.raises(GraphError, match="connected graphs"):
+        with pytest.raises(GraphError, match="graph is disconnected"):
             dc.apply_rules(g)
 
     def test_outer_face_required(self):
@@ -169,7 +169,7 @@ class TestDangerousCycles:
     ], ids=["c4+p3", "c4+c4"])
     def test_disconnected_input_rejected(self, text):
         # the other component's cycles decide nothing: the input is refused
-        with pytest.raises(GraphError, match="connected graphs"):
+        with pytest.raises(GraphError, match="graph is disconnected"):
             dc.dangerous_cycles(parse(text))
 
     def test_enclosed_exception_is_not_dangerous(self):
@@ -389,18 +389,24 @@ class TestAuditMetamorphic:
 
 class TestTriangleInput:
     def test_apply_rules_rejects(self, k4_outer_text):
-        with pytest.raises(GraphError, match="requires a triangle-free graph"):
+        with pytest.raises(GraphError, match="graph contains a triangle"):
             dc.apply_rules(parse(k4_outer_text))
 
     def test_dangerous_cycles_rejects(self, k4_outer_text):
         # the definitions assume no triangle: K4's 4-cycles are not dangerous
-        with pytest.raises(GraphError, match="requires a triangle-free graph"):
+        with pytest.raises(GraphError, match="graph contains a triangle"):
             dc.dangerous_cycles(parse(k4_outer_text))
 
     def test_find_all_rejects(self, k4_outer_text):
         from trifree.configurations import find_all
         with pytest.raises(GraphError, match="requires a triangle-free graph"):
             find_all(parse(k4_outer_text))
+
+    def test_find_any_rejects(self, k4_outer_text):
+        # K4 holds no configuration: bad input, not a broken invariant
+        from trifree.configurations import find_any
+        with pytest.raises(GraphError, match="requires a triangle-free graph"):
+            find_any(parse(k4_outer_text))
 
     def test_audit_reports(self, k4_outer_text):
         rep = dc.audit(parse(k4_outer_text))

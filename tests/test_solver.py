@@ -297,13 +297,13 @@ class TestWorkspace:
 
     def test_no_networkx_on_hot_paths(self, monkeypatch, golden):
         # random growth, the diamond chains, solve on a grid and the audit
-        # make no planarity, isomorphism or hashing call
+        # make no planarity or isomorphism call
         grid = oracles.grid(20, 20)
 
         def refuse(*args, **kwargs):
             raise AssertionError("networkx called")
 
-        for attr in ("check_planarity", "is_isomorphic", "weisfeiler_lehman_graph_hash"):
+        for attr in ("check_planarity", "is_isomorphic"):
             monkeypatch.setattr(networkx, attr, refuse)
         (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=200, seed=0, count=1))
         member = generate_member(100, 0)
@@ -367,23 +367,25 @@ class TestHub:
 class TestCheckTheoremBounds:
     def test_c5(self):
         rep = solver.check_theorem_bounds(cycle_graph(5))
-        assert rep.alpha == 2 and rep.member and rep.ok
+        assert rep.alpha == 2 and rep.member and rep.lower_bound_ok and rep.main_ok
 
     def test_c5_dagger(self, golden):
         rep = solver.check_theorem_bounds(golden["c5_dagger"])
-        assert rep.alpha == 3 and rep.member and rep.ok
+        assert rep.alpha == 3 and rep.member and rep.lower_bound_ok and rep.main_ok
 
     def test_cube(self, cube):
         rep = solver.check_theorem_bounds(cube)
-        assert rep.alpha == 4 and not rep.member and rep.ok
+        assert rep.alpha == 4 and not rep.member and rep.lower_bound_ok and rep.main_ok
 
     def test_corpus_no_violations(self, corpus8):
         for g in corpus8:
-            assert solver.check_theorem_bounds(g).ok
+            rep = solver.check_theorem_bounds(g)
+            assert rep.lower_bound_ok and rep.main_ok
 
     def test_path_graphs(self):
         for k in (1, 2, 3, 4, 7):
-            assert solver.check_theorem_bounds(oracles.path_graph(k)).ok
+            rep = solver.check_theorem_bounds(oracles.path_graph(k))
+            assert rep.lower_bound_ok and rep.main_ok
 
     def test_triangle_rejected(self, k4_outer_text):
         with pytest.raises(GraphError, match="triangle-free graphs only"):
