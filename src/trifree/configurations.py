@@ -89,13 +89,14 @@ def find_c5(g: PlaneGraph) -> list:
 
 def _c4_conditions(g: PlaneGraph, vs, us) -> bool:
     """The side-conditions, read in g - vs: no u_i lies on the face, so an
-    edge between u_i is one of g, and a path of g - vs one avoiding vs."""
+    edge between u_i is one of g, and a path of g - vs one avoiding vs.
+    u2 = u3 would close the triangle v2-v3-u2, so it is not tested."""
     u1, u2, u3, u4 = us
     if g.has_edge(u1, u2) or g.has_edge(u3, u4):
         return False
     if u1 == u4 or g.has_edge(u1, u4) or g.paths_between(u1, u4, 2, forbidden=vs):
         return False
-    if u2 == u3 or g.has_edge(u2, u3) or g.paths_between(u2, u3, 3, forbidden=vs):
+    if g.has_edge(u2, u3) or g.paths_between(u2, u3, 3, forbidden=vs):
         return False
     # u1 = u3 and u2 = u4 cannot both hold: v1-u1-v3 and v2-u2-v4 would be
     # interleaved chords outside the facial 5-cycle, which must cross
@@ -103,29 +104,25 @@ def _c4_conditions(g: PlaneGraph, vs, us) -> bool:
 
 
 def find_c4(g: PlaneGraph) -> list:
+    """C4 instances, read off the facial 5-cycles of a triangle-free g.
+
+    Such a 5-face is a chordless 5-cycle, so each face vertex of degree 3
+    has one neighbour off the face; it is looked up once per face, and the
+    ten labellings of the face read it from there.
+    """
     out = []
     for f in _face_cycles(g, 5):
-        walk = f.vertex_walk()
-        labelings = []
+        walk, on_face, off = f.vertex_walk(), f.vertex_set, {}
+        for v in walk:
+            if g.degree(v) == 3:
+                (off[v],) = g.neighbors(v) - on_face
         for i in range(5):
-            fwd = tuple(walk[(i + j) % 5] for j in range(5))
-            labelings.append(fwd)
-            labelings.append(tuple(reversed(fwd)))
-        for vs in labelings:
-            if any(g.degree(v) != 3 for v in vs[:4]):
-                continue
-            on_face = set(vs)
-            us = []
-            for v in vs[:4]:
-                off = [x for x in g.neighbors(v) if x not in on_face]
-                if len(off) != 1:
-                    us = None
-                    break
-                us.append(off[0])
-            if us is None:
-                continue
-            if _c4_conditions(g, vs, us):
-                out.append(Configuration("C4", tuple(vs) + tuple(us)))
+            fwd = walk[i:] + walk[:i]
+            for vs in (fwd, fwd[::-1]):
+                if all(v in off for v in vs[:4]):
+                    us = tuple(off[v] for v in vs[:4])
+                    if _c4_conditions(g, vs, us):
+                        out.append(Configuration("C4", vs + us))
     return sorted(set(out))
 
 

@@ -63,76 +63,54 @@ def _outer_cycle(g: PlaneGraph) -> Face:
 
 
 def apply_rules(g: PlaneGraph) -> ChargeLedger:
-    """Run Rules 0-4 once each over all qualifying incidences; g must pass ``_outer_cycle``."""
+    """Run Rules 0-4 in one pass over the inner faces; g must pass ``_outer_cycle``.
+
+    Each face reads its outer-cycle vertices ``on_k`` and internal 3-vertices
+    ``fed`` once.  Each rule keeps its own list, so the ledger holds the
+    transfers rule by rule and, within a rule, face by face."""
     k = _outer_cycle(g)
     kv = k.vertex_set
-    faces = [f for f in g.faces() if f != k]
-
-    def internal(v) -> bool:
-        return v not in kv
-
-    transfers = []
-
-    def send(rule, src, dst, amount):
-        transfers.append(Transfer(rule, src, dst, amount))
-
-    # Rule 0: non-outer face pays 1/3 to each incident outer-cycle vertex of degree 2
-    for f in faces:
-        for v in sorted(f.vertex_set):
-            if v in kv and g.degree(v) == 2:
-                send(0, ("f", f), ("v", v), THIRD)
-    # Rule 1: each face pays 1/3 to each incident internal vertex of degree 3
-    for f in faces:
-        for v in sorted(f.vertex_set):
-            if internal(v) and g.degree(v) == 3:
-                send(1, ("f", f), ("v", v), THIRD)
-    # Rule 2: outer-cycle vertices refund 4-faces that feed an internal 3-vertex
-    for f in faces:
-        if f.length != 4:
+    r0, r1, r2, r3, r4 = [], [], [], [], []
+    for f in g.faces():
+        if f == k:
             continue
         on_k = sorted(f.vertex_set & kv)
-        if not on_k:
-            continue
-        if not any(internal(v) and g.degree(v) == 3 for v in f.vertex_set):
-            continue
-        share = Fraction(1, 3 * len(on_k))
-        for v in on_k:
-            send(2, ("v", v), ("f", f), share)
-    # Rule 3: a 6-face pays 1/3 to a 5-face across each shared edge whose
-    # endpoints are internal vertices of degree 3
-    for f in faces:
+        fed = sorted(v for v in f.vertex_set - kv if g.degree(v) == 3)
+        # Rule 0: a face pays 1/3 to each incident outer-cycle vertex of degree 2
+        r0 += (Transfer(0, ("f", f), ("v", v), THIRD) for v in on_k if g.degree(v) == 2)
+        # Rule 1: a face pays 1/3 to each incident internal vertex of degree 3
+        r1 += (Transfer(1, ("f", f), ("v", v), THIRD) for v in fed)
+        # Rule 2: outer-cycle vertices refund a 4-face that feeds an internal 3-vertex
+        if f.length == 4 and on_k and fed:
+            share = Fraction(1, 3 * len(on_k))
+            r2 += (Transfer(2, ("v", v), ("f", f), share) for v in on_k)
         if f.length != 5:
             continue
+        # Rule 3: a 6-face pays 1/3 to a 5-face across each shared edge whose
+        # endpoints are internal vertices of degree 3
         for u, v in f.darts:
-            if not (internal(u) and internal(v)):
-                continue
-            if g.degree(u) != 3 or g.degree(v) != 3:
-                continue
-            other = g.face_of_dart((v, u))
-            if other.length == 6 and other != k:
-                send(3, ("f", other), ("f", f), THIRD)
-    # Rule 4: an outer-cycle vertex pays 1/3 to a 5-face through each adjacent
-    # internal 3-vertex on that face whose off-face neighbor it is
-    for f in faces:
-        if f.length != 5:
-            continue
-        walk = f.vertex_walk()
-        for i, u in enumerate(walk):
-            if not (internal(u) and g.degree(u) == 3):
-                continue
-            # a triangle-free 5-face is a 5-cycle, so u has one off-face
-            # neighbour, and it is not on f: a chord would close a triangle
-            (v,) = g.neighbors(u) - {walk[i - 1], walk[(i + 1) % f.length]}
-            if v in kv:
-                send(4, ("v", v), ("f", f), THIRD)
+            if u in fed and v in fed:
+                other = g.face_of_dart((v, u))
+                if other.length == 6 and other != k:
+                    r3.append(Transfer(3, ("f", other), ("f", f), THIRD))
+        # Rule 4: an outer-cycle vertex pays 1/3 to a 5-face through each adjacent
+        # internal 3-vertex on that face whose off-face neighbor it is
+        for u in f.vertex_walk():
+            if u in fed:
+                # a triangle-free 5-face is a chordless 5-cycle, so u has one
+                # off-face neighbour: a chord would close a triangle
+                (v,) = g.neighbors(u) - f.vertex_set
+                if v in kv:
+                    r4.append(Transfer(4, ("v", v), ("f", f), THIRD))
 
     # each exact amount moves from source to target: the totals agree
     initial = _element_charges(g)
     final = dict(initial)
+    transfers = tuple(r0 + r1 + r2 + r3 + r4)
     for t in transfers:
         final[t.source] -= t.amount
         final[t.target] += t.amount
-    return ChargeLedger(initial, tuple(transfers), final)
+    return ChargeLedger(initial, transfers, final)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import pytest
 
 from trifree import configurations as cf
+from trifree.extremal import generate_member
 from trifree.plane_graph import GraphError, PlaneGraph, cycle_graph, embed_edges
 
 import oracles
@@ -88,9 +89,15 @@ class TestFindC4:
         assert got, "expected at least one C4 instance"
         assert sorted(c.roles for c in got) == oracles.naive_c4(g)
 
-    def test_oracle_agreement(self, corpus8):
-        for g in corpus8[::6]:
-            assert sorted(c.roles for c in cf.find_c4(g)) == oracles.naive_c4(g)
+    def test_oracle_agreement(self, corpus9):
+        # the n <= 9 corpus holds 24 instances, three family members 12
+        graphs = corpus9 + [generate_member(s, 1) for s in (5, 10, 20)]
+        found = 0
+        for g in graphs:
+            got = sorted(c.roles for c in cf.find_c4(g))
+            assert got == oracles.naive_c4(g)
+            found += len(got)
+        assert found == 36
 
 
 class TestFindC5:

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -126,6 +127,29 @@ class TestApplyRules:
                 continue
             ledger = dc.apply_rules(g0.re_embed(k))
             assert ledger.total_final() == ledger.total_initial() == -8
+
+    def test_pinned_ledgers(self, corpus8):
+        # every transfer, in ledger order, of every simple face of length
+        # <= 6 taken as outer face, on the n <= 8 corpus and 20 seeded random
+        # graphs; all five rules fire
+        digest, ledgers, rules = hashlib.sha256(), [], Counter()
+        random20 = corpus.gen_random(corpus.CorpusSpec("random", n_max=40, seed=1, count=20))
+        for graphs in (corpus8, random20):
+            ledgers.append(0)
+            for g0 in graphs:
+                for k in g0.faces():
+                    if not (k.is_cycle() and k.length <= 6):
+                        continue
+                    ledgers[-1] += 1
+                    for t in dc.apply_rules(g0.re_embed(k)).transfers:
+                        rules[t.rule] += 1
+                        digest.update(("%d %r %r %s\n" % (t.rule, t.source, t.target,
+                                                          t.amount)).encode())
+                    digest.update(b"\n")
+        assert ledgers == [613, 463]
+        assert rules == {0: 1713, 1: 11904, 2: 2426, 3: 59, 4: 407}
+        assert digest.hexdigest() == (
+            "3229fb60b07546c68d16d441328e010ebb3d48482695b4da2389698ae2c75251")
 
 
 def _grid_with_square_outer():

@@ -1,8 +1,8 @@
 """Code that only tests reach belongs in the tests, not in ``src/trifree``.
 
-A function or class counts as reached when some package code names it: as
-a name, as an attribute, or in an import outside ``__init__.py``, whose
-re-exports alone reach nothing.  What no package code names is pinned
+A function or class counts as reached when some package code reads it: as
+a name or an attribute that is loaded, not assigned, or in an import outside
+``__init__.py``, whose re-exports alone reach nothing.  What no package code names is pinned
 below, each with why it stays.
 """
 import ast
@@ -28,15 +28,15 @@ MOVED = ("avoiding_independent_set", "diamond_project", "diamond_reduce")
 
 def unreached():
     """The functions and classes of ``src/trifree`` that no package code
-    names, dunder methods aside."""
+    reads, dunder methods aside."""
     defined, named = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 named.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
                 named.update(alias.name for alias in node.names)
