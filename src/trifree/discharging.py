@@ -87,11 +87,11 @@ def apply_rules(g: PlaneGraph) -> ChargeLedger:
         if f.length != 5:
             continue
         # Rule 3: a 6-face pays 1/3 to a 5-face across each shared edge whose
-        # endpoints are internal vertices of degree 3
+        # endpoints are internal vertices of degree 3 (so the 6-face is not k)
         for u, v in f.darts:
             if u in fed and v in fed:
                 other = g.face_of_dart((v, u))
-                if other.length == 6 and other != k:
+                if other.length == 6:
                     r3.append(Transfer(3, ("f", other), ("f", f), THIRD))
         # Rule 4: an outer-cycle vertex pays 1/3 to a 5-face through each adjacent
         # internal 3-vertex on that face whose off-face neighbor it is
@@ -122,25 +122,24 @@ class DangerousCycle:
 
 
 def hexagon_exception(nbrs):
-    """"C6c" or "C6v" when the graph given by its neighbour sets is the
-    hexagon with one chord or with a hub, else None.
+    """"C6c" or "C6v" when the triangle-free graph given by its neighbour
+    sets is the hexagon with one chord or with a hub, else None.
 
-    Exact on every graph: a triangle-free graph with degrees 3,3,2,2,2,2 whose
-    two 3-vertices are adjacent is a theta graph with paths of 1, 3 and 3
-    edges, which is C6c; one with degrees 3,3,3,3,2,2,2 and a 3-vertex whose
+    Its domain is triangle-free graphs: its callers pass the disks of a
+    graph that passed ``_outer_cycle``, and that graph itself.  It is exact
+    there: a triangle-free graph with degrees 3,3,2,2,2,2 whose two
+    3-vertices are adjacent is a theta graph with paths of 1, 3 and 3 edges,
+    which is C6c; one with degrees 3,3,3,3,2,2,2 and a 3-vertex whose
     neighbours all have degree 3 is that hub over a 6-cycle, which is C6v.
     """
     degs = sorted(len(ns) for ns in nbrs.values())
     threes = [x for x, ns in nbrs.items() if len(ns) == 3]
     if degs == [2, 2, 2, 2, 3, 3] and threes[1] in nbrs[threes[0]]:
-        shape = "C6c"
-    elif degs == [2, 2, 2, 3, 3, 3, 3] and any(all(len(nbrs[u]) == 3 for u in nbrs[x])
-                                               for x in threes):
-        shape = "C6v"
-    else:
-        return None
-    triangle = any(nbrs[u] & nbrs[v] for u in nbrs for v in nbrs[u])
-    return None if triangle else shape
+        return "C6c"
+    if degs == [2, 2, 2, 3, 3, 3, 3] and any(all(len(nbrs[u]) == 3 for u in nbrs[x])
+                                             for x in threes):
+        return "C6v"
+    return None
 
 
 def dangerous_cycles(g: PlaneGraph) -> list:

@@ -10,25 +10,24 @@ input's largest id and runs on one copy.  Membership testing and its
 certificate are one descent, ``_descend``, that replaces the diamond its
 caller picks, never backtracking: membership the first one, down to C5 or
 P2 as ``_terminal`` tells; the certificate the trace's, ending where the
-trace says.  The generator grows C5, keeping its degree-2 paths in order,
-and builds once.  The descent reads its diamonds from one min-heap, an
-entry checked when it reaches the top, so it gives no stale diamond: one
-``find_diamonds`` scan, then a local search near each replacement that
-holds every diamond the replacement makes, so none is missed and a chain
-costs about O(n log n) instead of one scan per step.  The certificate's
-terminal set is ``exact_alpha``'s witness, as at the base of every other
-chain.  ``DiamondStep.lift_into(s)``, for s independent in the reduced
-graph, checks what it adds against the host neighbourhoods the degree
-pattern pins, a full host independence check, and raises
-``InternalInvariantError`` when it fails; ``reductions.lift`` is its
-copying form.  Every chain ends in ``_lift_back``: one set lifted back
-through the steps, then checked against the chain's input.
+trace says.  The generator grows C5, keeping its adjacent degree-2 pairs
+in order, and builds once.  The descent reads its diamonds from one
+min-heap, an entry checked when it reaches the top, so it gives no stale
+diamond: one ``find_diamonds`` scan, then a local search near each
+replacement that holds every diamond the replacement makes, so none is
+missed and a chain costs about O(n log n) instead of one scan per step.
+The certificate's terminal set is ``exact_alpha``'s witness, as at the
+base of every other chain.  ``DiamondStep.lift_into(s)``, for s
+independent in the reduced graph, checks what it adds against the host
+neighbourhoods the degree pattern pins, a full host independence check,
+and raises ``InternalInvariantError`` when it fails; ``reductions.lift``
+is its copying form.  Every chain ends in ``_lift_back``: one set lifted
+back through the steps, then checked against the chain's input.
 """
 from __future__ import annotations
 
 import bisect
 import heapq
-import operator
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -232,28 +231,10 @@ def path_diamond_replacement(rot: Rotation, path, u1: int) -> Diamond:
     return Diamond(u1, z1, z2, u2, w, x1, x2)
 
 
-def _paths_at(g, vs):
-    """The paths x1-v1-v2-x2, v1 < v2 both of degree 2, with v1 or v2 in
-    ``vs``; a path through two of them comes twice."""
-    for a in vs:
-        if g.degree(a) != 2:
-            continue
-        for b in g.neighbors(a):
-            if g.degree(b) == 2:
-                v1, v2 = min(a, b), max(a, b)
-                (x1,) = g.neighbors(v1) - {v2}
-                (x2,) = g.neighbors(v2) - {v1}
-                if x1 != x2:
-                    yield (x1, v1, v2, x2)
-
-
-_interior = operator.itemgetter(1, 2)
-
-
-def _degree2_paths(g) -> list:
-    """All paths x1-v1-v2-x2 with both interior vertices of degree 2, by
-    (v1, v2) with v1 < v2; a pair has one path."""
-    return sorted(set(_paths_at(g, g.vertices)), key=_interior)
+def _pairs_at(rot, vs) -> set:
+    """The adjacent degree-2 pairs (v1, v2), v1 < v2, with v1 or v2 in ``vs``."""
+    return {(min(a, b), max(a, b)) for a in vs if len(rot[a]) == 2
+            for b in rot[a] if len(rot[b]) == 2}
 
 
 def _descend(g, pick):
@@ -338,26 +319,30 @@ def is_member(g: PlaneGraph) -> MembershipTrace:
 def generate_member(steps: int, seed) -> PlaneGraph:
     """A random family member with 5 + 3*steps vertices; deterministic per seed.
 
-    Each step grows a path picked by ``rng.choice`` from the degree-2 paths
-    in ``_degree2_paths`` order.  That list is kept sorted across steps: a
-    growth changes neighbourhoods only at x1, x2 and the path and diamond
-    vertices, so the paths through x1, v1, v2, x2 leave it and those through
-    x1, x2, z1, z2 enter.  Step i names its diamond 6 + 5i..10 + 5i, above
-    every id of C5 and of the steps before."""
+    Each step grows the path x1-v1-v2-x2 through a pair (v1, v2) that
+    ``rng.choice`` picks from the sorted adjacent degree-2 pairs.  That list
+    is kept sorted across steps: a growth changes neighbourhoods only at x1,
+    x2 and the path and diamond vertices, so the pairs at x1, v1, v2, x2 leave
+    it and those at x1, x2, z1, z2 enter.  A member is triangle-free, so x1
+    and x2 differ.  Step i names its diamond 6 + 5i..10 + 5i, above every id
+    of C5 and of the steps before."""
     if steps < 0:
         raise GraphError("steps must be non-negative")
     rng = random.Random(seed)
     rot = Rotation.of(cycle_graph(5))
-    paths = _degree2_paths(rot)
+    pairs = sorted(_pairs_at(rot, rot))
     for i in range(steps):
-        if not paths:
-            raise InternalInvariantError("member lost all degree-2 paths")
-        path = rng.choice(paths)
-        for p in set(_paths_at(rot, path)):
-            del paths[bisect.bisect_left(paths, _interior(p), key=_interior)]
+        if not pairs:
+            raise InternalInvariantError("member lost all degree-2 pairs")
+        v1, v2 = rng.choice(pairs)
+        (x1,) = rot.neighbors(v1) - {v2}
+        (x2,) = rot.neighbors(v2) - {v1}
+        path = (x1, v1, v2, x2)
+        for p in _pairs_at(rot, path):
+            del pairs[bisect.bisect_left(pairs, p)]
         d = path_diamond_replacement(rot, path, 6 + 5 * i)
-        for p in set(_paths_at(rot, (d.x1, d.x2, d.z1, d.z2))):
-            bisect.insort(paths, p, key=_interior)
+        for p in _pairs_at(rot, (d.x1, d.x2, d.z1, d.z2)):
+            bisect.insort(pairs, p)
     # replacements leave gaps in the label range; restore vertices 1..n
     new = {v: i + 1 for i, v in enumerate(sorted(rot))}
     return Rotation({new[v]: [new[u] for u in ns] for v, ns in rot.items()}).build()

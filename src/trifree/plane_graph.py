@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from operator import index
 
 
 class GraphError(ValueError):
@@ -77,7 +78,10 @@ class PlaneGraph:
 
     def __init__(self, rotation):
         """No outer face is designated; ``re_embed`` designates one."""
-        self._rot = {int(v): tuple(int(u) for u in ns) for v, ns in rotation.items()}
+        try:
+            self._rot = {index(v): tuple(map(index, ns)) for v, ns in rotation.items()}
+        except TypeError:
+            raise GraphError("vertex ids must be integers") from None
         self._nbr = {v: frozenset(ns) for v, ns in self._rot.items()}
         self._check_simple_symmetric()
         self._trace_faces()
@@ -220,7 +224,7 @@ class PlaneGraph:
         return True
 
     def paths_between(self, a, b, length, forbidden=()) -> list:
-        """All simple a-b paths with exactly ``length`` edges, 1 to 3, sorted.
+        """All simple a-b paths with exactly ``length`` edges, 2 or 3, sorted.
 
         Internal vertices must avoid ``forbidden``; the endpoints are exempt.
         A 2-edge path's middle vertex is a common neighbour of a and b, and a
@@ -229,13 +233,11 @@ class PlaneGraph:
         """
         if a == b:
             raise GraphError("path endpoints must differ")
-        if not 1 <= length <= 3:
-            raise GraphError("path search takes 1 to 3 edges, not %d" % length)
+        if not 2 <= length <= 3:
+            raise GraphError("path search takes 2 or 3 edges, not %d" % length)
         nbr = self._nbr
         if a not in nbr or b not in nbr:
             return []
-        if length == 1:
-            return [(a, b)] if b in nbr[a] else []
         # no internal vertex is an endpoint or forbidden
         skip = {a, b}.union(forbidden)
         if length == 2:
@@ -244,7 +246,7 @@ class PlaneGraph:
                 for y in sorted(nbr[x] & nbr[b] - skip)]
 
     def cycles_up_to(self) -> list:
-        """All simple cycles of length <= 6, once up to rotation/reflection,
+        """All simple cycles of length 4 to 6, once up to rotation/reflection,
         in sorted order.
 
         Each cycle is reported as a vertex tuple starting at its smallest
@@ -263,8 +265,6 @@ class PlaneGraph:
                 for c in nbrs[b]:
                     if c <= a:
                         continue
-                    if b < c and c in close:
-                        cycles.append((a, b, c))
                     for d in nbrs[c]:
                         if d <= a or d == b:
                             continue

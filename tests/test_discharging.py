@@ -204,6 +204,37 @@ class TestDangerousCycles:
         assert oracles.isomorphic_small(d, oracles.c6_chord())
         assert dc.dangerous_cycles(h) == []
 
+    def test_pinned_output(self, corpus8, monkeypatch):
+        # every dangerous cycle, with its disk's vertex count, of every simple
+        # face of length <= 6 taken as outer face: on test_pinned_ledgers'
+        # graphs, and on grids and cylinders; the shape test excuses both
+        # hexagons and turns other disks away
+        shapes, shape = Counter(), dc.hexagon_exception
+
+        def counted(nbrs):
+            found = shape(nbrs)
+            shapes[found] += 1
+            return found
+
+        monkeypatch.setattr(dc, "hexagon_exception", counted)
+        random20 = corpus.gen_random(corpus.CorpusSpec("random", n_max=40, seed=1, count=20))
+        grids = [oracles.grid(r, r) for r in range(3, 9)]
+        grids += [oracles.cylinder(6, 4), oracles.cylinder(8, 5)]
+        digest, outers, cycles = hashlib.sha256(), [], 0
+        for graphs in (corpus8, random20, grids):
+            outers.append(0)
+            for g0 in graphs:
+                for k in _short_faces(g0):
+                    outers[-1] += 1
+                    for d in dc.dangerous_cycles(g0.re_embed(k)):
+                        cycles += 1
+                        digest.update(("%r %d\n" % (d.cycle, d.interior_n)).encode())
+                    digest.update(b"\n")
+        assert outers == [613, 463, 191] and cycles == 24462
+        assert shapes == {"C6c": 12759, "C6v": 267, None: 3988}
+        assert digest.hexdigest() == (
+            "5712550d2aa5aa73edd84a56a9d89fc179bb9995610ce1b5329f18e438fcbc40")
+
 
 def _non_facial(g):
     """The cycles of ``cycles_up_to`` that are no face walk either way round."""
@@ -307,17 +338,17 @@ class TestAgainstVF2:
         from trifree.plane_graph import embed_edges
         seen = Counter()
         for h in nx.graph_atlas_g()[1:]:
-            if not nx.is_connected(h):
+            # the shape test's domain is triangle-free graphs
+            if not nx.is_connected(h) or any(set(h[u]) & set(h[v]) for u, v in h.edges):
                 continue
             # C6c and C6v are planar, so VF2 matches no non-planar graph
             want = (oracles.vf2_exception(embed_edges(h.nodes, h.edges))
                     if nx.check_planarity(h)[0] else None)
             assert dc.hexagon_exception({v: set(h[v]) for v in h}) == want, list(h.edges)
-            triangles = any(set(h[u]) & set(h[v]) for u, v in h.edges)
-            seen[want, triangles] += 1
-        assert sum(seen.values()) == 996  # connected graphs on 1 to 7 vertices
-        assert seen["C6c", False] == seen["C6v", False] == 1
-        assert seen[None, True] > 800 and seen[None, False] > 80
+            seen[want] += 1
+        # connected triangle-free graphs on 1 to 7 vertices
+        assert sum(seen.values()) == 90
+        assert seen["C6c"] == seen["C6v"] == 1
 
     def _same(self, g):
         def key(found):

@@ -494,14 +494,16 @@ class TestGenerateMember:
             assert len(builds) == 1
 
     def test_one_path_scan(self, monkeypatch):
-        # the degree-2 paths are listed once; every later step edits the list
-        scans = []
-        real = extremal._degree2_paths
-        monkeypatch.setattr(extremal, "_degree2_paths", lambda g: scans.append(g) or real(g))
+        # the degree-2 pairs are listed from the whole rotation once; every
+        # step edits the list with one local read before and one after
+        calls = []
+        real = extremal._pairs_at
+        monkeypatch.setattr(extremal, "_pairs_at",
+                            lambda rot, vs: calls.append(vs is rot) or real(rot, vs))
         for steps, seed in ((0, 1), (1, 0), (300, 2)):
-            scans.clear()
+            calls.clear()
             assert generate_member(steps, seed).n == 5 + 3 * steps
-            assert len(scans) == 1
+            assert calls.count(True) == 1 and len(calls) == 1 + 2 * steps
 
     def test_negative_steps_rejected(self):
         with pytest.raises(GraphError):
