@@ -39,16 +39,14 @@ def _fmt_element(e) -> str:
     return "f(%s)" % "-".join(str(x) for x in obj.vertex_walk())
 
 
-def cmd_validate(args) -> int:
-    g = _read_graph(args.file)
+def cmd_validate(g, args) -> int:
     lengths = sorted(f.length for f in g.faces())
     print("valid plane graph: n=%d m=%d faces=%s triangle_free=%s"
           % (g.n, g.m, lengths, g.is_triangle_free()))
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    g = _read_graph(args.file)
+def cmd_solve(g, args) -> int:
     res = solver.solve(g)
     print("set %s" % _fmt_set(res.independent_set))
     print("size %d guarantee %d met %s" % (res.size, res.guarantee, res.met))
@@ -58,16 +56,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK if res.met else EXIT_VIOLATION
 
 
-def cmd_oracle(args) -> int:
-    g = _read_graph(args.file)
+def cmd_oracle(g, args) -> int:
     alpha, witness = solver.exact_alpha(g)
     print("alpha %d" % alpha)
     print("witness %s" % _fmt_set(witness))
     return EXIT_OK
 
 
-def cmd_member(args) -> int:
-    g = _read_graph(args.file)
+def cmd_member(g, args) -> int:
     trace = extremal.is_member(g)
     sys.stdout.write(trace.serialize())
     if trace.is_member:
@@ -97,16 +93,14 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def cmd_find_configs(args) -> int:
-    g = _read_graph(args.file)
+def cmd_find_configs(g, args) -> int:
     for c in configurations.find_all(g):
         print("%s v=%s roles=%s" % (c.kind, c.roles[0],
                                     ",".join(str(v) for v in c.roles)))
     return EXIT_OK
 
 
-def cmd_discharge(args) -> int:
-    g = _read_graph(args.file)
+def cmd_discharge(g, args) -> int:
     ledger = discharging.apply_rules(g)
     print("sum_initial %s" % ledger.total_initial())
     print("sum_final %s" % ledger.total_final())
@@ -119,8 +113,7 @@ def cmd_discharge(args) -> int:
     return EXIT_OK
 
 
-def cmd_dangerous(args) -> int:
-    g = _read_graph(args.file)
+def cmd_dangerous(g, args) -> int:
     found = discharging.dangerous_cycles(g)
     for dc in found:
         print("dangerous %s interior_n=%d" % ("-".join(str(v) for v in dc.cycle), dc.interior_n))
@@ -128,8 +121,7 @@ def cmd_dangerous(args) -> int:
     return EXIT_OK
 
 
-def cmd_audit(args) -> int:
-    g = _read_graph(args.file)
+def cmd_audit(g, args) -> int:
     report = discharging.audit(g)
     if not report.hypothesis_ok:
         for reason in report.hypothesis_failures:
@@ -164,39 +156,33 @@ def build_parser() -> argparse.ArgumentParser:
     # a string default goes through type=int, so argparse reports a bad value
     seed = os.environ.get("TRIFREE_SEED", "0")
 
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    def add(name, fn, graph=True):
+        sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
+        if graph:
+            sp.add_argument("file")
         return sp
 
-    sp = add("validate", cmd_validate)
-    sp.add_argument("file")
+    add("validate", cmd_validate)
     sp = add("solve", cmd_solve)
-    sp.add_argument("file")
     sp.add_argument("--trace", action="store_true")
-    sp = add("oracle", cmd_oracle)
-    sp.add_argument("file")
-    sp = add("member", cmd_member)
-    sp.add_argument("file")
-    sp = add("gen-extremal", cmd_gen_extremal)
+    add("oracle", cmd_oracle)
+    add("member", cmd_member)
+    sp = add("gen-extremal", cmd_gen_extremal, graph=False)
     sp.add_argument("--steps", type=int, default=3)
     sp.add_argument("--seed", type=int, default=seed)
-    sp = add("gen-random", cmd_gen_random)
+    sp = add("gen-random", cmd_gen_random, graph=False)
     sp.add_argument("--n", type=int, default=20)
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--seed", type=int, default=seed)
-    sp = add("enumerate", cmd_enumerate)
+    sp = add("enumerate", cmd_enumerate, graph=False)
     sp.add_argument("--n", type=int, required=True)
-    sp = add("find-configs", cmd_find_configs)
-    sp.add_argument("file")
+    add("find-configs", cmd_find_configs)
     sp = add("discharge", cmd_discharge)
-    sp.add_argument("file")
     sp.add_argument("--ledger", action="store_true")
-    sp = add("dangerous", cmd_dangerous)
-    sp.add_argument("file")
-    sp = add("audit", cmd_audit)
-    sp.add_argument("file")
-    sp = add("suite", cmd_suite)
+    add("dangerous", cmd_dangerous)
+    add("audit", cmd_audit)
+    sp = add("suite", cmd_suite, graph=False)
     sp.add_argument("--mode", choices=("exhaustive", "random", "extremal"),
                     default="exhaustive")
     sp.add_argument("--n", type=int, default=7)
@@ -209,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # a graph command's file is read here, under the same handlers
+        return args.fn(_read_graph(args.file), args) if "file" in args else args.fn(args)
     except (GraphError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_INPUT

@@ -81,7 +81,8 @@ class PlaneGraph:
         try:
             self._rot = {index(v): tuple(map(index, ns)) for v, ns in rotation.items()}
         except TypeError:
-            raise GraphError("vertex ids must be integers") from None
+            raise GraphError("vertex ids must be integers, "
+                             "each neighbour list a sequence of them") from None
         self._nbr = {v: frozenset(ns) for v, ns in self._rot.items()}
         self._check_simple_symmetric()
         self._trace_faces()
@@ -233,8 +234,8 @@ class PlaneGraph:
         """
         if a == b:
             raise GraphError("path endpoints must differ")
-        if not 2 <= length <= 3:
-            raise GraphError("path search takes 2 or 3 edges, not %d" % length)
+        if length not in (2, 3):
+            raise GraphError("path search takes 2 or 3 edges, not %r" % length)
         nbr = self._nbr
         if a not in nbr or b not in nbr:
             return []
@@ -450,11 +451,8 @@ def parse(text: str) -> PlaneGraph:
             lines.append(line)
     if not lines:
         raise GraphError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphError("first line must be 'n m'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, lines[0].split())
     except ValueError:
         raise GraphError("first line must be 'n m'") from None
     if n < 0 or m < 0:
@@ -462,26 +460,21 @@ def parse(text: str) -> PlaneGraph:
     rotation = {}
     outer_walk = None
     for line in lines[1:]:
-        if ":" not in line:
-            raise GraphError("malformed line: %r" % line)
-        left, right = line.split(":", 1)
-        left = left.strip()
+        # a missing colon fails the unpacking, a non-integer field the int()
         try:
+            left, right = line.split(":", 1)
             entries = tuple(int(t) for t in right.split())
+            v = None if left.strip() == "outer" else int(left)
         except ValueError:
             raise GraphError("malformed line: %r" % line) from None
-        if left == "outer":
+        if v is None:
             if outer_walk is not None:
                 raise GraphError("duplicate outer line")
             outer_walk = entries
-            continue
-        try:
-            v = int(left)
-        except ValueError:
-            raise GraphError("malformed line: %r" % line) from None
-        if v in rotation:
+        elif v in rotation:
             raise GraphError("duplicate rotation line for vertex %d" % v)
-        rotation[v] = entries
+        else:
+            rotation[v] = entries
     if len(rotation) != n or not all(1 <= v <= n for v in rotation):
         raise GraphError("vertices must be exactly 1..n")
     g = PlaneGraph(rotation)

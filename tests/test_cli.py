@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -29,6 +31,31 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParserSurface:
+    GRAPH_COMMANDS = ("validate", "solve", "oracle", "member",
+                      "find-configs", "discharge", "dangerous", "audit")
+
+    def test_pinned_structure(self, capsys, monkeypatch):
+        # every subcommand's arguments, in declaration order, with what
+        # argparse does with each; help text is left out, because argparse
+        # formats it differently across Python versions
+        monkeypatch.delenv("TRIFREE_SEED", raising=False)
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        rows = [[name, [[a.option_strings, a.dest, a.default, a.required, a.nargs,
+                         getattr(a.type, "__name__", None), a.choices, type(a).__name__]
+                        for a in sp._actions]]
+                for name, sp in sorted(sub.choices.items())]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "dc8a36011dfc706c16e327c715baff59a7e2bd7cbe44333fde537f8845fe538a"
+        # a graph command without its file is a usage error
+        for command in self.GRAPH_COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command])
+            assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestValidate:
@@ -121,7 +148,7 @@ class TestMember:
 
 class TestInternalError:
     def test_unexpected_exception_is_one_line(self, capsys, monkeypatch):
-        def broken(args):
+        def broken(g, args):
             raise RuntimeError("boom\nsecond line")
 
         monkeypatch.setattr(cli, "cmd_validate", broken)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -20,6 +21,8 @@ C5_TEXT = """\
 5: 1 4
 """
 
+K2_LINES = "1: 2\n2: 1\n"
+
 K4_TEXT = """\
 4 6
 1: 2 3 4
@@ -38,6 +41,46 @@ class TestParse:
         g = parse(C5_TEXT)
         assert g.n == 5 and g.m == 5
         assert sorted(f.length for f in g.faces()) == [5, 5]
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("", "empty graph file", id="empty"),
+        pytest.param("5\n", "first line must be 'n m'", id="header-one-field"),
+        pytest.param("2 1 9\n" + K2_LINES, "first line must be 'n m'", id="header-three-fields"),
+        pytest.param("a b\n" + K2_LINES, "first line must be 'n m'", id="header-letters"),
+        pytest.param("2 -1\n" + K2_LINES, "negative count in first line: 2 -1",
+                     id="header-negative"),
+        pytest.param("2 1\n1 2\n2: 1\n", "malformed line: '1 2'", id="no-colon"),
+        pytest.param("2 1\nx: 2\n2: 1\n", "malformed line: 'x: 2'", id="label"),
+        pytest.param("2 1\n1: x\n2: 1\n", "malformed line: '1: x'", id="entry"),
+        pytest.param("2 1\n1 2: 2\n2: 1\n", "malformed line: '1 2: 2'", id="label-two-fields"),
+        pytest.param("2 1\n" + K2_LINES + "outer: a\n", "malformed line: 'outer: a'",
+                     id="outer-entry"),
+        pytest.param("2 1\n" + K2_LINES + "outer: 1 2\nouter: 2 1\n", "duplicate outer line",
+                     id="second-outer"),
+        pytest.param("2 1\n1: 2\n1: 2\n2: 1\n", "duplicate rotation line for vertex 1",
+                     id="repeated-vertex"),
+        # a malformed line is reported before the repeat it makes
+        pytest.param("2 1\n1: 2\n1: x\n2: 1\n", "malformed line: '1: x'",
+                     id="repeated-vertex-malformed"),
+        pytest.param("2 1\n" + K2_LINES + "outer: x\nouter: 1 2\n", "malformed line: 'outer: x'",
+                     id="malformed-outer-first"),
+        pytest.param("2 1\n" + K2_LINES + "outer: 1 2\nouter: x\n", "malformed line: 'outer: x'",
+                     id="malformed-outer-second"),
+    ])
+    def test_malformed_text_message(self, text, message):
+        with pytest.raises(GraphError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, outer", [
+        ("2 1\n 1 : 2\n2: 1\n", None),
+        ("2 1\n" + K2_LINES + "outer : 1 2\n", (1, 2)),
+    ], ids=["spaced-label", "spaced-outer"])
+    def test_spaces_around_the_colon_accepted(self, text, outer):
+        g = parse(text)
+        assert (g.n, g.m) == (2, 1)
+        walk = None if g.outer_face is None else g.outer_face.vertex_walk()
+        assert walk == outer
 
     def test_c6v_file_faces(self):
         g = oracles.c6_hub()
@@ -100,6 +143,11 @@ class TestParse:
     def test_non_integer_ids_rejected(self, rot):
         with pytest.raises(GraphError, match="vertex ids must be integers"):
             PlaneGraph(rot)
+
+    @pytest.mark.parametrize("entry", [2, None], ids=["int", "none"])
+    def test_non_sequence_neighbour_list_rejected(self, entry):
+        with pytest.raises(GraphError, match="each neighbour list a sequence"):
+            PlaneGraph({1: entry})
 
     def test_int_subclass_ids_accepted(self):
         g = PlaneGraph({True: (2,), 2: (True,)})
@@ -328,10 +376,10 @@ class TestPathsBetween:
         with pytest.raises(GraphError):
             c5().paths_between(1, 1, 2)
 
-    @pytest.mark.parametrize("length", [0, 1, 4, -1])
-    def test_length_outside_one_to_three_rejected(self, length):
+    @pytest.mark.parametrize("length", [0, 1, 4, -1, 2.5, True])
+    def test_length_other_than_two_or_three_rejected(self, length):
         # the callers ask about 2 or 3 edges, and no other length is answered
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="not %s$" % re.escape(repr(length))):
             c5().paths_between(1, 3, length)
 
     def test_agrees_with_dfs_oracle(self, corpus7):

@@ -1,9 +1,13 @@
 """Code that only tests reach belongs in the tests, not in ``src/trifree``.
 
-A function or class counts as reached when some package code reads it: as
-a name or an attribute that is loaded, not assigned, or in an import outside
-``__init__.py``, whose re-exports alone reach nothing.  What no package code names is pinned
-below, each with why it stays.
+A module-level function or class counts as reached when some package code
+reads it: by its bare name, through a ``from`` import outside
+``__init__.py`` (whose re-exports alone reach nothing), or as
+``<module>.<name>`` on a ``trifree`` module.  A method counts as reached by
+any attribute read of its name, since the walk does not know the type of
+what it is read from.  So a method that shares a function's name, as
+``_Piece.reduce`` shares ``reductions.reduce``, reaches only itself.  What
+no package code reaches is pinned below, each with why it stays.
 """
 import ast
 from pathlib import Path
@@ -21,27 +25,36 @@ UNREACHED = {
     "golden_graphs": "public; the benchmark workloads read the golden corpus with it",
     "is_independent_set": "public predicate; the tracer wraps it",
     "lift": "public copying form of a step's ``lift_into``",
+    "reduce": "public graph-level reduction; tests and the tracer call it, and ``solve`` "
+              "reduces its pieces in place",
 }
 
 MOVED = ("avoiding_independent_set", "diamond_project", "diamond_reduce")
 
 
 def unreached():
-    """The functions and classes of ``src/trifree`` that no package code
-    reads, dunder methods aside."""
-    defined, named = set(), set()
+    """The functions, classes and methods of ``src/trifree`` that no package
+    code reaches, dunder methods aside."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    defined, read, attributes = [], set(), set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(node.name)
+                defined.append((node.name, id(node) in methods))
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                named.add(node.id)
+                read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                named.add(node.attr)
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    read.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
-                named.update(alias.name for alias in node.names)
-    return {name for name in defined - named
-            if not (name.startswith("__") and name.endswith("__"))}
+                read.update(alias.name for alias in node.names)
+    return {name for name, is_method in defined
+            if name not in (read | attributes if is_method else read)
+            and not (name.startswith("__") and name.endswith("__"))}
 
 
 def test_only_pinned_code_is_unreached():
