@@ -125,12 +125,14 @@ def hexagon_exception(nbrs):
     """"C6c" or "C6v" when the triangle-free graph given by its neighbour
     sets is the hexagon with one chord or with a hub, else None.
 
-    Its domain is triangle-free graphs: its callers pass the disks of a
-    graph that passed ``_outer_cycle``, and that graph itself.  It is exact
-    there: a triangle-free graph with degrees 3,3,2,2,2,2 whose two
-    3-vertices are adjacent is a theta graph with paths of 1, 3 and 3 edges,
-    which is C6c; one with degrees 3,3,3,3,2,2,2 and a 3-vertex whose
-    neighbours all have degree 3 is that hub over a 6-cycle, which is C6v.
+    Its domain is triangle-free graphs: ``audit`` passes a graph of at most 7
+    vertices that passed ``_outer_cycle``, and ``dangerous_cycles`` passes the
+    disks with the counts of C6c or C6v of any graph that passed it, but for a
+    6-cycle's chorded disk.  It is exact there: a triangle-free graph with
+    degrees 3,3,2,2,2,2 whose two 3-vertices are adjacent is a theta graph
+    with paths of 1, 3 and 3 edges, which is C6c; one with degrees
+    3,3,3,3,2,2,2 and a 3-vertex whose neighbours all have degree 3 is that
+    hub over a 6-cycle, which is C6v.
     """
     degs = sorted(len(ns) for ns in nbrs.values())
     threes = [x for x, ns in nbrs.items() if len(ns) == 3]
@@ -151,9 +153,10 @@ def dangerous_cycles(g: PlaneGraph) -> list:
     every cycle its disk's faces, face lengths and vertices, each vertex
     counted at the face of its first dart.  A cycle with one side a single
     face of its length bounds the outer face or a bare disk, so it is never
-    dangerous.  Every other disk must satisfy Euler's formula on its counts,
-    and only one with the counts of C6c or C6v reads its faces, as the
-    neighbour sets that ``hexagon_exception`` tests.
+    dangerous.  Every other disk must satisfy Euler's formula on its counts.
+    A 6-cycle whose disk has 6 vertices and 7 edges is C6c by its counts
+    alone; only another disk with the counts of C6c or C6v reads its faces,
+    as the neighbour sets that ``hexagon_exception`` tests.
     """
     _outer_cycle(g)
     index, faces = g._dart_face_index, g.faces()
@@ -195,6 +198,10 @@ def dangerous_cycles(g: PlaneGraph) -> list:
         if 2 * (nv + nf + 1) - m2 != 4:
             raise InternalInvariantError("disk of %r breaks Euler (V-E+F = %d-%d/2+%d)"
                                          % (cyc, nv, m2, nf + 1))
+        if k == nv == 6 and m2 == 14:
+            # every disk vertex is on the cycle, so its one edge beyond it is a chord;
+            # _outer_cycle refused triangles, so it joins opposite vertices: C6c
+            continue
         if (nv, m2) in ((6, 14), (7, 18)):  # (V, 2E) of C6c and of C6v
             # C6c and C6v each have one embedding, in which every inner face
             # has an edge on the outer cycle: a disk with a face away from

@@ -231,9 +231,29 @@ class TestDangerousCycles:
                         digest.update(("%r %d\n" % (d.cycle, d.interior_n)).encode())
                     digest.update(b"\n")
         assert outers == [613, 463, 191] and cycles == 24462
-        assert shapes == {"C6c": 12759, "C6v": 267, None: 3988}
+        # a 6-cycle's one-chord disk is excused by its counts, with no shape call
+        assert shapes == {"C6c": 23, "C6v": 267, None: 3988}
         assert digest.hexdigest() == (
             "5712550d2aa5aa73edd84a56a9d89fc179bb9995610ce1b5329f18e438fcbc40")
+
+    def test_six_cycle_disks_with_one_chord_are_c6c(self):
+        # the lemma dangerous_cycles excuses by counts, checked on built disks:
+        # a 6-cycle's disk with 6 vertices and 7 edges is C6c, never dangerous
+        graphs = corpus.gen_random(corpus.CorpusSpec("random", n_max=40, seed=1, count=20))
+        graphs += [oracles.grid(r, r) for r in range(3, 9)]
+        graphs += [oracles.cylinder(6, 4), oracles.cylinder(8, 5)]
+        checked = 0
+        for g in map(_longest_short_face_outer, graphs):
+            dangerous = {d.cycle for d in dc.dangerous_cycles(g)}
+            for c in _non_facial(g):
+                if len(c) != 6:
+                    continue
+                d = g.disk_subgraph(c)
+                if (d.n, d.m) == (6, 7):
+                    assert oracles.isomorphic_small(d, oracles.c6_chord()), c
+                    assert c not in dangerous
+                    checked += 1
+        assert checked > 0
 
 
 def _non_facial(g):
@@ -276,6 +296,24 @@ class TestDangerousCyclesCost:
         # each found cycle carries the vertex count of its built disk
         assert [d.interior_n for d in found] == [g.disk_subgraph(d.cycle).n for d in found]
         assert calls["validated builds"] == len(found)
+
+    @pytest.mark.parametrize("make", [lambda: oracles.grid(12, 12),
+                                      lambda: oracles.cylinder(6, 30)],
+                             ids=["grid12x12", "cyl6x30"])
+    def test_one_chord_hexagons_read_no_faces(self, monkeypatch, make):
+        # with the benchmark's outer face, the longest short face, each disk
+        # with the counts of C6c or C6v is a 6-cycle's one-chord disk, which
+        # its counts alone excuse: no face is read into neighbour sets
+        g = _longest_short_face_outer(make())
+        calls, shape = Counter(), dc.hexagon_exception
+
+        def counted(nbrs):
+            calls["shape"] += 1
+            return shape(nbrs)
+
+        monkeypatch.setattr(dc, "hexagon_exception", counted)
+        assert dc.dangerous_cycles(g)
+        assert calls["shape"] == 0
 
     @pytest.mark.parametrize("make", [_grid_with_square_outer, _enclosed_chord_graph])
     def test_dropping_a_vertex_breaks_euler(self, monkeypatch, make):
@@ -330,6 +368,10 @@ def _short_faces(g):
     return [f for f in g.faces() if f.is_cycle() and f.length <= 6]
 
 
+def _longest_short_face_outer(g):
+    return g.re_embed(max(_short_faces(g), key=lambda f: f.length))
+
+
 class TestAgainstVF2:
     """The shape test and ``dangerous_cycles`` against VF2 (``oracles``)."""
 
@@ -377,7 +419,7 @@ class TestAgainstVF2:
                 found += self._same(g.re_embed(f))
         for seed in range(3):
             (g,) = corpus.gen_random(corpus.CorpusSpec("random", n_max=150, seed=seed, count=1))
-            found += self._same(g.re_embed(max(_short_faces(g), key=lambda f: f.length)))
+            found += self._same(_longest_short_face_outer(g))
         assert found > 0
 
 
