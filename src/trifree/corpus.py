@@ -225,7 +225,7 @@ class SuiteReport:
             "graphs": len(self.rows),
             "members": sum(1 for r in self.rows if r.member),
             "tight": sum(1 for r in self.rows
-                         if r.alpha is not None and 3 * r.alpha <= r.n + 1),
+                         if r.alpha is not None and r.alpha < extremal.guarantee(r.n, False)),
             "met": sum(1 for r in self.rows if r.met),
             "violations": len(self.violations),
         }

@@ -316,6 +316,13 @@ def is_member(g: PlaneGraph) -> MembershipTrace:
     return MembershipTrace(tuple(steps) if terminal != NOT_MEMBER else (), terminal)
 
 
+def guarantee(n: int, member: bool) -> int:
+    """The independence number the theorem guarantees an n-vertex planar
+    triangle-free graph: ceil((n+1)/3) for a family member, the exception,
+    and ceil((n+2)/3) otherwise.  Every statement of the bound calls this."""
+    return (n + 3) // 3 if member else (n + 4) // 3
+
+
 def generate_member(steps: int, seed) -> PlaneGraph:
     """A random family member with 5 + 3*steps vertices; deterministic per seed.
 
@@ -362,6 +369,6 @@ def member_max_independent_set(g: PlaneGraph, trace: MembershipTrace) -> frozens
     if tuple(steps) != want or _terminal(h) != trace.terminal:
         raise GraphError("trace does not replay to %s on this graph" % trace.terminal)
     s = _lift_back(g, steps, set(exact_alpha(h)[1]))
-    if 3 * len(s) != g.n + 1:
+    if len(s) != guarantee(g.n, True):
         raise InternalInvariantError("lifted set has size %d != (n+1)/3" % len(s))
     return s

@@ -82,14 +82,6 @@ class SolveResult:
         return len(self.independent_set)
 
 
-def _component_graphs(g: PlaneGraph) -> list:
-    """The components of g as plane graphs; a connected g is returned as is."""
-    comps = g.components()
-    if len(comps) == 1:
-        return [g]
-    return [PlaneGraph({v: g.rotation(v) for v in comp}) for comp in comps]
-
-
 class _Piece(Rotation):
     """One connected component of the reduction chain, edited in place.
 
@@ -229,38 +221,33 @@ def _solve_set(comps: list, z: int):
     return found, tuple(trace)
 
 
-def _component_guarantee(g: PlaneGraph) -> int:
-    if extremal.is_member(g).is_member:
-        return (g.n + 3) // 3   # ceil((n+1)/3)
-    return (g.n + 4) // 3       # ceil((n+2)/3)
-
-
 def solve(g: PlaneGraph) -> SolveResult:
-    """Find a large independent set constructively and check the claimed bound."""
+    """Find a large independent set constructively and check it against
+    ``extremal.guarantee``, summed over the components of g."""
     if not g.is_triangle_free():
         raise GraphError("solver requires a triangle-free input")
-    comps = _component_graphs(g)
+    comps = g.components()
+    comps = [g] if len(comps) == 1 else [PlaneGraph({v: g.rotation(v) for v in c}) for c in comps]
     found, trace = _solve_set(comps, g.max_vertex_id() + 1)
     s = extremal._lift_back(g, trace, found)
-    guarantee = sum(_component_guarantee(comp) for comp in comps)
-    return SolveResult(s, trace, guarantee, len(s) >= guarantee)
+    bound = sum(extremal.guarantee(c.n, extremal.is_member(c).is_member) for c in comps)
+    return SolveResult(s, trace, bound, len(s) >= bound)
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    n: int
     alpha: int
-    witness: frozenset
     member: bool
-    lower_bound_ok: bool       # alpha >= (n+1)/3
-    main_ok: bool              # alpha >= (n+2)/3 unless member
+    lower_bound_ok: bool
+    main_ok: bool
 
 
 def check_theorem_bounds(g: PlaneGraph) -> BoundReport:
+    """Exact alpha: ``lower_bound_ok`` says alpha >= ceil((n+1)/3), and
+    ``main_ok`` that g is a member or alpha >= ceil((n+2)/3)."""
     if not g.is_triangle_free():
         raise GraphError("bounds apply to triangle-free graphs only")
-    alpha, witness = exact_alpha(g)
+    alpha = exact_alpha(g)[0]
     member = extremal.is_member(g).is_member
-    lower_ok = 3 * alpha >= g.n + 1
-    main_ok = member or 3 * alpha >= g.n + 2
-    return BoundReport(g.n, alpha, witness, member, lower_ok, main_ok)
+    return BoundReport(alpha, member, alpha >= extremal.guarantee(g.n, True),
+                       member or alpha >= extremal.guarantee(g.n, False))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import sys
 import time
 
@@ -516,6 +517,13 @@ class TestGenerateMember:
         assert g.n == 5 + 3 * steps
         assert g.is_triangle_free()
         assert is_member(g).is_member
+
+
+class TestGuarantee:
+    def test_is_the_ceiling(self):
+        for n in range(3001):
+            assert extremal.guarantee(n, True) == math.ceil((n + 1) / 3)
+            assert extremal.guarantee(n, False) == math.ceil((n + 2) / 3)
 
 
 class TestMemberMaxIndependentSet:

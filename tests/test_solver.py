@@ -1,3 +1,4 @@
+import random
 import sys
 
 import networkx
@@ -399,3 +400,47 @@ class TestCheckTheoremBounds:
     def test_triangle_rejected(self, k4_outer_text):
         with pytest.raises(GraphError, match="triangle-free graphs only"):
             solver.check_theorem_bounds(parse(k4_outer_text))
+
+
+def _disjoint_union(first, second):
+    """first beside second, second's ids shifted above first's."""
+    shift = first.max_vertex_id()
+    rot = {v: first.rotation(v) for v in first.vertices}
+    rot.update({v + shift: tuple(u + shift for u in second.rotation(v)) for v in second.vertices})
+    return PlaneGraph(rot)
+
+
+class TestGuarantee:
+    """The bound every reader states: ceil((n+1)/3) for a family member and
+    ceil((n+2)/3) otherwise, summed per component by ``solve``.  The formulas
+    are written out here, not read from the library."""
+
+    @staticmethod
+    def per_component(g):
+        total = 0
+        for comp in g.components():
+            c = PlaneGraph({v: g.rotation(v) for v in comp})
+            total += (c.n + 3) // 3 if is_member(c).is_member else (c.n + 4) // 3
+        return total
+
+    def test_matches_the_theorem_per_component(self, corpus8, golden, cube):
+        rng = random.Random(0)
+        graphs = corpus8 + list(golden.values())
+        graphs += [generate_member(k, s) for k in (0, 1, 2, 5, 10, 40) for s in (0, 1)]
+        graphs += [oracles.edge_deleted_member(steps, seed, rng.randrange(5 * steps + 5))
+                   for steps in (1, 2, 5, 10, 30) for seed in range(3)]
+        c5 = cycle_graph(5)
+        graphs += [_disjoint_union(c5, c5), _disjoint_union(c5, PlaneGraph({1: ()})),
+                   _disjoint_union(golden["member20"], cube)]
+        for g in graphs:
+            assert solver.solve(g).guarantee == self.per_component(g), g
+            if g.n <= solver.ORACLE_LIMIT:
+                rep = solver.check_theorem_bounds(g)
+                assert rep.member == is_member(g).is_member
+                assert rep.lower_bound_ok == (3 * rep.alpha >= g.n + 1)
+                assert rep.main_ok == (rep.member or 3 * rep.alpha >= g.n + 2)
+
+    def test_suite_summary(self):
+        report = corpus.run_suite(corpus.CorpusSpec("exhaustive", n_max=7))
+        assert report.summary() == {"graphs": 85, "members": 2, "tight": 2, "met": 85,
+                                    "violations": 0}
