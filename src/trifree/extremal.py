@@ -99,37 +99,47 @@ class MembershipTrace:
 
 def _check_diamond(g, u1, z1, z2, u2, w, x1, x2) -> bool:
     """Whether the seven fields are a diamond of g: the degree pattern pins
-    the neighbourhood of each cycle vertex."""
+    the neighbourhood of each cycle vertex.  The lists come from g's rotation
+    table: a simple graph lists no neighbour twice, so a list of the pinned
+    length holding the pinned vertices is that neighbourhood, and by symmetry
+    the lists of u1, u2 and w hold x1's and x2's edges."""
     c = (u1, z1, z2, u2, w)
-    return (len(set(c)) == 5 and x1 not in c and x2 not in c
-            and g.has_edge(x1, u1) and g.has_edge(x1, u2) and g.has_edge(x2, w)
-            and all(map(g.has_vertex, c))
-            and g.neighbors(u1) == {z1, w, x1} and g.neighbors(z1) == {u1, z2}
-            and g.neighbors(z2) == {z1, u2} and g.neighbors(u2) == {z2, w, x1}
-            and g.neighbors(w) == {u1, u2, x2})
+    if len(set(c)) != 5 or x1 in c or x2 in c:
+        return False
+    r = g.rotations
+    nu1, nz1, nz2, nu2, nw = (r.get(u1, ()), r.get(z1, ()), r.get(z2, ()),
+                              r.get(u2, ()), r.get(w, ()))
+    return (len(nu1) == 3 and z1 in nu1 and w in nu1 and x1 in nu1
+            and len(nz1) == 2 and u1 in nz1 and z2 in nz1
+            and len(nz2) == 2 and z1 in nz2 and u2 in nz2
+            and len(nu2) == 3 and z2 in nu2 and w in nu2 and x1 in nu2
+            and len(nw) == 3 and u1 in nw and u2 in nw and x2 in nw)
 
 
 def _diamonds_at(g, seeds):
     """The diamonds whose z1 is one of ``seeds``, each once (see
-    ``find_diamonds``)."""
+    ``find_diamonds``), read from g's rotation lists."""
+    r = g.rotations
     for z1 in seeds:
-        if g.degree(z1) != 2:
+        nz1 = r[z1]
+        if len(nz1) != 2:
             continue
-        for z2 in g.neighbors(z1):
-            if g.degree(z2) != 2:
+        for z2 in nz1:
+            nz2 = r[z2]
+            if len(nz2) != 2:
                 continue
-            (u1,) = g.neighbors(z1) - {z2}
-            (u2,) = g.neighbors(z2) - {z1}
-            if u2 <= u1 or g.degree(u1) != 3 or g.degree(u2) != 3:
+            u1 = nz1[0] if nz1[1] == z2 else nz1[1]
+            u2 = nz2[0] if nz2[1] == z1 else nz2[1]
+            if u2 <= u1 or len(nu1 := r[u1]) != 3 or len(nu2 := r[u2]) != 3:
                 continue
-            for w in g.neighbors(u1) & g.neighbors(u2):
-                if g.degree(w) != 3:
+            for w in nu1:
+                if w not in nu2 or len(r[w]) != 3:
                     continue
-                cset = {u1, z1, z2, u2, w}
-                x1s = g.neighbors(u1) - cset
-                x2s = g.neighbors(w) - cset
-                if len(x1s) == 1 and x1s == g.neighbors(u2) - cset and len(x2s) == 1:
-                    yield Diamond(u1, z1, z2, u2, w, min(x1s), min(x2s))
+                c = (u1, z1, z2, u2, w)
+                x1s = [x for x in nu1 if x not in c]
+                x2s = [x for x in r[w] if x not in c]
+                if len(x1s) == 1 and x1s[0] in nu2 and len(x2s) == 1:
+                    yield Diamond(*c, *x1s, *x2s)
 
 
 def find_diamonds(g) -> list:
@@ -249,7 +259,10 @@ def _descend(g, pick):
     tuples: the ``find_diamonds`` scan at its first call, then after each
     step what ``_diamonds_at`` finds from the degree-2 vertices within
     distance 2 of x1, x2, v1 and v2.  An entry at the top is popped unless
-    ``_check_diamond`` accepts it on h now, so ``first`` gives only diamonds.
+    ``_check_diamond`` accepts it on h now, so ``first`` gives only diamonds;
+    the replaced diamond, when it is the top, leaves the heap with its step,
+    so each step checks its diamond twice (``first`` and the replacement).
+    Both searches read rotation lists and build no neighbour set.
     A diamond is one by its cycle's neighbourhoods alone, and a replacement
     changes them only at x1, x2 and the vertices it deletes or adds; so a
     diamond it makes or restores has one of x1, x2, v1, v2 on its cycle and
@@ -270,6 +283,8 @@ def _descend(g, pick):
         if h is g:
             h = Rotation.of(g)
         steps.append(step := replace_diamond_with_path(h, d, m + 1 + 2 * len(steps)))
+        if heap and heap[0] == d:
+            heapq.heappop(heap)
         if heap is not None:
             near = {v for v in (d.x1, d.x2, step.v1, step.v2) if len(h[v]) <= 3}
             ring = near

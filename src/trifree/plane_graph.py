@@ -153,6 +153,11 @@ class PlaneGraph:
     def rotation(self, v) -> tuple:
         return self._rot[v]
 
+    @property
+    def rotations(self) -> dict:
+        """The rotation table itself, read only, as ``Rotation`` is one."""
+        return self._rot
+
     def neighbors(self, v) -> frozenset:
         return self._nbr[v]
 
@@ -403,6 +408,7 @@ class Rotation(dict):
     __slots__ = ()
     vertices = property(lambda self: tuple(sorted(self)))
     n = property(len)
+    rotations = property(lambda self: self)
     has_vertex = dict.__contains__
 
     @classmethod

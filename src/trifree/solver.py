@@ -244,10 +244,13 @@ class BoundReport:
 
 def check_theorem_bounds(g: PlaneGraph) -> BoundReport:
     """Exact alpha: ``lower_bound_ok`` says alpha >= ceil((n+1)/3), and
-    ``main_ok`` that g is a member or alpha >= ceil((n+2)/3)."""
+    ``main_ok`` that g is a member or alpha >= ceil((n+2)/3).  The theorem
+    speaks of n >= 1: the empty graph holds both, as ``solve``'s guarantee
+    of 0 over no components says."""
     if not g.is_triangle_free():
         raise GraphError("bounds apply to triangle-free graphs only")
     alpha = exact_alpha(g)[0]
     member = extremal.is_member(g).is_member
-    return BoundReport(alpha, member, alpha >= extremal.guarantee(g.n, True),
-                       member or alpha >= extremal.guarantee(g.n, False))
+    empty = g.n == 0
+    return BoundReport(alpha, member, empty or alpha >= extremal.guarantee(g.n, True),
+                       empty or member or alpha >= extremal.guarantee(g.n, False))

@@ -9,7 +9,8 @@ public in-place ``replace_diamond_with_path``, one validated build; the
 those two, ``reductions.lift`` and ``exact_alpha``.  ``diamond_project``
 maps a host set onto the reduced graph; it alone shares code with trifree
 internals, checking its result with ``extremal._check_diamond`` and
-``extremal._add_checked``.
+``extremal._add_checked``.  ``naive_check_diamond`` is the neighbour-set
+reference for ``extremal._check_diamond``.
 """
 import dataclasses
 import functools
@@ -259,6 +260,19 @@ def naive_reduced_edges(g, c):
         if a not in deleted and b not in deleted:
             edges.add(frozenset((image.get(a, a), image.get(b, b))))
     return verts, frozenset(edges)
+
+
+def naive_check_diamond(g, u1, z1, z2, u2, w, x1, x2) -> bool:
+    """Whether the seven fields are a diamond of g, a ``PlaneGraph`` or a
+    ``Rotation``, by comparing neighbour sets: the reference for
+    ``extremal._check_diamond``, which reads rotation lists."""
+    c = (u1, z1, z2, u2, w)
+    return (len(set(c)) == 5 and x1 not in c and x2 not in c
+            and g.has_edge(x1, u1) and g.has_edge(x1, u2) and g.has_edge(x2, w)
+            and all(map(g.has_vertex, c))
+            and g.neighbors(u1) == {z1, w, x1} and g.neighbors(z1) == {u1, z2}
+            and g.neighbors(z2) == {z1, u2} and g.neighbors(u2) == {z2, w, x1}
+            and g.neighbors(w) == {u1, u2, x2})
 
 
 def naive_diamonds(g):

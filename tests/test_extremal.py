@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import itertools
 import math
 import sys
 import time
@@ -70,6 +72,19 @@ def check_picks(g, steps):
     return graphs[-1]
 
 
+def work_members():
+    """The members the descent's work is pinned on, n 125 to 305."""
+    return [generate_member(s, 100 + i) for i, s in enumerate((40, 55, 70, 85, 100))]
+
+
+@functools.cache
+def planar_atlas():
+    """The planar graphs of networkx's atlas, up to 7 vertices, embedded by
+    ``embed_edges``; triangles included."""
+    return [embed_edges(h.nodes, h.edges) for h in nx.graph_atlas_g()
+            if nx.check_planarity(h)[0]]
+
+
 class TestFindDiamonds:
     def test_c5_has_none(self):
         assert find_diamonds(cycle_graph(5)) == []
@@ -92,6 +107,17 @@ class TestFindDiamonds:
         for g in corpus8:
             assert diamond_tuples(find_diamonds(g)) == oracles.naive_diamonds(g)
 
+    def test_oracle_agreement_on_graph_atlas(self):
+        # is_member has no triangle gate, so the scan must be right on any
+        # plane graph, triangles included
+        graphs = planar_atlas()
+        assert len(graphs) > 1000
+        with_triangles = 0
+        for g in graphs:
+            assert diamond_tuples(find_diamonds(g)) == oracles.naive_diamonds(g)
+            with_triangles += not g.is_triangle_free()
+        assert with_triangles > 500
+
     @pytest.mark.parametrize("steps,seed", [(10, 0), (30, 1), (50, 2)])
     def test_oracle_agreement_along_membership_trace(self, steps, seed):
         g = generate_member(steps, seed)
@@ -100,6 +126,53 @@ class TestFindDiamonds:
         assert len(graphs) == steps + 1
         for h in graphs:
             assert diamond_tuples(find_diamonds(h)) == oracles.naive_diamonds(h)
+
+
+class TestCheckDiamond:
+    """``_check_diamond`` reads rotation lists; ``oracles.naive_check_diamond``
+    compares neighbour sets.  They must agree on every 7-tuple."""
+
+    @staticmethod
+    def agree(g):
+        """Both checks on g and its ``Rotation`` copy, for every diamond of g
+        and each diamond with one field swapped for a neighbour of that field
+        or for an absent id."""
+        absent = g.max_vertex_id() + 1
+        for view in (g, Rotation.of(g)):
+            for d in find_diamonds(g):
+                assert extremal._check_diamond(view, *d) and oracles.naive_check_diamond(view, *d)
+                for i, v in enumerate(d):
+                    for u in sorted(g.neighbors(v)) + [absent]:
+                        t = d[:i] + (u,) + d[i + 1:]
+                        assert (extremal._check_diamond(view, *t)
+                                == oracles.naive_check_diamond(view, *t)), (view, t)
+
+    def test_corpus9(self, corpus9):
+        assert sum(len(find_diamonds(g)) for g in corpus9) == 32
+        for g in corpus9:
+            self.agree(g)
+
+    def test_members(self):
+        for g in work_members():
+            assert find_diamonds(g)
+            self.agree(g)
+
+    def test_graph_atlas(self):
+        # beyond the diamonds and their swaps: every walk along a 5-cycle with
+        # every x1 next to its first vertex and x2 next to its last, so the
+        # near misses on degree are tried too
+        accepted = 0
+        for g in planar_atlas():
+            self.agree(g)
+            cycles = nx.simple_cycles(oracles.to_networkx(g), length_bound=5)
+            for cyc in (cyc for cyc in cycles if len(cyc) == 5):
+                for i, order in itertools.product(range(5), (1, -1)):
+                    c = tuple(cyc[(i + order * j) % 5] for j in range(5))
+                    for x1, x2 in itertools.product(g.neighbors(c[0]), g.neighbors(c[4])):
+                        got = extremal._check_diamond(g, *c, x1, x2)
+                        assert got == oracles.naive_check_diamond(g, *c, x1, x2)
+                        accepted += got
+        assert accepted > 0
 
 
 class TestReplaceDiamondWithPath:
@@ -304,6 +377,26 @@ class TestIsMember:
         assert is_member(h).terminal == "NOT_MEMBER"
         assert 0 < len(reductions) <= cap
         assert searches == []
+
+    def test_descent_work_per_step(self, monkeypatch):
+        # each replacement checks its diamond twice, in first() and in
+        # replace_diamond_with_path, and no read builds a neighbour set
+        members, checks = work_members(), []
+        real = extremal._check_diamond
+        monkeypatch.setattr(extremal, "_check_diamond", lambda *a: checks.append(a) or real(*a))
+
+        def no_sets(self, v):
+            raise AssertionError("a neighbour set was built")
+
+        monkeypatch.setattr(Rotation, "neighbors", no_sets)
+        monkeypatch.setattr(PlaneGraph, "neighbors", no_sets)
+        replaced = 0
+        for g in members:
+            trace = is_member(g)
+            assert trace.terminal == "C5"
+            replaced += len(trace.steps)
+        assert replaced == 350
+        assert len(checks) <= 2 * replaced
 
     def test_every_diamond_of_a_member_leads_to_a_member(self, golden, expectations):
         # the premise of the first-diamond descent: no choice needs undoing

@@ -440,6 +440,14 @@ class TestGuarantee:
                 assert rep.lower_bound_ok == (3 * rep.alpha >= g.n + 1)
                 assert rep.main_ok == (rep.member or 3 * rep.alpha >= g.n + 2)
 
+    def test_empty_graph_holds_both_bounds(self):
+        # solve guarantees 0 over no components and meets it; the bound check
+        # must not report the empty graph as a theorem violation
+        g = PlaneGraph({})
+        res = solver.solve(g)
+        assert (res.size, res.guarantee, res.met) == (0, 0, True)
+        assert solver.check_theorem_bounds(g) == solver.BoundReport(0, False, True, True)
+
     def test_suite_summary(self):
         report = corpus.run_suite(corpus.CorpusSpec("exhaustive", n_max=7))
         assert report.summary() == {"graphs": 85, "members": 2, "tight": 2, "met": 85,
